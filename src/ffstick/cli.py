@@ -16,9 +16,10 @@ separate entries with semicolons ("0,0,1;0,1" is the chain t^2, t).  Every
 command writes a report document to stdout, or to the path given with
 ``--json``; wall time goes to stderr so the document bytes depend only on
 the configuration and seed.  Exit status: 0 when every check passes, 1 when
-some check fails, 2 for usage or validation errors.
+some check fails, 2 for usage or validation errors (ValueError).  Any other
+exception is an internal fault and propagates with its traceback.
 
-The environment variable WORKBENCH_THREADS is echoed into the config for
+The environment variable WORKBENCH_THREADS is only echoed into the config for
 provenance; execution is sequential either way, which is what keeps the
 reports reproducible.
 """
@@ -110,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ffstick",
         description="Exact workbench for function-field series, Hecke operators "
         "on polynomial lattices, and Carlitz torsion algebras.",
+        epilog="The environment variable WORKBENCH_THREADS is only echoed into "
+        "the report config; execution is always sequential.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", default=None,
@@ -756,7 +759,7 @@ def main(argv=None) -> int:
             handler = _HANDLERS[(args.command, args.action)]
             with Stopwatch(f"{args.command} {args.action}"):
                 config, checks = handler(args)
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = make_report(config, checks)

@@ -15,7 +15,8 @@ The operators implemented here:
   at a monic prime x;
 * ``t_local``: the sum of all sublattices N' of N with N/N' of length m as
   a module over the local ring at x;
-* ``t_chain``: sublattices with a prescribed chain of invariant factors;
+* ``t_chain``: sublattices with a prescribed chain of invariant factors,
+  applied from one classification of the coordinate matrices by Smith form;
 * ``newton_verify``: checks the Newton style recurrence tying t_local to
   the elementary operators, together with the alternating Gaussian binomial
   identity that drives its proof;
@@ -464,18 +465,42 @@ def sublattice_enum(L: Lattice, g) -> list[Lattice]:
     return out
 
 
+# (ctx, det, rank) -> {chain: coordinate matrices}; equal fields share an
+# entry because FieldCtx compares by (p, m, modulus).
+_TRIANGLES_BY_TYPE: dict = {}
+
+
+def _triangles_by_type(ctx: FieldCtx, g: tuple, n: int) -> dict:
+    """Canonical triangular matrices C with det g, grouped by invariant chain.
+
+    For any lattice N the quotient N / (C N) is isomorphic to A^n / (rows of
+    C), so its chain is the Smith form of C alone.  Each C is classified once
+    per (ctx, g, n); the result maps each chain tuple to its matrices, as
+    row tuples in canonical enumeration order.
+    """
+    key = (ctx, g, n)
+    groups = _TRIANGLES_BY_TYPE.get(key)
+    if groups is None:
+        groups = {}
+        for diags in _diag_tuples(ctx, g, n):
+            for rows in _enum_canonical_triangles(ctx, diags):
+                chain = tuple(reversed(_snf_diagonal(ctx, rows)))
+                groups.setdefault(chain, []).append(tuple(tuple(r) for r in rows))
+        groups = {chain: tuple(cs) for chain, cs in groups.items()}
+        _TRIANGLES_BY_TYPE[key] = groups
+    return groups
+
+
 def d_count(ctx: FieldCtx, chain) -> int:
-    """Number of sublattices of A^n with the given invariant chain, n = len(chain)."""
+    """Number of sublattices of A^n with the given invariant chain, n = len(chain).
+
+    Counts the canonical coordinate matrices whose Smith form is the chain,
+    the same list ``t_chain`` applies to each lattice.
+    """
     if not isinstance(chain, InvariantType):
         chain = InvariantType(ctx, chain)
-    n = len(chain)
-    amb = standard_lattice(ctx, n)
-    det = chain.det()
-    total = 0
-    for N in sublattice_enum(amb, det):
-        if quotient_invariants(N, amb) == chain:
-            total += 1
-    return total
+    groups = _triangles_by_type(ctx, chain.det().coeffs, len(chain))
+    return len(groups.get(chain.chain, ()))
 
 
 def phi_count(ctx: FieldCtx, g, n: int, method: str = "closed") -> int:
@@ -730,17 +755,26 @@ def _compositions(m: int, n: int):
 
 
 def t_chain(chain: InvariantType, s: LatticeSum) -> LatticeSum:
-    """Operator summing sublattices with the prescribed invariant chain."""
+    """Operator summing sublattices with the prescribed invariant chain.
+
+    The sublattices of N with this chain are C N for the canonical
+    coordinate matrices C whose Smith form is the chain; they are classified
+    once per determinant and rank, and only applied to each N here.
+    """
     ctx = s.ctx
-    if len(chain) != s.n:
+    n = s.n
+    if len(chain) != n:
         raise ValueError("chain length must equal the rank")
-    det = chain.det()
+    cmats = _triangles_by_type(ctx, chain.det().coeffs, n).get(chain.chain, ())
     out: dict[Lattice, int] = {}
     for N, mult in s.terms.items():
-        for Np in sublattice_enum(N, det):
-            if quotient_invariants(Np, N) == chain:
-                out[Np] = out.get(Np, 0) + mult
-    return LatticeSum(ctx, s.n, out)
+        if N.is_standard:
+            subs = (Lattice._wrap(ctx, n, C) for C in cmats)
+        else:
+            subs = (_apply_basis(ctx, C, N) for C in cmats)
+        for Np in subs:
+            out[Np] = out.get(Np, 0) + mult
+    return LatticeSum(ctx, n, out)
 
 
 # ---------------------------------------------------------------------------

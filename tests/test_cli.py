@@ -177,3 +177,25 @@ def test_workbench_threads_echoed(monkeypatch):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["config"]["workbench_threads"] == 8
+
+
+@pytest.mark.parametrize("exc", ["ArithmeticError", "ZeroDivisionError"])
+def test_internal_arithmetic_error_is_not_a_usage_error(exc):
+    # an invariant breach inside a computation must not read as bad input
+    script = (
+        "import sys\n"
+        "from ffstick import cli\n"
+        "def breach(*args, **kwargs):\n"
+        f"    raise {exc}('internal invariant breached')\n"
+        "cli.phi_count = breach\n"
+        "sys.exit(cli.main(['hecke', 'phi', '--p', '2', '--m', '1', '--g', '0,1', '--n', '2']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode not in (0, 2)
+    assert exc in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_help_says_workbench_threads_is_only_echoed():
+    proc = run_cli("--help", check=True)
+    assert "WORKBENCH_THREADS is only echoed" in " ".join(proc.stdout.split())
