@@ -332,11 +332,18 @@ def _chains_with_det(ctx: FieldCtx, g: tuple, n: int):
     return out
 
 
-def _newton_case(ctx, x, n, r, seed, fault):
-    lattices = [standard_lattice(ctx, n)] + [
+def _newton_lattices(ctx, x, n, r, seed, count):
+    """The Newton test lattices: A^n, then count - 1 seeded random sublattices."""
+    if count < 1:
+        raise ValueError("the Newton check needs at least one test lattice")
+    return [standard_lattice(ctx, n)] + [
         random_sublattice(ctx, n, _mix(seed, ctx.q, ctx.pkey(x), n, r, k), max_deg=1)
-        for k in range(3)
+        for k in range(count - 1)
     ]
+
+
+def _newton_case(ctx, x, n, r, seed, fault):
+    lattices = _newton_lattices(ctx, x, n, r, seed, 4)
     rep = newton_verify(ctx, x, n, r, test_lattices=lattices, fault=fault)
     details = {
         "x": list(x), "n": n, "r": r,
@@ -353,12 +360,7 @@ def _run_hecke_newton(args):
     config = _base_config(args, "hecke newton")
     config.update({"x": list(args.x), "n": args.n, "r": args.r,
                    "lattices": args.lattices, "inject_fault": args.inject_fault})
-    lattices = [standard_lattice(ctx, args.n)] + [
-        random_sublattice(ctx, args.n,
-                          _mix(args.seed, ctx.q, ctx.pkey(args.x), args.n, args.r, k),
-                          max_deg=1)
-        for k in range(max(0, args.lattices - 1))
-    ]
+    lattices = _newton_lattices(ctx, args.x, args.n, args.r, args.seed, args.lattices)
     rep = newton_verify(ctx, args.x, args.n, args.r, test_lattices=lattices,
                         fault=args.inject_fault)
     details = {

@@ -519,6 +519,8 @@ class FieldCtx:
         return Poly(self, coeffs)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, FieldCtx)
             and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)

@@ -4,9 +4,10 @@ A lattice is stored through its canonical basis: an n x n upper triangular
 matrix whose rows are the basis vectors, with monic diagonal entries and, for
 i < j, the entry at (i, j) reduced so its degree is below the degree of the
 (j, j) diagonal entry.  This canonical form is unique per lattice, so
-lattices can be hashed and compared directly and formal Z-linear sums of
-lattices (the modules Hecke operators act on) are plain counters keyed by
-canonical bases.
+lattices can be hashed and compared directly.  A formal Z-linear sum of
+lattices (the modules Hecke operators act on) is a dict keyed by canonical
+row tuples, with the field and rank stored once on the sum; Lattice objects
+are built only where a caller looks at single terms.
 
 The operators implemented here:
 
@@ -14,7 +15,10 @@ The operators implemented here:
   preimages of codimension j subspaces of N / m_x N over the residue field
   at a monic prime x;
 * ``t_local``: the sum of all sublattices N' of N with N/N' of length m as
-  a module over the local ring at x;
+  a module over the local ring at x.  Both operators sum C N over canonical
+  triangular C with a fixed diagonal, and both build the canonical rows of
+  C N bottom up, each row running over an affine space over F_q, in one
+  path for A^n and every other N;
 * ``t_chain``: sublattices with a prescribed chain of invariant factors,
   applied from one classification of the coordinate matrices by Smith form;
 * ``newton_verify``: checks the Newton style recurrence tying t_local to
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -173,22 +178,29 @@ def standard_lattice(ctx: FieldCtx, n: int) -> Lattice:
 def _canonical_rows(ctx: FieldCtx, n: int, rows: list) -> tuple:
     """Reduce an upper triangular basis with monic diagonal to canonical rows.
 
-    Processes rows bottom up; each off diagonal entry (i, j) is reduced
-    modulo the diagonal of row j, which is already in final form.
+    Processes rows bottom up; each row is reduced against the rows below it,
+    which are already in final form.
     """
-    pdivmod, psub, pmul = ctx.pdivmod, ctx.psub, ctx.pmul
+    out = (tuple(rows[n - 1]),)
     for i in range(n - 2, -1, -1):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            dj = rows[j][j]
-            if len(ri[j]) >= len(dj):
-                q, r = pdivmod(ri[j], dj)
-                ri[j] = r
-                rj = rows[j]
-                for k in range(j + 1, n):
-                    if rj[k]:
-                        ri[k] = psub(ri[k], pmul(q, rj[k]))
-    return tuple(tuple(r) for r in rows)
+        out = (_reduce_row(ctx, rows[i], out, i),) + out
+    return out
+
+
+def _reduce_row(ctx: FieldCtx, v: list, tail: tuple, i: int) -> tuple:
+    """Reduce row vector v (zero before column i) in place against the
+    canonical rows ``tail`` of rows i+1, ..., n-1: each entry j > i ends
+    below the degree of the diagonal entry of row j."""
+    pdivmod, psub, pmul = ctx.pdivmod, ctx.psub, ctx.pmul
+    n = len(v)
+    for j in range(i + 1, n):
+        rj = tail[j - i - 1]
+        if len(v[j]) >= len(rj[j]):
+            quo, v[j] = pdivmod(v[j], rj[j])
+            for k in range(j + 1, n):
+                if rj[k]:
+                    v[k] = psub(v[k], pmul(quo, rj[k]))
+    return tuple(v)
 
 
 def _canonical_from_triangular(ctx: FieldCtx, n: int, rows: list) -> Lattice:
@@ -422,11 +434,10 @@ def _enum_canonical_triangles(ctx: FieldCtx, diags: Sequence[tuple]):
         yield rows
 
 
-def _apply_basis(ctx: FieldCtx, cmat: list, L: Lattice) -> Lattice:
-    """Canonical form of the lattice with rows C * (basis of L), C triangular."""
-    n = L.n
+def _apply_basis(ctx: FieldCtx, cmat: list, lrows: tuple) -> tuple:
+    """Canonical rows of the lattice with rows C * lrows, both triangular."""
+    n = len(lrows)
     pmul, padd = ctx.pmul, ctx.padd
-    lrows = L.rows
     rows = []
     for i in range(n):
         ci = cmat[i]
@@ -439,7 +450,7 @@ def _apply_basis(ctx: FieldCtx, cmat: list, L: Lattice) -> Lattice:
                     if lk[c]:
                         out[c] = padd(out[c], pmul(cik, lk[c]))
         rows.append(out)
-    return _canonical_from_triangular(ctx, n, rows)
+    return _canonical_rows(ctx, n, rows)
 
 
 def sublattice_enum(L: Lattice, g) -> list[Lattice]:
@@ -461,7 +472,7 @@ def sublattice_enum(L: Lattice, g) -> list[Lattice]:
             if std:
                 out.append(Lattice._wrap(L.ctx, L.n, tuple(tuple(r) for r in rows)))
             else:
-                out.append(_apply_basis(ctx, rows, L))
+                out.append(Lattice._wrap(ctx, L.n, _apply_basis(ctx, rows, L.rows)))
     return out
 
 
@@ -546,69 +557,121 @@ def phi_count(ctx: FieldCtx, g, n: int, method: str = "closed") -> int:
 
 
 class LatticeSum:
-    """Formal Z-linear combination of lattices of a common rank."""
+    """Formal Z-linear combination of lattices of a common rank.
 
-    __slots__ = ("ctx", "n", "terms")
+    The sum is a dict ``by_rows`` from canonical row tuples (``Lattice.rows``)
+    to nonzero integer coefficients; the field and rank are stored once on
+    the sum.  Lattice objects are built only at the edges: the ``terms``
+    mapping, ``items``, ``to_json`` and the witnesses built from them.
+    """
+
+    __slots__ = ("ctx", "n", "by_rows")
 
     def __init__(self, ctx: FieldCtx, n: int, terms: dict | None = None):
+        by_rows = {}
+        for L, c in (terms or {}).items():
+            if L.n != n or L.ctx != ctx:
+                raise ValueError("lattice does not match the sum's field and rank")
+            if c:
+                by_rows[L.rows] = c
         self.ctx = ctx
         self.n = n
-        self.terms = {L: c for L, c in (terms or {}).items() if c}
+        self.by_rows = by_rows
+
+    @classmethod
+    def _of_rows(cls, ctx: FieldCtx, n: int, by_rows: dict) -> "LatticeSum":
+        """Wrap a dict from canonical rows to coefficients, which it then owns;
+        it is copied only to drop zero coefficients."""
+        if 0 in by_rows.values():
+            by_rows = {key: c for key, c in by_rows.items() if c}
+        obj = object.__new__(cls)
+        obj.ctx = ctx
+        obj.n = n
+        obj.by_rows = by_rows
+        return obj
 
     @classmethod
     def of(cls, L: Lattice, mult: int = 1) -> "LatticeSum":
-        return cls(L.ctx, L.n, {L: mult})
+        return cls._of_rows(L.ctx, L.n, {L.rows: mult})
+
+    @property
+    def terms(self) -> "_TermView":
+        """The sum as a read-only mapping from Lattice to coefficient."""
+        return _TermView(self)
+
+    def _combine(self, other: "LatticeSum", sign: int) -> "LatticeSum":
+        if not isinstance(other, LatticeSum) or other.ctx != self.ctx or other.n != self.n:
+            raise ValueError("sums are not compatible")
+        out = dict(self.by_rows)
+        get = out.get
+        for key, c in other.by_rows.items():
+            out[key] = get(key, 0) + sign * c
+        return LatticeSum._of_rows(self.ctx, self.n, out)
 
     def __add__(self, other: "LatticeSum") -> "LatticeSum":
-        self._check(other)
-        out = dict(self.terms)
-        for L, c in other.terms.items():
-            out[L] = out.get(L, 0) + c
-        return LatticeSum(self.ctx, self.n, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LatticeSum") -> "LatticeSum":
-        self._check(other)
-        out = dict(self.terms)
-        for L, c in other.terms.items():
-            out[L] = out.get(L, 0) - c
-        return LatticeSum(self.ctx, self.n, out)
+        return self._combine(other, -1)
 
     def __mul__(self, k: int) -> "LatticeSum":
-        return LatticeSum(self.ctx, self.n, {L: c * k for L, c in self.terms.items()})
+        return LatticeSum._of_rows(self.ctx, self.n,
+                                   {key: c * k for key, c in self.by_rows.items()})
 
     __rmul__ = __mul__
 
-    def _check(self, other):
-        if not isinstance(other, LatticeSum) or other.ctx != self.ctx or other.n != self.n:
-            raise ValueError("sums are not compatible")
-
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.by_rows
 
     def support_size(self) -> int:
-        return len(self.terms)
+        return len(self.by_rows)
 
     def total_mass(self) -> int:
-        return sum(self.terms.values())
+        return sum(self.by_rows.values())
 
-    def items(self):
-        return sorted(self.terms.items(), key=lambda lc: lc[0].sort_key())
+    def items(self) -> list:
+        """(Lattice, coefficient) pairs in canonical order."""
+        ctx, n = self.ctx, self.n
+        return sorted(((Lattice._wrap(ctx, n, rows), c) for rows, c in self.by_rows.items()),
+                      key=lambda lc: lc[0].sort_key())
 
     def __eq__(self, other):
         return (
             isinstance(other, LatticeSum)
             and self.ctx == other.ctx
             and self.n == other.n
-            and self.terms == other.terms
+            and self.by_rows == other.by_rows
         )
 
     def __repr__(self):
-        k = len(self.terms)
+        k = len(self.by_rows)
         return f"LatticeSum({k} lattice{'s' if k != 1 else ''}, mass {self.total_mass()})"
 
     def to_json(self) -> list:
         return [[L.to_json(), c] for L, c in self.items()]
+
+
+class _TermView(Mapping):
+    """``LatticeSum.terms``: the row-keyed dict seen with Lattice keys."""
+
+    __slots__ = ("_sum",)
+
+    def __init__(self, s: LatticeSum):
+        self._sum = s
+
+    def __getitem__(self, L):
+        s = self._sum
+        if isinstance(L, Lattice) and L.ctx == s.ctx and L.n == s.n:
+            return s.by_rows[L.rows]
+        raise KeyError(L)
+
+    def __iter__(self):
+        s = self._sum
+        return (Lattice._wrap(s.ctx, s.n, rows) for rows in s.by_rows)
+
+    def __len__(self):
+        return len(self._sum.by_rows)
 
 
 def _validate_prime(ctx: FieldCtx, x) -> tuple:
@@ -620,65 +683,23 @@ def _validate_prime(ctx: FieldCtx, x) -> tuple:
     return x
 
 
-def _residue_field_elems(ctx: FieldCtx, x) -> list[tuple]:
-    return [ctx.pfrom_key(k) for k in range(ctx.q ** (len(x) - 1))]
-
-
-def _rref_subspaces(ctx: FieldCtx, x, n: int, dim: int):
-    """Row bases (tuples of vectors over A/x) of all dim-dimensional subspaces
-    of (A/x)^n, via reduced row echelon enumeration."""
-    elems = _residue_field_elems(ctx, x)
-    one = (1,)
-    for pivots in itertools.combinations(range(n), dim):
-        free_slots = [
-            (a, c)
-            for a in range(dim)
-            for c in range(pivots[a] + 1, n)
-            if c not in pivots
-        ]
-        for choice in itertools.product(elems, repeat=len(free_slots)):
-            basis = [[() for _ in range(n)] for _ in range(dim)]
-            for a in range(dim):
-                basis[a][pivots[a]] = one
-            for (a, c), e in zip(free_slots, choice):
-                basis[a][c] = e
-            yield basis
-
-
 def sigma_apply(x, j: int, s: LatticeSum) -> LatticeSum:
     """Elementary Hecke operator at the prime x in codimension j.
 
     Each lattice N in the sum is replaced by the sum of the preimages in N of
     the codimension j subspaces of N / m_x N; there are gauss_binom(n, j, q_x)
-    of them per lattice.
+    of them per lattice.  They are the lattices C N for the canonical
+    triangular C with j diagonal entries x, the rest 1, and no off diagonal
+    entry in the rows of the x's (see ``_sublattice_rows``).
     """
     ctx = s.ctx
     x = _validate_prime(ctx, x)
     n = s.n
     if j < 0 or j > n:
         raise ValueError("codimension out of range")
-    if j == 0:
-        return LatticeSum(ctx, n, dict(s.terms))
-    out: dict[Lattice, int] = {}
-    pmul = ctx.pmul
-    for N, mult in s.terms.items():
-        scaled = [[pmul(x, e) for e in row] for row in N.rows]
-        for basis in _rref_subspaces(ctx, x, n, n - j):
-            gens = []
-            for w in basis:
-                v = [()] * n
-                for c in range(n):
-                    wc = w[c]
-                    if wc:
-                        rowc = N.rows[c]
-                        for k in range(c, n):
-                            if rowc[k]:
-                                v[k] = ctx.padd(v[k], pmul(wc, rowc[k]))
-                gens.append(v)
-            gens.extend(scaled)
-            Np = hnf_reduce(ctx, gens)
-            out[Np] = out.get(Np, 0) + mult
-    return LatticeSum(ctx, n, out)
+    patterns = [[x if i in pivots else (1,) for i in range(n)]
+                for pivots in itertools.combinations(range(n), j)]
+    return _sum_sublattices(s, patterns, elementary=True)
 
 
 def t_local(x, m: int, s: LatticeSum) -> LatticeSum:
@@ -686,62 +707,124 @@ def t_local(x, m: int, s: LatticeSum) -> LatticeSum:
 
     m counts length over the local ring A/m_x, so the F_q codimension of each
     term is m * deg x.  The multiplicity convention is one per sublattice.
+    Each term N of ``s`` contributes C N for every composition c of m and
+    every canonical triangular C with diagonal x^c_i; the canonical rows of
+    C N are built bottom up (see ``_sublattice_rows``), the same way for
+    A^n and for any other N, and summed into one row-keyed dict.
     """
     ctx = s.ctx
     x = _validate_prime(ctx, x)
     n = s.n
     if m < 0:
         raise ValueError("colength must be nonnegative")
-    if m == 0:
-        return LatticeSum(ctx, n, dict(s.terms))
     xpow = [(1,)]
     for _ in range(m):
         xpow.append(ctx.pmul(xpow[-1], x))
-    q = ctx.q
-    pmul, padd = ctx.pmul, ctx.padd
+    patterns = [[xpow[c] for c in comp] for comp in _compositions(m, n)]
+    return _sum_sublattices(s, patterns, elementary=False)
+
+
+def _sum_sublattices(s: LatticeSum, patterns: list, elementary: bool) -> LatticeSum:
+    """Sum over the terms N of s, with their coefficients, of every C N
+    that ``_sublattice_rows`` makes for each diagonal in ``patterns``."""
     acc: dict[tuple, int] = {}
-    for N, mult in s.terms.items():
-        std = N.is_standard
-        nrows = N.rows
-        for comp in _compositions(m, n):
-            diags = [xpow[r] for r in comp]
-            if std:
-                for rows in _enum_canonical_triangles(ctx, diags):
-                    key = tuple(tuple(r) for r in rows)
-                    acc[key] = acc.get(key, 0) + mult
-                continue
-            # Row i of a candidate basis is x^{comp_i} N_i plus a pool choice
-            # e N_j for each j > i; precompute every scaled row once so the
-            # inner loop is pure vector addition.
-            base = [
-                [pmul(diags[i], c) if c else () for c in nrows[i]]
-                for i in range(n)
-            ]
-            colvecs = []
-            for j in range(n):
-                vecs = [None]
-                for key in range(1, q ** (len(diags[j]) - 1)):
-                    e = ctx.pfrom_key(key)
-                    vecs.append([pmul(e, c) if c else () for c in nrows[j]])
-                colvecs.append(vecs)
-            slots = [(i, j) for j in range(1, n) for i in range(j)]
-            pools = [range(len(colvecs[j])) for (_, j) in slots]
-            for choice in itertools.product(*pools):
-                rows = [list(base[i]) for i in range(n)]
-                for (i, j), key in zip(slots, choice):
-                    vec = colvecs[j][key]
-                    if vec is not None:
-                        ri = rows[i]
-                        for c in range(j, n):
-                            vc = vec[c]
-                            if vc:
-                                rc = ri[c]
-                                ri[c] = padd(rc, vc) if rc else vc
-                key = _canonical_rows(ctx, n, rows)
-                acc[key] = acc.get(key, 0) + mult
-    return LatticeSum(
-        ctx, n, {Lattice._wrap(ctx, n, k): v for k, v in acc.items()}
-    )
+    get = acc.get
+    classes: dict[tuple, list] = {}
+    for nrows, mult in s.by_rows.items():
+        # the sublattices of one N are distinct across and within patterns
+        fresh = not acc
+        for diags in patterns:
+            keys = _sublattice_rows(s.ctx, nrows, diags, classes, elementary)
+            if fresh:
+                acc.update(zip(keys, itertools.repeat(mult)))
+            else:
+                for key in keys:
+                    acc[key] = get(key, 0) + mult
+    return LatticeSum._of_rows(s.ctx, s.n, acc)
+
+
+def _sublattice_rows(ctx: FieldCtx, nrows: tuple, diags: list, classes: dict,
+                     elementary: bool) -> list:
+    """Canonical rows of C N for every canonical upper triangular C with
+    diagonal ``diags``, where ``nrows`` are N's canonical rows.  With
+    ``elementary`` the rows of C with a nonunit diagonal entry are zero off
+    the diagonal; for diagonal entries 1 and x these C N are the lattices
+    between N and x N.
+
+    Row i of C N is diags[i] N_i + sum_{j > i} e_ij N_j with deg e_ij <
+    deg diags[j].  Let R_i reduce a vector against the canonical rows below
+    row i; R_i is F_q-linear, so canonical row i runs over the affine space
+    R_i(diags[i] N_i) + span_Fq{R_i(t^a N_j) : j > i, a < deg diags[j]}.
+    The rows are fixed from n-1 up to 0, and only the base and the
+    generators of each space are reduced.
+
+    The generators t^a N_{n-1} = t^a d e_{n-1}, d = N's last diagonal entry,
+    need no reduction and span d * {h : deg h < deg diags[n-1]} in the last
+    column.  So the other generators are enumerated with the last entry
+    replaced by its residue mod d, and that entry then runs over the whole
+    residue class below the degree of the last diagonal entry of C N.  Each
+    production is a tuple built from precomputed entries.  ``classes``
+    caches the residue classes, keyed by (d, deg diags[n-1], residue).
+    """
+    n = len(nrows)
+    pmul, pdivmod = ctx.pmul, ctx.pdivmod
+    d = nrows[-1][-1]
+    k = len(diags[-1]) - 1
+    last_gens = [((0,) * a + d,) for a in range(k)]
+    bases = [[pmul(diags[i], e) if e else () for e in row] for i, row in enumerate(nrows)]
+    shifted = [[[(0,) * a + e if e else () for e in nrows[j]] for a in range(len(diags[j]) - 1)]
+               for j in range(n)]
+    out: list[tuple] = []
+
+    def residue(v: tuple) -> tuple:
+        r = v[-1]
+        if len(r) >= len(d):
+            r = pdivmod(r, d)[1] if len(d) > 1 else ()
+        return v[:-1] + (r,)
+
+    def level(i: int, tail: tuple) -> None:
+        base = _reduce_row(ctx, list(bases[i]), tail, i)
+        if i == n - 1 or (elementary and len(diags[i]) > 1):
+            rows = [base]
+        else:
+            gens = [residue(_reduce_row(ctx, list(v), tail, i))
+                    for j in range(i + 1, n - 1) for v in shifted[j]]
+            rows = []
+            for p in _affine_span(ctx, residue(base), gens):
+                cls = classes.get((d, k, p[-1]))
+                if cls is None:
+                    cls = classes[d, k, p[-1]] = [
+                        s for (s,) in _affine_span(ctx, (p[-1],), last_gens)]
+                head = p[:-1]
+                rows.extend([head + (s,) for s in cls])
+        if i:
+            for row in rows:
+                level(i - 1, (row,) + tail)
+        else:
+            out.extend([(row,) + tail for row in rows])
+
+    level(n - 1, ())
+    return out
+
+
+def _affine_span(ctx: FieldCtx, base: tuple, gens: list) -> list:
+    """Every vector base + sum_k e_k gens[k], e_k in F_q, each made by one
+    vector addition to an earlier one.  Distinct coefficient choices give
+    distinct vectors when the generators are independent."""
+    padd, pscale = ctx.padd, ctx.pscale
+    out = [base]
+    for g in gens:
+        cols = [c for c, e in enumerate(g) if e]
+        prev = len(out)
+        for e in range(1, ctx.q):
+            w = [(c, pscale(g[c], e)) for c in cols]
+            for v in out[:prev]:
+                u = list(v)
+                for c, wc in w:
+                    vc = u[c]
+                    u[c] = padd(vc, wc) if vc else wc
+                out.append(tuple(u))
+    return out
 
 
 def _compositions(m: int, n: int):
@@ -766,15 +849,16 @@ def t_chain(chain: InvariantType, s: LatticeSum) -> LatticeSum:
     if len(chain) != n:
         raise ValueError("chain length must equal the rank")
     cmats = _triangles_by_type(ctx, chain.det().coeffs, n).get(chain.chain, ())
-    out: dict[Lattice, int] = {}
-    for N, mult in s.terms.items():
-        if N.is_standard:
-            subs = (Lattice._wrap(ctx, n, C) for C in cmats)
+    std = standard_lattice(ctx, n).rows
+    out: dict[tuple, int] = {}
+    for nrows, mult in s.by_rows.items():
+        if nrows == std:
+            subs = cmats
         else:
-            subs = (_apply_basis(ctx, C, N) for C in cmats)
-        for Np in subs:
-            out[Np] = out.get(Np, 0) + mult
-    return LatticeSum(ctx, n, out)
+            subs = (_apply_basis(ctx, C, nrows) for C in cmats)
+        for key in subs:
+            out[key] = out.get(key, 0) + mult
+    return LatticeSum._of_rows(ctx, n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +892,8 @@ def predict_newton_cost(ctx: FieldCtx, x, n: int, r: int) -> int:
     the term t_local(r - j) sigma_j is gauss_binom(n, j) multiplied by the
     zeta coefficient counting colength r - j submodules.
     """
+    if r < 0:
+        raise ValueError("colength must be nonnegative")
     if isinstance(x, Poly):
         x = x.coeffs
     Q = ctx.q ** (len(x) - 1)
@@ -856,6 +942,8 @@ def newton_verify(
     1 <= h <= n.  ``fault`` deliberately flips the sign of the j = 1 term so
     harness plumbing can observe a failure.
     """
+    if r < 0:
+        raise ValueError("colength must be nonnegative")
     x = _validate_prime(ctx, x)
     Q = ctx.q ** (len(x) - 1)
     if test_lattices is None:
@@ -866,19 +954,25 @@ def newton_verify(
     for N in test_lattices:
         if N.n != n:
             raise ValueError("test lattice rank mismatch")
-        acc = LatticeSum(ctx, n, {})
+        acc: dict[tuple, int] = {}
         base = LatticeSum.of(N)
         for j in range(min(n, r) + 1):
             coeff = (-1) ** j * Q ** (j * (j - 1) // 2)
             if fault == "newton" and j == 1:
                 coeff = -coeff
             term = t_local(x, r - j, sigma_apply(x, j, base))
-            acc = acc + coeff * term
+            if not acc and coeff == 1:
+                acc = dict(term.by_rows)
+                continue
+            get = acc.get
+            for key, c in term.by_rows.items():
+                acc[key] = get(key, 0) + coeff * c
         cases += 1
-        if not acc.is_zero:
+        residue = LatticeSum._of_rows(ctx, n, acc)
+        if not residue.is_zero:
             ok = False
             if witness is None:
-                L, c = acc.items()[0]
+                L, c = residue.items()[0]
                 witness = {
                     "lattice": N.to_json(),
                     "residue_term": L.to_json(),

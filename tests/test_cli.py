@@ -199,3 +199,19 @@ def test_internal_arithmetic_error_is_not_a_usage_error(exc):
 def test_help_says_workbench_threads_is_only_echoed():
     proc = run_cli("--help", check=True)
     assert "WORKBENCH_THREADS is only echoed" in " ".join(proc.stdout.split())
+
+
+def test_newton_negative_colength_is_usage_error():
+    proc = run_cli("hecke", "newton", "--p", "2", "--m", "1", "--x", "0,1",
+                   "--n", "2", "--r", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "colength" in proc.stderr
+
+
+def test_newton_without_test_lattices_is_usage_error():
+    proc = run_cli("hecke", "newton", "--p", "2", "--m", "1", "--x", "0,1",
+                   "--n", "2", "--r", "2", "--lattices", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "test lattice" in proc.stderr

@@ -1,0 +1,226 @@
+"""The local Hecke sums behind the Newton recurrence, against independent routes.
+
+``t_local`` and ``sigma_apply`` build the canonical rows of each sublattice
+bottom up.  These tests compare them with ``sublattice_enum`` (every
+sublattice with the given determinant, built as C * N and then put in
+canonical form, classified by ``quotient_invariants`` for sigma_j), check
+the multiplicities of the Newton terms against the Gaussian binomial count
+[k choose j]_Q read off the quotient's invariant factors, check that
+cancelled coefficients leave a sum, and bound the division work of one call
+by the rows and generators it reduces.
+"""
+
+import pytest
+
+from ffstick import heckelat
+from ffstick.fieldcore import FieldCtx, field_context
+from ffstick.heckelat import (
+    LatticeSum,
+    gauss_binom,
+    newton_verify,
+    predict_newton_cost,
+    quotient_invariants,
+    random_sublattice,
+    sigma_apply,
+    standard_lattice,
+    sublattice_enum,
+    t_local,
+)
+
+C2 = field_context(2)
+C3 = field_context(3)
+C4 = field_context(2, 2)
+
+
+def _places(ctx):
+    return [ctx.monic_irreducibles(1)[-1], ctx.monic_irreducibles(2)[0]]
+
+
+def _power(ctx, x, m):
+    out = (1,)
+    for _ in range(m):
+        out = ctx.pmul(out, x)
+    return out
+
+
+def _colength_count(Q, n, m):
+    """Sublattices of colength m in rank n: the z^m coefficient of
+    prod_{j<n} 1/(1 - Q^j z)."""
+    series = [1] + [0] * m
+    for j in range(n):
+        for k in range(1, m + 1):
+            series[k] += Q ** j * series[k - 1]
+    return series[m]
+
+
+def _proper_sublattice(ctx, n, max_deg, start=0):
+    """The first seeded random_sublattice from ``start`` on other than A^n."""
+    seed = start
+    while True:
+        L = random_sublattice(ctx, n, seed, max_deg=max_deg)
+        if not L.is_standard:
+            return L
+        seed += 1
+
+
+def _enum_sum(L, g):
+    counts = {}
+    for M in sublattice_enum(L, g):
+        counts[M] = counts.get(M, 0) + 1
+    return LatticeSum(L.ctx, L.n, counts)
+
+
+@pytest.mark.parametrize("ctx", [C2, C3, C4], ids=["q2", "q3", "q4"])
+def test_t_local_matches_sublattice_enum(ctx):
+    cells = 0
+    for x in _places(ctx):
+        Q = ctx.q ** (len(x) - 1)
+        for n in (1, 2, 3):
+            lattices = [standard_lattice(ctx, n)]
+            if n > 1:
+                lattices += [_proper_sublattice(ctx, n, 1), _proper_sublattice(ctx, n, 2)]
+            for m in range(4):
+                if _colength_count(Q, n, m) > 400:
+                    continue
+                g = _power(ctx, x, m)
+                refs = [_enum_sum(L, g) for L in lattices]
+                for L, ref in zip(lattices, refs):
+                    got = t_local(x, m, LatticeSum.of(L))
+                    assert got == ref, (ctx, x, n, m, L)
+                    assert got.total_mass() == _colength_count(Q, n, m)
+                if n > 1:
+                    mixed = LatticeSum.of(lattices[1], 2) + LatticeSum.of(lattices[2], 3)
+                    expect = refs[1] * 2 + refs[2] * 3
+                    assert t_local(x, m, mixed) == expect, (ctx, x, n, m)
+                cells += 1
+    assert cells >= 12
+
+
+@pytest.mark.parametrize("ctx", [C2, C3, C4], ids=["q2", "q3", "q4"])
+def test_sigma_apply_matches_classified_enumeration(ctx):
+    # sigma_j N sums the M between N and x N with N / M = (A/x)^j: among all
+    # sublattices of determinant x^j, those whose quotient has j factors x
+    for x in _places(ctx):
+        Q = ctx.q ** (len(x) - 1)
+        for n in (1, 2, 3):
+            lattices = [standard_lattice(ctx, n)]
+            if n > 1:
+                lattices.append(_proper_sublattice(ctx, n, 1))
+            for N in lattices:
+                for j in range(n + 1):
+                    if _colength_count(Q, n, j) > 400:
+                        continue
+                    chain = (x,) * j + ((1,),) * (n - j)
+                    expect = {M: 1 for M in sublattice_enum(N, _power(ctx, x, j))
+                              if quotient_invariants(M, N).chain == chain}
+                    got = sigma_apply(x, j, LatticeSum.of(N))
+                    assert got == LatticeSum(ctx, n, expect), (ctx, x, n, j, N)
+                    assert got.total_mass() == gauss_binom(n, j, Q)
+
+
+def _x_rank(M, N, x):
+    """Number of invariant factors of N/M divisible by x."""
+    ctx = M.ctx
+    return sum(1 for f in quotient_invariants(M, N).chain if not ctx.pmod(f, x))
+
+
+@pytest.mark.parametrize("ctx", [C2, C3], ids=["q2", "q3"])
+def test_newton_term_multiplicities_are_gaussian_binomials(ctx):
+    # M occurs in t_local(x, r-j, sigma_j N) once per codimension j subspace
+    # of N / (M + xN) = (A/x)^k, that is [k choose j]_Q times
+    checked = 0
+    for x in _places(ctx):
+        Q = ctx.q ** (len(x) - 1)
+        for n in (2, 3):
+            lattices = [standard_lattice(ctx, n), _proper_sublattice(ctx, n, 1, start=5)]
+            for r in (1, 2, 3):
+                if predict_newton_cost(ctx, x, n, r) > 1500:
+                    continue
+                for N in lattices:
+                    base = LatticeSum.of(N)
+                    terms = [t_local(x, r - j, sigma_apply(x, j, base))
+                             for j in range(min(n, r) + 1)]
+                    for M, c0 in terms[0].terms.items():
+                        assert c0 == 1
+                        k = _x_rank(M, N, x)
+                        for j, term in enumerate(terms):
+                            assert term.terms.get(M, 0) == gauss_binom(k, j, Q), \
+                                (ctx, x, n, r, j, M)
+                    # no term reaches outside the colength r sublattices
+                    assert all(set(t.terms) <= set(terms[0].terms) for t in terms)
+                    checked += 1
+    assert checked >= 8
+
+
+def _division_bound(q, deg_x, n, m):
+    """Rows and generators reduced by the bottom-up enumeration, each
+    weighted by the divisions one reduction may take.
+
+    For the composition c, row i has sum_{j>i} c_j deg x generators, and is
+    reduced once per choice of the rows below it; a reduction divides at
+    most once per column right of i, plus once for the last column's
+    residue class.
+    """
+    bound = 0
+    for c in heckelat._compositions(m, n):
+        gens = [deg_x * sum(c[i + 1:]) for i in range(n)]
+        for i in range(n):
+            tails = 1
+            for below in range(i + 1, n):
+                tails *= q ** gens[below]
+            bound += tails * (1 + gens[i]) * (n - i)
+    return bound
+
+
+@pytest.mark.parametrize("ctx,x", [(C2, (1, 1, 1)), (C3, (1, 1))], ids=["q2-quadratic", "q3-linear"])
+def test_t_local_divisions_follow_reductions_not_productions(ctx, x, monkeypatch):
+    # a last diagonal entry of positive degree, so the residue classes of the
+    # last column are proper and their divisions are counted too
+    N = next(L for L in (random_sublattice(ctx, 3, seed, max_deg=1) for seed in range(100))
+             if len(L.rows[2][2]) > 1 and len(L.rows[0][0]) > 1)
+    s = LatticeSum.of(N)
+    calls = {"canonical_rows": 0, "pdivmod": 0}
+    canonical_rows = heckelat._canonical_rows
+    pdivmod = FieldCtx.pdivmod
+
+    def counting_canonical_rows(*args):
+        calls["canonical_rows"] += 1
+        return canonical_rows(*args)
+
+    def counting_pdivmod(self, a, b):
+        calls["pdivmod"] += 1
+        return pdivmod(self, a, b)
+
+    monkeypatch.setattr(heckelat, "_canonical_rows", counting_canonical_rows)
+    monkeypatch.setattr(FieldCtx, "pdivmod", counting_pdivmod)
+    heckelat._validate_prime(ctx, x)  # t_local validates x the same way first
+    overhead = calls["pdivmod"]
+    out = t_local(x, 3, s)
+
+    productions = out.total_mass()
+    assert productions == _colength_count(ctx.q ** (len(x) - 1), 3, 3)
+    bound = _division_bound(ctx.q, len(x) - 1, 3, 3)
+    assert calls["canonical_rows"] == 0
+    assert calls["pdivmod"] - overhead <= bound < productions
+
+
+def test_negative_colength_is_rejected():
+    with pytest.raises(ValueError):
+        newton_verify(C2, (0, 1), 2, -1)
+    with pytest.raises(ValueError):
+        predict_newton_cost(C2, (0, 1), 2, -1)
+
+
+def test_cancelled_terms_leave_the_sum():
+    # x A^2 lies in two distinct members B1, B2 of sigma_1(A^2) with colength
+    # 1 in each, so its coefficient in t_local(x, 1, B1 - B2) is 1 - 1 = 0
+    for ctx, x in ((C2, (0, 1)), (C3, (1, 1)), (C4, (0, 1))):
+        A = standard_lattice(ctx, 2)
+        B1, B2 = list(sigma_apply(x, 1, LatticeSum.of(A)).terms)[:2]
+        diff = LatticeSum.of(B1) - LatticeSum.of(B2)
+        got = t_local(x, 1, diff)
+        assert got == t_local(x, 1, LatticeSum.of(B1)) - t_local(x, 1, LatticeSum.of(B2))
+        assert A.scale(x) not in got.terms
+        assert 0 not in got.terms.values()
+        assert sigma_apply(x, 1, diff).total_mass() == 0
+        assert (t_local(x, 2, LatticeSum.of(A)) * 0).is_zero
