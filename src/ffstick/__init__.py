@@ -15,11 +15,16 @@ Layers, from the ground up:
   style elements Theta_n, and their identity battery;
 * ``carlitz``: the Carlitz module, cyclotomic torsion factors Psi_I, the
   torsion algebra over F_q(t), and the tensor square split element;
-* ``cli`` / ``report``: the ``ffstick`` command line surface emitting
-  deterministic JSON verification reports.
+* ``report``: check records and the deterministic JSON report document;
+* ``battery``: one definition per check family (its check ids, anchors and
+  records), shared by the subcommands and the ``verify-all`` grid;
+* ``cli``: the ``ffstick`` command line surface, argument parsing and one
+  thin handler per subcommand.
 
 Everything computes over Z or F_q exactly; no floats appear anywhere.
 """
+
+__version__ = "0.1.0"  # set first: submodules import ``report``, which reads it
 
 from .fieldcore import (
     FieldCtx,
@@ -88,8 +93,6 @@ from .carlitz import (
     split_tensor_element,
     torsion_poly,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

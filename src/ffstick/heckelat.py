@@ -535,21 +535,22 @@ def phi_count(ctx: FieldCtx, g, n: int, method: str = "closed") -> int:
     total = 1
     _, factors = ctx.pfactor(g)
     for P, e in factors:
-        Q = ctx.q ** (len(P) - 1)
-        series = [1] + [0] * e
-        for j in range(n):
-            step = Q ** j
-            new = [0] * (e + 1)
-            for k in range(e + 1):
-                acc = 0
-                w = 1
-                for i in range(k, -1, -1):
-                    acc += series[i] * w
-                    w *= step
-                new[k] = acc
-            series = new
-        total *= series[e]
+        total *= _local_count(ctx.q ** (len(P) - 1), n, e)
     return total
+
+
+def _local_count(Q: int, n: int, m: int) -> int:
+    """Colength m sublattices of a rank n lattice over a local ring with
+    residue field of size Q: the u^m coefficient of prod_{j<n} 1/(1 - Q^j u).
+
+    Dividing a series by 1 - a u turns its coefficients s_k into
+    s'_k = s_k + a s'_(k-1), so each factor is one pass in place."""
+    series = [1] + [0] * m
+    for j in range(n):
+        step = Q ** j
+        for k in range(1, m + 1):
+            series[k] += step * series[k - 1]
+    return series[m]
 
 
 # ---------------------------------------------------------------------------
@@ -897,25 +898,17 @@ def predict_newton_cost(ctx: FieldCtx, x, n: int, r: int) -> int:
     if isinstance(x, Poly):
         x = x.coeffs
     Q = ctx.q ** (len(x) - 1)
-
-    def colength_count(m):
-        series = [1] + [0] * m
-        for j in range(n):
-            step = Q ** j
-            new = [0] * (m + 1)
-            for k in range(m + 1):
-                acc, w = 0, 1
-                for i in range(k, -1, -1):
-                    acc += series[i] * w
-                    w *= step
-                new[k] = acc
-            series = new
-        return series[m]
-
     total = 0
     for j in range(min(n, r) + 1):
-        total += gauss_binom(n, j, Q) * colength_count(r - j)
+        total += gauss_binom(n, j, Q) * _local_count(Q, n, r - j)
     return total
+
+
+def _residue_witness(N: Lattice, residue: LatticeSum) -> dict:
+    """Witness of a check that left a nonzero residue on test lattice N: the
+    first residue term and its multiplicity."""
+    L, c = residue.items()[0]
+    return {"lattice": N.to_json(), "residue_term": L.to_json(), "residue_mult": c}
 
 
 @dataclass
@@ -972,12 +965,7 @@ def newton_verify(
         if not residue.is_zero:
             ok = False
             if witness is None:
-                L, c = residue.items()[0]
-                witness = {
-                    "lattice": N.to_json(),
-                    "residue_term": L.to_json(),
-                    "residue_mult": c,
-                }
+                witness = _residue_witness(N, residue)
     identity_ok = all(alternating_qbinom_sum(h, Q) == 0 for h in range(1, n + 1))
     return NewtonReport(ok=ok and identity_ok, identity_ok=identity_ok,
                         witness=witness, cases=cases)
@@ -1017,13 +1005,7 @@ def hecke_mult_verify(
         if lhs != rhs:
             ok = False
             if witness is None:
-                diff = lhs - rhs
-                L, c = diff.items()[0]
-                witness = {
-                    "lattice": N.to_json(),
-                    "residue_term": L.to_json(),
-                    "residue_mult": c,
-                }
+                witness = _residue_witness(N, lhs - rhs)
     return MultReport(ok=ok, witness=witness, cases=cases)
 
 

@@ -38,6 +38,7 @@ from .groupring import (
     unit_group,
 )
 from . import heckelat
+from .report import check_record
 
 __all__ = [
     "StickCtx",
@@ -52,7 +53,15 @@ __all__ = [
     "theta_noinf",
     "char_l_poly",
     "verify_identities",
+    "t_times_t_minus_one",
+    "theta2_product_diff",
 ]
+
+# Anchors of the identity checks that ``battery`` reports outside this battery.
+TAIL_LAW_ANCHOR = "tail of the coprime-class series: s_m = q^(m-d-1)*N for m > d"
+THETA2_PRODUCT_ANCHOR = (
+    "rank-2 element for I = t(t-1): Theta_2 = theta1(1)*theta1(q) + (q^2+1)*N"
+)
 
 
 class StickCtx:
@@ -344,10 +353,10 @@ def char_l_poly(S: StickCtx, chi: Character, tail_check: bool = True) -> list[Cy
     return values
 
 
-def _is_t_times_t_minus_one(S: StickCtx) -> bool:
-    ctx = S.ctx
+def t_times_t_minus_one(ctx: FieldCtx) -> tuple:
+    """The split modulus t(t-1) of the rank-2 product formula."""
     t = (0, 1)
-    return S.I == ctx.pmul(t, ctx.psub(t, (1,)))
+    return ctx.pmul(t, ctx.psub(t, (1,)))
 
 
 def _first_coeff_diff(a: FrobPoly, b: FrobPoly) -> dict | None:
@@ -359,6 +368,15 @@ def _first_coeff_diff(a: FrobPoly, b: FrobPoly) -> dict | None:
         if ca != cb:
             return {"F_power": k, "left": ca.to_json(), "right": cb.to_json()}
     return None
+
+
+def theta2_product_diff(S: StickCtx) -> dict | None:
+    """For I = t(t-1): the first F power at which Theta_2 (lattice route) and
+    theta1(1)*theta1(q) + (q^2+1)*N differ, or None when they agree."""
+    q = S.ctx.q
+    lhs = theta_n(S, 2, method="lattice")
+    rhs = theta1(S, 1) * theta1(S, q) + FrobPoly.constant(S.norm() * (q * q + 1))
+    return _first_coeff_diff(lhs, rhs)
 
 
 def verify_identities(S: StickCtx, n_max: int = 2) -> list[dict]:
@@ -376,23 +394,15 @@ def verify_identities(S: StickCtx, n_max: int = 2) -> list[dict]:
     q = ctx.q
     records: list[dict] = []
 
-    def record(check_id, anchor, passed, details):
-        records.append({
-            "check_id": check_id,
-            "anchor": anchor,
-            "status": "pass" if passed else "fail",
-            "details": details,
-        })
-
     # (a) tail law
     gammas, tail = stickelberger_q(S)
-    record(
+    records.append(check_record(
         "lseries.tail_law",
-        "tail of the coprime-class series: s_m = q^(m-d-1)*N for m > d",
+        TAIL_LAW_ANCHOR,
         tail.passed,
         {"q": q, "I": list(S.I), "window": list(tail.window),
          "violations": tail.violations},
-    )
+    ))
 
     # (b) dual methods
     direct = euler_series(S, 6, method="direct")
@@ -400,13 +410,13 @@ def verify_identities(S: StickCtx, n_max: int = 2) -> list[dict]:
     mismatch = next(
         (m for m in range(7) if direct.coeffs[m] != product.coeffs[m]), None
     )
-    record(
+    records.append(check_record(
         "lseries.euler_dual",
         "Euler product over primes away from I equals direct enumeration",
         mismatch is None,
         {"q": q, "I": list(S.I), "order": 6,
          **({"first_mismatch": mismatch} if mismatch is not None else {})},
-    )
+    ))
     phi_ok = True
     phi_detail: dict = {"q": q, "I": list(S.I), "orders": {}}
     for n in range(1, n_max + 1):
@@ -419,25 +429,22 @@ def verify_identities(S: StickCtx, n_max: int = 2) -> list[dict]:
             phi_ok = False
             phi_detail["first_mismatch"] = {"n": n, "m": mm}
             break
-    record(
+    records.append(check_record(
         "lseries.phi_dual",
         "generating-function phi series equals lattice-count phi series",
         phi_ok,
         phi_detail,
-    )
+    ))
 
     # (c) rank-2 product formula, specific to I = t(t-1)
-    if _is_t_times_t_minus_one(S):
-        lhs = theta_n(S, 2, method="lattice")
-        N = S.norm()
-        rhs = theta1(S, 1) * theta1(S, q) + FrobPoly.constant(N * (q * q + 1))
-        diff = _first_coeff_diff(lhs, rhs)
-        record(
+    if S.I == t_times_t_minus_one(ctx):
+        diff = theta2_product_diff(S)
+        records.append(check_record(
             "lseries.theta2_product",
-            "rank-2 element for I = t(t-1): Theta_2 = theta1(1)*theta1(q) + (q^2+1)*N",
+            THETA2_PRODUCT_ANCHOR,
             diff is None,
             {"q": q, **({"witness": diff} if diff else {})},
-        )
+        ))
 
     # (d) factorization modulo the norm ideal; oracle side is the lattice
     # count route, the product side comes from the direct gamma extraction
@@ -457,12 +464,12 @@ def verify_identities(S: StickCtx, n_max: int = 2) -> list[dict]:
                 "residue": _first_coeff_diff(reduced, FrobPoly.zero(G)),
             }
             break
-    record(
+    records.append(check_record(
         "lseries.mod_norm_factorization",
         "Theta_n congruent to product of theta1(q^j), j < n, modulo the norm ideal",
         fact_ok,
         fact_detail,
-    )
+    ))
 
     # (e) telescoping relation
     tele_ok = True
@@ -480,12 +487,12 @@ def verify_identities(S: StickCtx, n_max: int = 2) -> list[dict]:
             tele_ok = False
             tele_detail["witness"] = {"n": n, **diff}
             break
-    record(
+    records.append(check_record(
         "lseries.telescope_relation",
         "(F-1)*Theta'_n = F*Theta_n - sum of the series coefficients",
         tele_ok,
         tele_detail,
-    )
+    ))
 
     # (f) coefficient pattern of Theta'_2 at F = 1
     if n_max >= 2:
@@ -495,11 +502,11 @@ def verify_identities(S: StickCtx, n_max: int = 2) -> list[dict]:
         for i in range(nd + 1):
             expected = expected + c.coeffs[nd - i] * (i + 1)
         got = theta_noinf(S, 2).eval_at_one()
-        record(
+        records.append(check_record(
             "lseries.coefficient_pattern",
             "Theta'_2 at F=1 weights the series coefficients by 1, 2, .., 2d+1",
             got == expected,
             {"q": q, "I": list(S.I), "weights": list(range(1, nd + 2))},
-        )
+        ))
 
     return records

@@ -36,7 +36,7 @@ from ffstick.lseries import (
     theta_noinf,
 )
 from ffstick import carlitz
-from ffstick.cli import _chains_with_det, _newton_case, _random_prime_chain
+from ffstick.battery import chains_with_det as _chains_with_det, newton_case as _newton_case, random_prime_chain as _random_prime_chain
 
 SEED = 1729
 NEWTON_BUDGET = 1_500_000

@@ -215,3 +215,42 @@ def test_newton_without_test_lattices_is_usage_error():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "test lattice" in proc.stderr
+
+
+REDUCED_BATTERY = ("verify-all", "--seed", "123", "--pairs", "1", "--newton-budget", "200")
+
+
+def test_verify_all_newton_fault_fails_only_newton_records():
+    proc = run_cli(*REDUCED_BATTERY, "--inject-fault", "newton")
+    assert proc.returncode == 1
+    checks = report_of(proc)["checks"]
+    failing = [c for c in checks if c["status"] == "fail"]
+    assert failing
+    for rec in failing:
+        assert rec["check_id"].startswith("hecke.newton[")
+        assert "lattice" in rec["details"]["witness"]
+    others = [c for c in checks if not c["check_id"].startswith("hecke.newton[")]
+    assert others and all(c["status"] == "pass" for c in others)
+
+
+def test_subcommand_records_match_verify_all():
+    battery = report_of(run_cli(*REDUCED_BATTERY, check=True))["checks"]
+
+    newton = report_of(run_cli("hecke", "newton", "--p", "2", "--x", "0,1", "--n", "2",
+                               "--r", "2", "--seed", "123", check=True))["checks"][0]
+    twin = next(c for c in battery if c["check_id"] == "hecke.newton[q=2,x=0,1,n=2,r=2]")
+    for key in ("check_id", "anchor", "status"):
+        assert newton[key] == twin[key]
+    assert newton["details"].pop("identity_ok") is True
+    assert newton["details"] == twin["details"]
+
+    tail = report_of(run_cli("stick", "q", "--p", "2", "--ideal", "0,1", "--seed", "123",
+                             check=True))["checks"][0]
+    # the series batteries emit the same id with q and I in the details; the
+    # tail law sampling record carries the window and its violations only
+    sampled = [c for c in battery if c["check_id"] == tail["check_id"]
+               and set(c["details"]) == {"window", "violations"}]
+    assert len(sampled) == 1
+    assert tail["anchor"] == sampled[0]["anchor"]
+    assert tail["details"]["window"] == sampled[0]["details"]["window"]
+    assert tail["details"]["violations"] == sampled[0]["details"]["violations"]
