@@ -305,7 +305,7 @@ def _divisor_product(ctx: FieldCtx) -> dict:
     def mismatch(f):
         prod = [(1,)]
         for g in ctx.monic_divisors(f):
-            prod = carlitz._xmul(ctx, prod, carlitz._psi_dense(ctx, g))
+            prod = carlitz.xmul(ctx, prod, carlitz.psi_dense(ctx, g))
         return None if prod == carlitz.torsion_poly(ctx, f).to_dense() else {"f": list(f)}
 
     count, bad = _first_failure(ctx, 3, mismatch)

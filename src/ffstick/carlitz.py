@@ -36,6 +36,8 @@ __all__ = [
     "carlitz_map",
     "torsion_poly",
     "psi_cyclotomic",
+    "psi_dense",
+    "xmul",
     "RatFunc",
     "TorsionAlgebra",
     "AlgElem",
@@ -263,7 +265,8 @@ def _xstrip(cs: list) -> list:
     return cs
 
 
-def _xmul(ctx: FieldCtx, a: list, b: list) -> list:
+def xmul(ctx: FieldCtx, a: list, b: list) -> list:
+    """Product of dense polynomials in X with F_q[t] tuple coefficients."""
     if not a or not b:
         return []
     out = [()] * (len(a) + len(b) - 1)
@@ -313,11 +316,15 @@ def psi_cyclotomic(ctx: FieldCtx, I) -> list[Poly]:
     I = ctx.pvalidate(I)
     if len(I) < 2 or I[-1] != 1:
         raise ValueError("modulus must be monic of degree at least 1")
-    dense = _psi_dense(ctx, I)
+    dense = psi_dense(ctx, I)
     return [Poly(ctx, c) for c in dense]
 
 
-def _psi_dense(ctx: FieldCtx, I: tuple) -> list:
+def psi_dense(ctx: FieldCtx, I: tuple) -> list:
+    """Psi_I as a dense X-coefficient list of F_q[t] tuples, cached per (ctx, I).
+
+    I must be a validated monic tuple; psi_cyclotomic is the checked entry.
+    """
     key = (ctx, I)
     hit = _PSI_CACHE.get(key)
     if hit is not None:
@@ -329,7 +336,7 @@ def _psi_dense(ctx: FieldCtx, I: tuple) -> list:
         for g in ctx.monic_divisors(I):
             if g == I:
                 continue
-            quot, rem = _xdivmod_monic(ctx, num, _psi_dense(ctx, g))
+            quot, rem = _xdivmod_monic(ctx, num, psi_dense(ctx, g))
             if rem:
                 raise ArithmeticError(
                     "primitive torsion factor does not divide exactly"
@@ -600,7 +607,7 @@ class TorsionAlgebra:
         if isinstance(I, Poly):
             I = I.coeffs
         I = ctx.pvalidate(I)
-        psi = _psi_dense(ctx, I)
+        psi = psi_dense(ctx, I)
         self.ctx = ctx
         self.I = I
         self._zero = RatFunc(ctx, ())

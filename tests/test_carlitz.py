@@ -15,10 +15,11 @@ from ffstick.carlitz import (
     galois_act,
     partial_fractions,
     psi_cyclotomic,
+    psi_dense,
     split_tensor_element,
     torsion_poly,
+    xmul,
 )
-from ffstick.carlitz import _psi_dense, _xmul
 from ffstick.fieldcore import field_context
 from ffstick.groupring import unit_group
 
@@ -116,7 +117,7 @@ def test_psi_divisor_product_reassembles_torsion():
             for f in ctx.monic_tuples(d):
                 prod = [(1,)]
                 for g in ctx.monic_divisors(f):
-                    prod = _xmul(ctx, prod, _psi_dense(ctx, g))
+                    prod = xmul(ctx, prod, psi_dense(ctx, g))
                 assert prod == torsion_poly(ctx, f).to_dense()
 
 

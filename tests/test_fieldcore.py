@@ -49,6 +49,138 @@ def test_canonical_modulus_matches_bruteforce(p, m):
         assert ctx.modulus == brute_modulus(p, m)
 
 
+def prime_powers(limit):
+    for p in range(2, limit + 1):
+        if all(p % d for d in range(2, p)):
+            q, m = p, 1
+            while q <= limit:
+                yield p, m
+                q, m = q * p, m + 1
+
+
+def reference_field(p, m, modulus):
+    """Independent oracle: add, sub, mul, neg, inv of encoded elements by
+    digit arithmetic in F_p[u] modulo the modulus, one product per call."""
+    q = p ** m
+
+    def digits(e):
+        return [e // p ** i % p for i in range(m)]
+
+    def undigits(ds):
+        return sum(c * p ** i for i, c in enumerate(ds))
+
+    def add(a, b):
+        return undigits([(x + y) % p for x, y in zip(digits(a), digits(b))])
+
+    def sub(a, b):
+        return undigits([(x - y) % p for x, y in zip(digits(a), digits(b))])
+
+    def neg(a):
+        return undigits([-x % p for x in digits(a)])
+
+    def mul(a, b):
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for k in range(len(prod) - 1, m - 1, -1):  # the modulus is monic
+            c, prod[k] = prod[k], 0
+            for j in range(m):
+                prod[k - m + j] = (prod[k - m + j] - c * modulus[j]) % p
+        return undigits(prod[:m])
+
+    def inv(a):
+        if a == 0:
+            return 0
+        out, base, k = 1, a, q - 2
+        while k:
+            if k & 1:
+                out = mul(out, base)
+            base, k = mul(base, base), k >> 1
+        return out
+
+    return add, sub, mul, neg, inv
+
+
+TABLES = ("add_table", "sub_table", "mul_table", "neg_table", "inv_table")
+
+
+@pytest.mark.parametrize("p,m", list(prime_powers(128)))
+def test_tables_match_digit_arithmetic(p, m):
+    ctx = field_context(p, m)
+    add, sub, mul, neg, inv = reference_field(p, m, ctx.modulus)
+    r = range(ctx.q)
+    want = (
+        [[add(a, b) for b in r] for a in r],
+        [[sub(a, b) for b in r] for a in r],
+        [[mul(a, b) for b in r] for a in r],
+        [neg(a) for a in r],
+        [inv(a) for a in r],
+    )
+    for name, table in zip(TABLES, want):
+        assert getattr(ctx, name) == table, name
+
+
+@pytest.mark.parametrize("p,m", [(3, 5), (2, 8), (3, 6), (2, 10)])
+def test_tables_match_digit_arithmetic_on_seeded_pairs(p, m):
+    ctx = field_context(p, m)
+    q = ctx.q
+    add, sub, mul, neg, inv = reference_field(p, m, ctx.modulus)
+    rng = random.Random(q)
+    for _ in range(2000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert ctx.add_table[a][b] == add(a, b)
+        assert ctx.sub_table[a][b] == sub(a, b)
+        assert ctx.mul_table[a][b] == mul(a, b)
+        assert ctx.neg_table[a] == neg(a)
+        assert mul(a, ctx.inv_table[a]) == (a != 0)
+    # the tables refer to q shared element objects, one per element
+    tables = [getattr(ctx, name) for name in TABLES]
+    ids = {id(x) for t in tables[:3] for row in t for x in row}
+    ids.update(id(x) for t in tables[3:] for x in t)
+    assert len(ids) == q
+    # exp lists the powers of a primitive element: every unit exactly once
+    exp, log = ctx.exp_table, ctx.log_table
+    assert len(exp) == q - 1 and sorted(exp) == list(range(1, q))
+    assert all(log[e] == i for i, e in enumerate(exp))
+
+
+def test_gf4096_builds_and_factors():
+    ctx = field_context(2, 12)
+    assert ctx.q == 4096 and len(ctx.mul_table) == 4096
+    rng = random.Random(4096)
+    a = ctx.poly([rng.randrange(4096) for _ in range(6)] + [rng.randrange(1, 4096)])
+    assert a.degree == 6
+    unit, fs = poly_factor(a)
+    prod = ctx.poly([unit])
+    for f, mult in fs:
+        assert f.is_monic
+        assert ctx.is_irreducible(f.coeffs)
+        prod = prod * f ** mult
+    assert prod == a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_factor_and_irreducibility_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    ctx = field_context(p)
+    rng = random.Random(p)
+    for _ in range(60):
+        d = rng.randrange(1, 9)
+        coeffs = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+        sp = sympy.Poly(coeffs[::-1], t, modulus=p)
+        assert ctx.is_irreducible(tuple(coeffs)) == sp.is_irreducible
+        lead, sp_factors = sp.factor_list()
+        want = sorted(
+            (tuple(int(c) % p for c in g.all_coeffs()[::-1]), mult)
+            for g, mult in sp_factors
+        )
+        unit, fs = ctx.pfactor(tuple(coeffs))
+        assert unit == coeffs[-1] == int(lead) % p
+        assert sorted(fs) == want
+
+
 def test_known_moduli():
     assert field_context(2, 2).modulus == (1, 1, 1)
     assert field_context(3, 2).modulus == (1, 0, 1)
