@@ -299,6 +299,8 @@ def _xdivmod_monic(ctx: FieldCtx, a: list, b: list) -> tuple[list, list]:
     return _xstrip(quot), _xstrip(rem)
 
 
+# (p, m, modulus, I) -> Psi_I: equal fields share an entry, and no FieldCtx,
+# with its q x q tables, stays reachable.
 _PSI_CACHE: dict = {}
 
 
@@ -321,11 +323,11 @@ def psi_cyclotomic(ctx: FieldCtx, I) -> list[Poly]:
 
 
 def psi_dense(ctx: FieldCtx, I: tuple) -> list:
-    """Psi_I as a dense X-coefficient list of F_q[t] tuples, cached per (ctx, I).
+    """Psi_I as a dense X-coefficient list of F_q[t] tuples, cached per (field, I).
 
     I must be a validated monic tuple; psi_cyclotomic is the checked entry.
     """
-    key = (ctx, I)
+    key = (ctx.p, ctx.m, ctx.modulus, I)
     hit = _PSI_CACHE.get(key)
     if hit is not None:
         return hit
@@ -638,9 +640,6 @@ class TorsionAlgebra:
         if len(raw) > self.dim:
             raw = _fp_divmod(raw, self._psi, self._zero)[1]
         return AlgElem(self, raw)
-
-    def psi_polys(self) -> list[Poly]:
-        return [Poly(self.ctx, c.num) for c in self._psi]
 
     def __repr__(self):
         return f"TorsionAlgebra(q={self.ctx.q}, I={Poly(self.ctx, self.I)}, dim={self.dim})"

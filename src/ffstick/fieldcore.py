@@ -18,6 +18,11 @@ Conventions used throughout the package:
   a primitive element (mul, inv) and by recursion on the base-p digits (add,
   neg, sub), with O(q) products in F_p[u] in all; every entry is one of q
   shared int objects.
+* The monic irreducibles of degree d and the smallest irreducible factor of
+  every monic polynomial of degree d come from one sieve per degree
+  (``FieldCtx.first_factors``), cached on the context; Rabin's test
+  (``is_irreducible``) and ``pfactor`` stay as the routes for single
+  polynomials.
 
 The low level tuple functions live on :class:`FieldCtx` so hot loops can work
 on plain tuples; :class:`Poly` is a thin immutable wrapper that provides the
@@ -169,7 +174,7 @@ class FieldCtx:
         "p", "m", "q", "modulus", "seed",
         "add_table", "sub_table", "mul_table", "neg_table", "inv_table",
         "exp_table", "log_table",
-        "_irred_cache",
+        "_irred_cache", "_first_factors", "__weakref__",
     )
 
     def __init__(self, p: int, m: int = 1, seed: int = 0):
@@ -187,6 +192,7 @@ class FieldCtx:
         self.modulus = self._canonical_modulus()
         self._build_tables()
         self._irred_cache: dict[int, tuple] = {}
+        self._first_factors: dict[int, list] = {}
 
     def _canonical_modulus(self) -> tuple[int, ...]:
         p, m = self.p, self.m
@@ -246,10 +252,6 @@ class FieldCtx:
         self.inv_table = inv
 
     # -- field element helpers ---------------------------------------------
-
-    def e_int(self, k: int) -> int:
-        """Image of the integer k in the prime subfield."""
-        return k % self.p
 
     def e_pow(self, a: int, k: int) -> int:
         if k < 0:
@@ -442,12 +444,93 @@ class FieldCtx:
         return True
 
     def monic_irreducibles(self, d: int) -> tuple:
-        """All monic irreducibles of degree d, cached, canonical order."""
+        """All monic irreducibles of degree d, cached, canonical order.
+
+        Read off the sieve of :meth:`first_factors`: the monic polynomials of
+        degree d that no product P*g marks, P irreducible of degree at most
+        d/2.  No polynomial goes through Rabin's test.
+        """
+        if d < 1:
+            return ()
         if d not in self._irred_cache:
+            base = self.q ** d
             self._irred_cache[d] = tuple(
-                f for f in self.monic_tuples(d) if self.is_irreducible(f)
+                self.pfrom_key(base + i) for i, pk in enumerate(self.first_factors(d)) if not pk
             )
         return self._irred_cache[d]
+
+    def first_factors(self, d: int) -> list:
+        """Smallest irreducible factor of every monic polynomial of degree d.
+
+        A flat list indexed by pkey(f) - q^d: the key of the first irreducible
+        factor of f in (degree, key) order, or 0 when f is irreducible.  It
+        is a sieve, cached per degree: for each irreducible P of degree
+        e <= d/2, in canonical order, every product P*g with g monic of
+        degree d - e is marked unless a smaller factor marked it first.
+
+        The products come in key space.  With g = t*g' + c, the key of P*g
+        is q * pkey(P*g') with its e + 1 low digits replaced, and those
+        digits depend only on the e low digits of P*g' and on c; a table of
+        q^(e+1) entries per P gives them.  Starting from pkey(P), each step
+        multiplies the list of products by q, g' running in key order.
+        """
+        table = self._first_factors.get(d)
+        if table is not None:
+            return table
+        if d < 1:
+            raise ValueError(f"degree must be positive, got {d}")
+        q = self.q
+        base = q ** d
+        table = [0] * base
+        at, mt = self.add_table, self.mul_table
+        for e in range(1, d // 2 + 1):
+            qe = q ** e
+            high = qe * q
+            for P in self.monic_irreducibles(e):
+                pk = self.pkey(P)
+                # low[r*q + c] = pkey(t*R + c*P) for pkey(R) = r, deg R < e:
+                # digit 0 is c*P_0, digit j + 1 is R_j + c*P_(j+1), so for
+                # each c it is R shifted by one digit after a digitwise add,
+                # built one digit at a time from the add table's rows
+                lows = []
+                for row in mt:  # row = mt[c]
+                    cP = [row[x] for x in P]
+                    added, s = [0], 1
+                    for v in cP[1:]:
+                        added = [a * s + x for a in at[v] for x in added]
+                        s *= q
+                    lows.append([cP[0] + q * x for x in added])
+                low = [k for ks in zip(*lows) for k in ks]
+                keys = [pk]
+                for _ in range(d - e):
+                    keys = [hi * high + v
+                            for x in keys for hi, r in (divmod(x, qe),)
+                            for v in low[r * q:r * q + q]]
+                for x in keys:
+                    i = x - base
+                    if not table[i]:
+                        table[i] = pk
+        self._first_factors[d] = table
+        return table
+
+    def sieve_factor(self, f) -> list:
+        """Factorization of a monic f read from :meth:`first_factors`.
+
+        Returns the (monic irreducible, multiplicity) list of ``pfactor``,
+        in the same (degree, key) order: each step divides out the smallest
+        factor of what is left, so equal factors come in a row.
+        """
+        out: list = []
+        while len(f) > 1:
+            d = len(f) - 1
+            pk = self.first_factors(d)[self.pkey(f) - self.q ** d]
+            P = self.pfrom_key(pk) if pk else tuple(f)
+            if out and out[-1][0] == P:
+                out[-1] = (P, out[-1][1] + 1)
+            else:
+                out.append((P, 1))
+            f = self.pdivmod(f, P)[0]
+        return out
 
     # -- factorization ------------------------------------------------------
 
@@ -641,9 +724,6 @@ class Poly:
 
     def evaluate(self, x: int) -> int:
         return self.ctx.peval(self.coeffs, x)
-
-    def derivative(self) -> "Poly":
-        return Poly._wrap(self.ctx, self.ctx.pderiv(self.coeffs))
 
     # -- arithmetic ----------------------------------------------------------
 

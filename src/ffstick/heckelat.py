@@ -476,8 +476,8 @@ def sublattice_enum(L: Lattice, g) -> list[Lattice]:
     return out
 
 
-# (ctx, det, rank) -> {chain: coordinate matrices}; equal fields share an
-# entry because FieldCtx compares by (p, m, modulus).
+# (p, m, modulus, det, rank) -> {chain: coordinate matrices}: equal fields
+# share an entry, and no FieldCtx, with its q x q tables, stays reachable.
 _TRIANGLES_BY_TYPE: dict = {}
 
 
@@ -486,10 +486,10 @@ def _triangles_by_type(ctx: FieldCtx, g: tuple, n: int) -> dict:
 
     For any lattice N the quotient N / (C N) is isomorphic to A^n / (rows of
     C), so its chain is the Smith form of C alone.  Each C is classified once
-    per (ctx, g, n); the result maps each chain tuple to its matrices, as
+    per (field, g, n); the result maps each chain tuple to its matrices, as
     row tuples in canonical enumeration order.
     """
-    key = (ctx, g, n)
+    key = (ctx.p, ctx.m, ctx.modulus, g, n)
     groups = _TRIANGLES_BY_TYPE.get(key)
     if groups is None:
         groups = {}

@@ -22,6 +22,7 @@ All arithmetic is exact over Z.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -174,13 +175,48 @@ class GrSeries:
         return [s.to_json() for s in self.coeffs]
 
 
+def _monic_classes(S: StickCtx, M: int):
+    """For m = 0..M, the unit index of every monic polynomial of degree m,
+    in key order, or -1 where it is not coprime to the modulus.
+
+    Residues come by linearity, with no pgcd or class_index per polynomial:
+    the monic of key c + q*k is c + t*g for the monic g of key k, so its
+    residue is c + t*(g mod I) mod I.  On residue keys r < q^deg I, t*r mod I
+    is one table entry per residue and adding c only changes digit 0, so
+    each degree is one pass over the residues of the last; one table from
+    residue keys to unit indices then gives coprimality and the class.  The
+    tables are built once per StickCtx and only the current degree is held.
+    """
+    tables = S._cache.get("residues")
+    if tables is None:
+        ctx, I = S.ctx, S.I
+        q, at = ctx.q, ctx.add_table
+        steps = []
+        for r in range(q ** (len(I) - 1)):
+            s = ctx.pkey(ctx.pmod(ctx.pmul((0, 1), ctx.pfrom_key(r)), I))
+            steps.append((s - s % q, at[s % q]))
+        unit = [-1] * len(steps)
+        for i, e in enumerate(S.G.elements):
+            unit[ctx.pkey(e)] = i
+        tables = S._cache["residues"] = (steps, unit)
+    steps, unit = tables
+    residues = [1]  # the residue of t^0, as deg I >= 1
+    for m in range(M + 1):
+        yield [unit[r] for r in residues]
+        if m < M:
+            residues = [b + v for r in residues for b, row in (steps[r],) for v in row]
+
+
 def euler_series(S: StickCtx, M: int, method: str = "direct") -> GrSeries:
     """The coprime-class series to order M.
 
-    ``direct`` sums the class of every monic polynomial of each degree
-    coprime to the modulus.  ``euler_product`` expands the product of
+    ``direct`` counts the class of every monic polynomial of each degree
+    coprime to the modulus; the classes come from the residue recursion of
+    ``_monic_classes``.  ``euler_product`` expands the product of
     (1 - [P] z^deg P)^(-1) over monic irreducibles P coprime to the modulus
-    of degree at most M.  The two must agree coefficient for coefficient.
+    of degree at most M, from the sieve of ``monic_irreducibles`` and one
+    ``class_index`` per P, so it shares no step with the direct side.  The
+    two must agree coefficient for coefficient.
     """
     if M < 0:
         raise ValueError("order must be nonnegative")
@@ -191,11 +227,9 @@ def euler_series(S: StickCtx, M: int, method: str = "direct") -> GrSeries:
     ctx, G, I = S.ctx, S.G, S.I
     if method == "direct":
         out = []
-        for m in range(M + 1):
-            counts: dict[int, int] = {}
-            for f in ctx.monic_tuples(m, coprime_to=I):
-                i = G.class_index(f)
-                counts[i] = counts.get(i, 0) + 1
+        for classes in _monic_classes(S, M):
+            counts = Counter(classes)
+            counts.pop(-1, None)
             out.append(GroupRingElem(G, counts))
         series = GrSeries(G, out)
     elif method == "euler_product":
@@ -277,9 +311,12 @@ def phi_series(S: StickCtx, n: int, M: int | None = None, method: str = "generat
     of rank-n sublattice columns with that determinant.
 
     ``generating`` multiplies the scaled copies of the coprime-class series
-    with z -> q^j z for j < n.  ``lattice`` sums the closed sublattice count
-    for every monic polynomial directly.  The truncation defaults to
-    n*d + 3, enough for every identity checked here.
+    with z -> q^j z for j < n.  ``lattice`` sums, over every monic
+    polynomial f coprime to the modulus, the closed sublattice count: the
+    product of ``heckelat._local_count(q^deg P, n, e)`` over the prime
+    powers P^e of f, read from the sieve tables (``FieldCtx.sieve_factor``),
+    with the class from the residue recursion of ``_monic_classes``.  The
+    truncation defaults to n*d + 3, enough for every identity checked here.
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -289,21 +326,30 @@ def phi_series(S: StickCtx, n: int, M: int | None = None, method: str = "generat
     cached = S._cache.get(key)
     if cached is not None:
         return cached
-    ctx, G, I = S.ctx, S.G, S.I
+    ctx, G = S.ctx, S.G
+    q = ctx.q
     if method == "generating":
-        q = ctx.q
         series = euler_series(S, M, method="direct")
         prod = series
         for j in range(1, n):
             prod = prod * series.scale_variable(q ** j)
         result = prod
     elif method == "lattice":
+        local: dict[tuple[int, int], int] = {}
         out = []
-        for m in range(M + 1):
+        for m, classes in enumerate(_monic_classes(S, M)):
+            base = q ** m
             counts: dict[int, int] = {}
-            for f in ctx.monic_tuples(m, coprime_to=I):
-                i = G.class_index(f)
-                counts[i] = counts.get(i, 0) + heckelat.phi_count(ctx, f, n)
+            for i, idx in enumerate(classes):
+                if idx < 0:
+                    continue
+                w = 1
+                for P, e in ctx.sieve_factor(ctx.pfrom_key(base + i)):
+                    de = (len(P) - 1, e)
+                    if de not in local:
+                        local[de] = heckelat._local_count(q ** de[0], n, e)
+                    w *= local[de]
+                counts[idx] = counts.get(idx, 0) + w
             out.append(GroupRingElem(G, counts))
         result = GrSeries(G, out)
     else:
@@ -471,16 +517,17 @@ def verify_identities(S: StickCtx, n_max: int = 2) -> list[dict]:
         fact_detail,
     ))
 
-    # (e) telescoping relation
+    # (e) telescoping relation; the left side comes from the generating
+    # route, the right side from the lattice count route cached by (d)
     tele_ok = True
     tele_detail: dict = {"q": q, "I": list(S.I), "n_checked": []}
     F = FrobPoly.monomial(G, 1)
     one = FrobPoly.constant(GroupRingElem.integer(G, 1))
     for n in range(1, n_max + 1):
         nd = n * S.d
-        c = phi_series(S, n, M=nd, method="generating")
+        c = phi_series(S, n, M=nd, method="lattice")
         lhs = (F - one) * theta_noinf(S, n)
-        rhs = F * theta_n(S, n) - FrobPoly.constant(c.coefficient_sum())
+        rhs = F * theta_n(S, n, method="lattice") - FrobPoly.constant(c.coefficient_sum())
         tele_detail["n_checked"].append(n)
         diff = _first_coeff_diff(lhs, rhs)
         if diff is not None:
@@ -494,10 +541,11 @@ def verify_identities(S: StickCtx, n_max: int = 2) -> list[dict]:
         tele_detail,
     ))
 
-    # (f) coefficient pattern of Theta'_2 at F = 1
+    # (f) coefficient pattern of Theta'_2 at F = 1: Theta'_2 from the
+    # generating route, the weighted coefficients from the lattice route
     if n_max >= 2:
         nd = 2 * S.d
-        c = phi_series(S, 2, M=nd, method="generating")
+        c = phi_series(S, 2, M=nd, method="lattice")
         expected = GroupRingElem.zero(G)
         for i in range(nd + 1):
             expected = expected + c.coeffs[nd - i] * (i + 1)
