@@ -172,7 +172,7 @@ def random_prime_chain(ctx: FieldCtx, P: tuple, n: int, rng: random.Random) -> I
     return InvariantType(ctx, chain)
 
 
-def _mult_pairs(ctx: FieldCtx, n: int, seed: int, pairs: int) -> dict:
+def _mult_pairs(ctx: FieldCtx, n: int, seed: int, pairs: int, fault: str | None) -> dict:
     """verify-all's rank n record: seeded coprime pairs of prime power chains,
     each on A^n and one random sublattice, up to the first failure."""
     q = ctx.q
@@ -187,7 +187,8 @@ def _mult_pairs(ctx: FieldCtx, n: int, seed: int, pairs: int) -> dict:
         chain_b = random_prime_chain(ctx, R, n, rng)
         lattices = [standard_lattice(ctx, n),
                     random_sublattice(ctx, n, _mix(seed, q, n, run), max_deg=1)]
-        witness = hecke_mult_verify(ctx, chain_a, chain_b, test_lattices=lattices).witness
+        witness = hecke_mult_verify(ctx, chain_a, chain_b, test_lattices=lattices,
+                                    fault=fault).witness
     return check_record(f"hecke.mult[q={q},n={n}]", MULT_ANCHOR, witness is None,
                         _with_witness({"pairs": run, "prime_pool_degrees": [1, 2]}, witness))
 
@@ -413,7 +414,8 @@ def verify_all(ctxs: dict, seed: int, n_max: int, newton_budget: int,
         ))
 
     with Stopwatch("coprime multiplicativity"):
-        checks += [_mult_pairs(ctxs[q], n, seed, pairs) for q in (2, 3) for n in (1, 2, 3)]
+        checks += [_mult_pairs(ctxs[q], n, seed, pairs, fault)
+                   for q in (2, 3) for n in (1, 2, 3)]
 
     with Stopwatch("chain partition of counts"):
         checks += [_chain_partition(ctxs[q], n) for q in (2, 3) for n in (1, 2, 3)]

@@ -162,7 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cap on predicted sublattice productions per Newton case")
     va.add_argument("--pairs", type=int, default=DEFAULT_MULT_PAIRS,
                     help="coprime chain pairs per (rank, field) cell")
-    va.add_argument("--inject-fault", choices=["newton"], default=None, dest="inject_fault")
+    va.add_argument("--inject-fault", choices=["newton", "mult"], default=None,
+                    dest="inject_fault",
+                    help="corrupt one side of the Newton or the multiplicativity check")
 
     return top
 
@@ -186,10 +188,13 @@ def _run_stick_theta(args, ctx):
         raise ValueError("rank must be positive")
     th = theta_n(S, args.n, method=args.method)
     thp = theta_noinf(S, args.n, method=args.method)
+    other = "lattice" if args.method == "generating" else "generating"
+    agree = (th == theta_n(S, args.n, method=other)
+             and thp == theta_noinf(S, args.n, method=other))
     rec = check_record(
         f"lseries.theta_n[q={ctx.q},I={fmt(S.I)},n={args.n}]",
         "assembly of Theta_n and Theta'_n from the weighted series coefficients",
-        True,
+        agree,
         {"theta": th.to_json(), "theta_noinf": thp.to_json(), "F_degree": args.n * S.d},
     )
     return {"ideal": list(S.I), "n": args.n, "method": args.method}, [rec]

@@ -20,7 +20,8 @@ The operators implemented here:
   C N bottom up, each row running over an affine space over F_q, in one
   path for A^n and every other N;
 * ``t_chain``: sublattices with a prescribed chain of invariant factors,
-  applied from one classification of the coordinate matrices by Smith form;
+  from one classification of the coordinate matrices by Smith form, applied
+  on the same bottom-up path with an index per kept matrix;
 * ``newton_verify``: checks the Newton style recurrence tying t_local to
   the elementary operators, together with the alternating Gaussian binomial
   identity that drives its proof;
@@ -33,6 +34,7 @@ arithmetic is table driven via FieldCtx.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections.abc import Mapping
@@ -335,63 +337,77 @@ def quotient_invariants(sub: Lattice, sup: Lattice | None = None) -> InvariantTy
 
 
 def _snf_diagonal(ctx: FieldCtx, mat: list) -> list:
-    """Diagonal of the Smith form of a nonsingular matrix, ascending divisibility."""
+    """Diagonal of the Smith form of a nonsingular matrix, ascending divisibility.
+
+    Read off the determinantal divisors, without elimination (Cohen, A Course
+    in Computational Algebraic Number Theory, Ch. 2): D_k, the monic gcd of
+    the k x k minors, is d_1 ... d_k, so d_k = D_k / D_(k-1).  A (k+1) x (k+1)
+    minor expands into k x k minors, so D_k divides D_(k+1).  Each gcd
+    therefore starts from D_(k+1), the determinant for k = n - 1, folds in the
+    k x k minors, principal ones first, and stops at a unit; a unit D_k leaves
+    every lower D_j a unit too.  Minors are expanded along their first row
+    and computed only when a gcd reaches them, each once.  Without an early
+    unit the work grows with the binomial(2n, n) minors, which suits the
+    ranks the sublattice enumerations reach.
+    """
     n = len(mat)
-    m = [list(row) for row in mat]
-    pdivmod, psub, pmul = ctx.pdivmod, ctx.psub, ctx.pmul
-    diags = []
-    for top in range(n):
-        while True:
-            best = None
-            for i in range(top, n):
-                for j in range(top, n):
-                    e = m[i][j]
-                    if e and (best is None or len(e) < len(m[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                raise ValueError("matrix is singular")
-            bi, bj = best
-            if bi != top:
-                m[top], m[bi] = m[bi], m[top]
-            if bj != top:
-                for row in m:
-                    row[top], row[bj] = row[bj], row[top]
-            pivot = m[top][top]
-            dirty = False
-            for i in range(top + 1, n):
-                if m[i][top]:
-                    q, r = pdivmod(m[i][top], pivot)
-                    for c in range(top, n):
-                        if m[top][c]:
-                            m[i][c] = psub(m[i][c], pmul(q, m[top][c]))
-                    if r:
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(top + 1, n):
-                if m[top][j]:
-                    q, r = pdivmod(m[top][j], pivot)
-                    for i2 in range(top, n):
-                        if m[i2][top]:
-                            m[i2][j] = psub(m[i2][j], pmul(q, m[i2][top]))
-                    if r:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry
-            off = next(
-                ((i, j) for i in range(top + 1, n) for j in range(top + 1, n)
-                 if m[i][j] and pdivmod(m[i][j], pivot)[1]),
-                None,
-            )
-            if off is None:
-                break
-            i, _ = off
-            for c in range(top, n):
-                if m[i][c]:
-                    m[top][c] = ctx.padd(m[top][c], m[i][c])
-        diags.append(ctx.pmonic(m[top][top]))
-    return diags
+    pmul, padd, psub, pgcd = ctx.pmul, ctx.padd, ctx.psub, ctx.pgcd
+    one = (1,)
+    memo: dict = {}
+
+    def mul(a, b):
+        # most entries of a canonical triangle are 1 or 0
+        return b if a == one else a if b == one else pmul(a, b)
+
+    def minor(rows: tuple, cols: tuple):
+        if len(rows) == 1:
+            return mat[rows[0]][cols[0]]
+        if len(rows) == 2:
+            (r, s), (a, b) = rows, cols
+            ra, rb, sa, sb = mat[r][a], mat[r][b], mat[s][a], mat[s][b]
+            diag = mul(ra, sb) if ra and sb else ()
+            return psub(diag, mul(rb, sa)) if rb and sa else diag
+        key = (rows, cols)
+        v = memo.get(key)
+        if v is None:
+            top, rest = mat[rows[0]], rows[1:]
+            v = ()
+            for k, c in enumerate(cols):
+                if top[c]:
+                    sub = minor(rest, cols[:k] + cols[k + 1:])
+                    if sub:
+                        v = (psub if k & 1 else padd)(v, mul(top[c], sub))
+            memo[key] = v
+        return v
+
+    full = tuple(range(n))
+    det = minor(full, full)
+    if not det:
+        raise ValueError("matrix is singular")
+    divisors = [ctx.pmonic(det)]
+    for k in range(n - 1, 0, -1):
+        g = divisors[-1]
+        if g != one:
+            for rows, cols in _minor_order(n, k):
+                e = minor(rows, cols)
+                if e:
+                    g = one if len(e) == 1 else pgcd(g, e)
+                    if g == one:
+                        break
+        divisors.append(g)
+    divisors.append(one)
+    divisors.reverse()
+    return [divisors[k] if divisors[k - 1] == one
+            else ctx.pdivmod(divisors[k], divisors[k - 1])[0] for k in range(1, n + 1)]
+
+
+@functools.cache
+def _minor_order(n: int, k: int) -> tuple:
+    """The (rows, cols) index pairs of the k x k minors of an n x n matrix,
+    the principal ones first."""
+    subsets = list(itertools.combinations(range(n), k))
+    return tuple((r, r) for r in subsets) + tuple(
+        (r, c) for r in subsets for c in subsets if r != c)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +501,12 @@ def _triangles_by_type(ctx: FieldCtx, g: tuple, n: int) -> dict:
     """Canonical triangular matrices C with det g, grouped by invariant chain.
 
     For any lattice N the quotient N / (C N) is isomorphic to A^n / (rows of
-    C), so its chain is the Smith form of C alone.  Each C is classified once
-    per (field, g, n); the result maps each chain tuple to its matrices, as
-    row tuples in canonical enumeration order.
+    C), so its chain is the Smith form of C alone, read off its determinantal
+    divisors by ``_snf_diagonal``.  Each C is classified once per (field, g,
+    n); the result maps each chain tuple to its matrices, as row tuples in
+    canonical enumeration order.  ``d_count`` counts them, and
+    ``_chain_plan`` turns one chain's list into the index plan ``t_chain``
+    applies.
     """
     key = (ctx.p, ctx.m, ctx.modulus, g, n)
     groups = _TRIANGLES_BY_TYPE.get(key)
@@ -500,6 +519,52 @@ def _triangles_by_type(ctx: FieldCtx, g: tuple, n: int) -> dict:
         groups = {chain: tuple(cs) for chain, cs in groups.items()}
         _TRIANGLES_BY_TYPE[key] = groups
     return groups
+
+
+# (p, m, modulus, chain) -> the kept matrices of the chain as ``t_chain``
+# applies them, keyed like _TRIANGLES_BY_TYPE so no FieldCtx stays reachable.
+_CHAIN_PLANS: dict = {}
+
+
+def _chain_plan(ctx: FieldCtx, chain: InvariantType) -> dict:
+    """The coordinate matrices C of a chain as a trie over their rows, from
+    row n-1 up to row 0.
+
+    A node at row i stands for fixed rows i+1, ..., n-1 of C.  It maps each
+    diagonal entry c_ii that occurs below it to a dict from the index
+    sum_k c_ij[a] q^k of the rest of row i to the node at row i-1, or to None
+    at row 0.  The digits c_ij[a] run over j > i and a < deg c_jj in that
+    order, the order of the generators ``t_chain`` spans row i with.
+
+    Every call looks the classification up first, so emptying
+    ``_TRIANGLES_BY_TYPE`` classifies afresh; the plan, keyed by field and
+    chain, is built from that list once.
+    """
+    n = len(chain)
+    cmats = _triangles_by_type(ctx, chain.det().coeffs, n).get(chain.chain, ())
+    key = (ctx.p, ctx.m, ctx.modulus, chain.chain)
+    plan = _CHAIN_PLANS.get(key)
+    if plan is None:
+        q = ctx.q
+        plan = {}
+        for C in cmats:
+            node = plan
+            for i in range(n - 1, -1, -1):
+                row = C[i]
+                index, weight = 0, 1
+                for j in range(i + 1, n):
+                    e = row[j]
+                    for a in range(len(C[j][j]) - 1):
+                        if a < len(e):
+                            index += e[a] * weight
+                        weight *= q
+                kids = node.setdefault(row[i], {})
+                if i:
+                    node = kids.setdefault(index, {})
+                else:
+                    kids[index] = None
+        _CHAIN_PLANS[key] = plan
+    return plan
 
 
 def d_count(ctx: FieldCtx, chain) -> int:
@@ -842,23 +907,44 @@ def t_chain(chain: InvariantType, s: LatticeSum) -> LatticeSum:
     """Operator summing sublattices with the prescribed invariant chain.
 
     The sublattices of N with this chain are C N for the canonical
-    coordinate matrices C whose Smith form is the chain; they are classified
-    once per determinant and rank, and only applied to each N here.
+    coordinate matrices C whose Smith form is the chain.  They are
+    classified once per determinant and rank (``_triangles_by_type``) and
+    kept as a trie over their rows (``_chain_plan``).  Each N then takes the
+    bottom-up path of ``_sublattice_rows``, the same for A^n and every other
+    N: with the canonical rows of C N below row i fixed, and R_i the
+    reduction against them, row i is
+
+        R_i(c_ii N_i) + sum_{j > i, a < deg c_jj} c_ij[a] R_i(t^a N_j),
+
+    the entry of ``_affine_span`` at index sum_k c_ij[a] q^k.  The rows below
+    row i are built once for all the matrices that share them, only the base
+    and the generators are reduced, and each kept matrix costs one lookup.
     """
     ctx = s.ctx
     n = s.n
     if len(chain) != n:
         raise ValueError("chain length must equal the rank")
-    cmats = _triangles_by_type(ctx, chain.det().coeffs, n).get(chain.chain, ())
-    std = standard_lattice(ctx, n).rows
+    plan = _chain_plan(ctx, chain)
+    pmul = ctx.pmul
     out: dict[tuple, int] = {}
+    get = out.get
     for nrows, mult in s.by_rows.items():
-        if nrows == std:
-            subs = cmats
-        else:
-            subs = (_apply_basis(ctx, C, nrows) for C in cmats)
-        for key in subs:
-            out[key] = out.get(key, 0) + mult
+
+        def level(node: dict, i: int, tail: tuple) -> None:
+            gens = [_reduce_row(ctx, [(0,) * a + e if e else () for e in nrows[j]], tail, i)
+                    for j in range(i + 1, n)
+                    for a in range(len(tail[j - i - 1][j]) - len(nrows[j][j]))]
+            for cii, kids in node.items():
+                base = _reduce_row(ctx, [pmul(cii, e) if e else () for e in nrows[i]], tail, i)
+                span = _affine_span(ctx, base, gens)
+                for index, child in kids.items():
+                    rows = (span[index],) + tail
+                    if child is None:
+                        out[rows] = get(rows, 0) + mult
+                    else:
+                        level(child, i - 1, rows)
+
+        level(plan, n - 1, ())
     return LatticeSum._of_rows(ctx, n, out)
 
 
@@ -983,8 +1069,13 @@ def hecke_mult_verify(
     chain_a: InvariantType,
     chain_b: InvariantType,
     test_lattices: Sequence[Lattice] | None = None,
+    fault: str | None = None,
 ) -> MultReport:
-    """Check T(J) T(J') = T(J J') for chains with coprime determinants."""
+    """Check T(J) T(J') = T(J J') for chains with coprime determinants.
+
+    ``fault`` set to "mult" deliberately adds one more copy of one term of
+    T(J J') N, so harness plumbing can observe a failure.
+    """
     if len(chain_a) != len(chain_b):
         raise ValueError("chains must have equal length")
     da, db = chain_a.det(), chain_b.det()
@@ -1001,6 +1092,8 @@ def hecke_mult_verify(
         base = LatticeSum.of(N)
         lhs = t_chain(chain_a, t_chain(chain_b, base))
         rhs = t_chain(prod, base)
+        if fault == "mult":
+            rhs = rhs + LatticeSum._of_rows(ctx, n, {next(iter(rhs.by_rows)): 1})
         cases += 1
         if lhs != rhs:
             ok = False

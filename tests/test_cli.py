@@ -233,6 +233,37 @@ def test_verify_all_newton_fault_fails_only_newton_records():
     assert others and all(c["status"] == "pass" for c in others)
 
 
+def test_verify_all_mult_fault_fails_only_mult_records():
+    proc = run_cli(*REDUCED_BATTERY, "--inject-fault", "mult")
+    assert proc.returncode == 1
+    checks = report_of(proc)["checks"]
+    failing = [c for c in checks if c["status"] == "fail"]
+    assert failing
+    for rec in failing:
+        assert rec["check_id"].startswith("hecke.mult[")
+        assert {"lattice", "residue_term"} <= set(rec["details"]["witness"])
+    others = [c for c in checks if not c["check_id"].startswith("hecke.mult[")]
+    assert others and all(c["status"] == "pass" for c in others)
+
+
+@pytest.mark.parametrize("method", ["generating", "lattice"])
+def test_theta_record_fails_when_the_routes_disagree(method, monkeypatch, capsys):
+    from ffstick import cli
+
+    real = cli.theta_n
+
+    def skewed(S, n, method="generating"):
+        th = real(S, n, method=method)
+        return th + th if method == "lattice" else th
+
+    monkeypatch.setattr(cli, "theta_n", skewed)
+    argv = ["stick", "theta", "--p", "3", "--ideal", "0,2,1", "--n", "2", "--method", method]
+    assert cli.main(argv) == 1
+    rec = json.loads(capsys.readouterr().out)["checks"][0]
+    assert rec["status"] == "fail"
+    assert rec["check_id"] == "lseries.theta_n[q=3,I=0,2,1,n=2]"
+
+
 def test_subcommand_records_match_verify_all():
     battery = report_of(run_cli(*REDUCED_BATTERY, check=True))["checks"]
 
