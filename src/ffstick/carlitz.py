@@ -367,21 +367,17 @@ class RatFunc:
         den = ctx.pvalidate(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = (1,)
-        else:
-            g = ctx.pgcd(num, den)
-            if g != (1,):
-                num = ctx.pdivmod(num, g)[0]
-                den = ctx.pdivmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                inv = ctx.inv_table[lead]
-                num = ctx.pscale(num, inv)
-                den = ctx.pscale(den, inv)
         self.ctx = ctx
-        self.num = num
-        self.den = den
+        self.num, self.den = _reduced(ctx, num, den)
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, num: tuple, den: tuple) -> "RatFunc":
+        """The fraction num / den of valid, stripped tuples with den nonzero,
+        as the arithmetic makes them, without ``pvalidate``."""
+        obj = object.__new__(cls)
+        obj.ctx = ctx
+        obj.num, obj.den = _reduced(ctx, num, den)
+        return obj
 
     @classmethod
     def from_elem(cls, ctx: FieldCtx, e: int) -> "RatFunc":
@@ -395,24 +391,29 @@ class RatFunc:
         if not isinstance(other, RatFunc) or other.ctx != self.ctx:
             return NotImplemented
         ctx = self.ctx
+        if self.den == other.den == (1,):
+            return RatFunc._of(ctx, ctx.padd(self.num, other.num), (1,))
         num = ctx.padd(ctx.pmul(self.num, other.den), ctx.pmul(other.num, self.den))
-        return RatFunc(ctx, num, ctx.pmul(self.den, other.den))
+        return RatFunc._of(ctx, num, ctx.pmul(self.den, other.den))
 
     def __sub__(self, other):
         if not isinstance(other, RatFunc) or other.ctx != self.ctx:
             return NotImplemented
         ctx = self.ctx
+        if self.den == other.den == (1,):
+            return RatFunc._of(ctx, ctx.psub(self.num, other.num), (1,))
         num = ctx.psub(ctx.pmul(self.num, other.den), ctx.pmul(other.num, self.den))
-        return RatFunc(ctx, num, ctx.pmul(self.den, other.den))
+        return RatFunc._of(ctx, num, ctx.pmul(self.den, other.den))
 
     def __neg__(self):
-        return RatFunc(self.ctx, self.ctx.pneg(self.num), self.den)
+        return RatFunc._of(self.ctx, self.ctx.pneg(self.num), self.den)
 
     def __mul__(self, other):
         if not isinstance(other, RatFunc) or other.ctx != self.ctx:
             return NotImplemented
         ctx = self.ctx
-        return RatFunc(ctx, ctx.pmul(self.num, other.num), ctx.pmul(self.den, other.den))
+        den = self.den if other.den == (1,) else ctx.pmul(self.den, other.den)
+        return RatFunc._of(ctx, ctx.pmul(self.num, other.num), den)
 
     def __truediv__(self, other):
         if not isinstance(other, RatFunc) or other.ctx != self.ctx:
@@ -420,12 +421,12 @@ class RatFunc:
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
         ctx = self.ctx
-        return RatFunc(ctx, ctx.pmul(self.num, other.den), ctx.pmul(self.den, other.num))
+        return RatFunc._of(ctx, ctx.pmul(self.num, other.den), ctx.pmul(self.den, other.num))
 
     def inv(self) -> "RatFunc":
         if self.is_zero:
             raise ZeroDivisionError("zero has no inverse")
-        return RatFunc(self.ctx, self.den, self.num)
+        return RatFunc._of(self.ctx, self.den, self.num)
 
     def __eq__(self, other):
         return (
@@ -446,6 +447,25 @@ class RatFunc:
 
     def to_json(self) -> dict:
         return {"num": list(self.num), "den": list(self.den)}
+
+
+def _reduced(ctx: FieldCtx, num: tuple, den: tuple) -> tuple:
+    """num / den in lowest terms with a monic denominator, den nonzero;
+    no gcd when den is 1."""
+    if not num:
+        return num, (1,)
+    if den == (1,):
+        return num, den
+    g = ctx.pgcd(num, den)
+    if g != (1,):
+        num = ctx.pdivmod(num, g)[0]
+        den = ctx.pdivmod(den, g)[0]
+    lead = den[-1]
+    if lead != 1:
+        inv = ctx.inv_table[lead]
+        num = ctx.pscale(num, inv)
+        den = ctx.pscale(den, inv)
+    return num, den
 
 
 # ---------------------------------------------------------------------------

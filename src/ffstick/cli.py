@@ -111,7 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     sq.add_argument("--ideal", type=_poly_arg, required=True, help="monic modulus")
     sq.add_argument("--window", type=int, default=4, help="tail coefficients checked past d")
 
-    st = stick_sub.add_parser(parents=[field], name="theta", help="Theta_n and the no-infinity variant")
+    st = stick_sub.add_parser(
+        parents=[field], name="theta", help="Theta_n and the no-infinity variant",
+        description="Theta_n and Theta'_n by --method, checked against the other method.  "
+                    "The lattice method visits all q^(n deg I) monic polynomials of degree "
+                    "at most n deg I, so the check grows fast with n: at q = 3 and deg I = 3 "
+                    "it took about 0.1 s at n = 4 and 10 to 14 s at n = 6 on a 2-core "
+                    "x86-64 host.")
     st.add_argument("--ideal", type=_poly_arg, required=True)
     st.add_argument("--n", type=int, required=True, help="rank")
     st.add_argument("--method", choices=["generating", "lattice"], default="generating")

@@ -5,9 +5,11 @@ matrix whose rows are the basis vectors, with monic diagonal entries and, for
 i < j, the entry at (i, j) reduced so its degree is below the degree of the
 (j, j) diagonal entry.  This canonical form is unique per lattice, so
 lattices can be hashed and compared directly.  A formal Z-linear sum of
-lattices (the modules Hecke operators act on) is a dict keyed by canonical
-row tuples, with the field and rank stored once on the sum; Lattice objects
-are built only where a caller looks at single terms.
+lattices (the modules Hecke operators act on) keys each lattice by its
+diagonal and one int that packs the entries above the diagonal as F_p
+digits (``_Packing``), with the field and rank stored once on the sum; the
+operators add packed row vectors by XOR or a SWAR add, and Lattice objects
+and row tuples are built only where a caller looks at single terms.
 
 The operators implemented here:
 
@@ -18,7 +20,8 @@ The operators implemented here:
   a module over the local ring at x.  Both operators sum C N over canonical
   triangular C with a fixed diagonal, and both build the canonical rows of
   C N bottom up, each row running over an affine space over F_q, in one
-  path for A^n and every other N;
+  path for A^n and every other N; ``t_local`` builds the rows below row i
+  once per residue class of row i's last entry;
 * ``t_chain``: sublattices with a prescribed chain of invariant factors,
   from one classification of the coordinate matrices by Smith form, applied
   on the same bottom-up path with an index per kept matrix;
@@ -36,9 +39,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .fieldcore import FieldCtx, Poly, _mix
@@ -619,60 +624,222 @@ def _local_count(Q: int, n: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# packed keys
+
+
+# (p, m, modulus) -> the field's _Packing, keyed like _TRIANGLES_BY_TYPE so
+# that no FieldCtx, with its q x q tables, stays reachable.
+_PACKINGS: dict = {}
+
+
+def _packing(ctx: FieldCtx) -> "_Packing":
+    key = (ctx.p, ctx.m, ctx.modulus)
+    pk = _PACKINGS.get(key)
+    if pk is None:
+        pk = _PACKINGS[key] = _Packing(ctx.p, ctx.m)
+    return pk
+
+
+class _Packing:
+    """One int per canonical lattice, given its diagonal.
+
+    The int holds the off diagonal entries.  Each F_q coefficient is m F_p
+    digits in w-bit slots, the digits of its encoding.  For p = 2, w = 1 and
+    a coefficient is its own encoding, so adding vectors is XOR.  For odd p,
+    w is one bit more than p - 1 needs, so a sum of two digits fits a slot
+    and, offset by 2^(w-1) - p, sets the slot's top bit exactly when it
+    reaches p; ``add`` subtracts p there (SWAR).  Entry (i, j) takes deg D_jj
+    coefficients, D the diagonal, and the rows follow each other from n - 2
+    up to 0.  Row i's place then depends only on deg D_jj for j > i, so the
+    rows below it fix its layout, and the key is canonical.
+
+    ``row_layout`` and the residue classes of ``_class_table`` are memoized
+    here; none of it refers to a FieldCtx.
+    """
+
+    __slots__ = ("p", "cw", "spread", "unspread", "_w", "_rows", "classes")
+
+    def __init__(self, p: int, m: int):
+        self.p = p
+        self._w = w = 1 if p == 2 else (p - 1).bit_length() + 1
+        self.cw = m * w
+        self.spread = [sum(e // p ** k % p << k * w for k in range(m)) for e in range(p ** m)]
+        self.unspread = None if p == 2 else {s: e for e, s in enumerate(self.spread)}
+        self._rows: dict = {}
+        self.classes: dict = {}
+
+    def row_layout(self, tdegs: tuple) -> tuple:
+        """Layout of the row above rows whose diagonal degrees are ``tdegs``:
+        ``(offs, add)`` with one ``(column, bit offset, slots)`` per entry,
+        columns counted from the right (-1 is the last), and the vector
+        addition for keys that end with this row."""
+        lay = self._rows.get(tdegs)
+        if lay is None:
+            cw, k = self.cw, len(tdegs)
+            off = sum(t * dt for t, dt in enumerate(tdegs)) * cw
+            offs = []
+            for t, dt in enumerate(tdegs):
+                offs.append((t - k, off, dt))
+                off += dt * cw
+            lay = self._rows[tdegs] = (tuple(offs), self._adder(off))
+        return lay
+
+    def _adder(self, bits: int):
+        if self.p == 2:
+            return operator.xor
+        p, w = self.p, self._w
+        unit = ((1 << bits) - 1) // ((1 << w) - 1)
+        low, high, shift = unit * ((1 << w - 1) - p), unit << w - 1, w - 1
+
+        def add(a: int, b: int) -> int:
+            s = a + b
+            return s - (((s + low) & high) >> shift) * p
+
+        return add
+
+    def pack(self, v, offs: tuple) -> int:
+        """Key bits of the entries of row vector v at ``offs``."""
+        spread, cw = self.spread, self.cw
+        key = 0
+        for j, off, _ in offs:
+            for c in v[j]:
+                if c:
+                    key |= spread[c] << off
+                off += cw
+        return key
+
+    def key_of(self, rows: tuple) -> tuple:
+        """(diagonal, key) of canonical rows."""
+        diag = tuple(row[i] for i, row in enumerate(rows))
+        degs = tuple(len(e) - 1 for e in diag)
+        key = 0
+        for i in range(len(rows) - 1):
+            key |= self.pack(rows[i], self.row_layout(degs[i + 1:])[0])
+        return diag, key
+
+    def rows(self, diag: tuple, key: int) -> tuple:
+        """Canonical rows of the lattice with this diagonal and key."""
+        n = len(diag)
+        degs = tuple(len(e) - 1 for e in diag)
+        cw, unspread = self.cw, self.unspread
+        cmask = (1 << cw) - 1
+        out = []
+        for i in range(n):
+            row = [()] * n
+            row[i] = diag[i]
+            if key:
+                for j, off, slots in self.row_layout(degs[i + 1:])[0]:
+                    chunk = key >> off & (1 << slots * cw) - 1
+                    cs = []
+                    while chunk:
+                        cs.append(chunk & cmask)
+                        chunk >>= cw
+                    row[j] = tuple(cs) if unspread is None else tuple([unspread[c] for c in cs])
+            out.append(tuple(row))
+        return tuple(out)
+
+
+def _steps(ctx: FieldCtx, pk: _Packing, gens: list, offs: tuple) -> tuple:
+    """The multiples e g, e = 1, ..., q - 1 in encoding order, of each
+    generator g that ``_affine_span`` adds, as keys at ``offs`` and as row
+    vectors."""
+    pscale = ctx.pscale
+    rows = [[tuple([pscale(x, e) for x in g]) for e in range(1, ctx.q)] for g in gens]
+    return [[pk.pack(v, offs) for v in vs] for vs in rows], rows
+
+
+def _row_adder(ctx: FieldCtx):
+    padd = ctx.padd
+
+    def add(v: tuple, g: tuple) -> tuple:
+        return tuple([padd(a, b) if b else a for a, b in zip(v, g)])
+
+    return add
+
+
+def _class_table(ctx: FieldCtx, pk: _Packing, d: tuple, k: int, off: int, add) -> tuple:
+    """For an entry at bit ``off``: the keys of the multiples d h, deg h < k,
+    in the order of h's key, and a dict from the key bits of a residue r
+    mod d to the keys of its class r + d h, filled by the caller."""
+    key = (d, k, off)
+    table = pk.classes.get(key)
+    if table is None:
+        gens = [((0,) * a + d,) for a in range(k)]
+        steps, _ = _steps(ctx, pk, gens, ((-1, off, k + len(d) - 1),))
+        table = pk.classes[key] = (_affine_span(0, steps, add), {})
+    return table
+
+
+# ---------------------------------------------------------------------------
 # lattice sums and operators
 
 
 class LatticeSum:
     """Formal Z-linear combination of lattices of a common rank.
 
-    The sum is a dict ``by_rows`` from canonical row tuples (``Lattice.rows``)
-    to nonzero integer coefficients; the field and rank are stored once on
-    the sum.  Lattice objects are built only at the edges: the ``terms``
-    mapping, ``items``, ``to_json`` and the witnesses built from them.
+    The sum is a dict ``by_diag`` from the diagonal of each lattice's
+    canonical basis to a dict from its packed key (``_Packing``) to a nonzero
+    integer coefficient; no inner dict is empty, and the field and rank are
+    stored once on the sum.  Lattices and row tuples are built only at the
+    edges: the constructor and ``of``, the ``terms`` mapping, ``items``,
+    ``to_json``, the read-only ``by_rows`` view and the witnesses.
     """
 
-    __slots__ = ("ctx", "n", "by_rows")
+    __slots__ = ("ctx", "n", "by_diag")
 
     def __init__(self, ctx: FieldCtx, n: int, terms: dict | None = None):
-        by_rows = {}
+        pk = _packing(ctx)
+        by_diag: dict = {}
         for L, c in (terms or {}).items():
             if L.n != n or L.ctx != ctx:
                 raise ValueError("lattice does not match the sum's field and rank")
             if c:
-                by_rows[L.rows] = c
+                diag, key = pk.key_of(L.rows)
+                by_diag.setdefault(diag, {})[key] = c
         self.ctx = ctx
         self.n = n
-        self.by_rows = by_rows
+        self.by_diag = by_diag
 
     @classmethod
-    def _of_rows(cls, ctx: FieldCtx, n: int, by_rows: dict) -> "LatticeSum":
-        """Wrap a dict from canonical rows to coefficients, which it then owns;
-        it is copied only to drop zero coefficients."""
-        if 0 in by_rows.values():
-            by_rows = {key: c for key, c in by_rows.items() if c}
+    def _of_keys(cls, ctx: FieldCtx, n: int, by_diag: dict) -> "LatticeSum":
+        """Wrap a dict of dicts like ``by_diag``, which it then owns; zero
+        coefficients and empty inner dicts are dropped in place."""
+        for diag, keys in list(by_diag.items()):
+            if 0 in keys.values():
+                keys = {key: c for key, c in keys.items() if c}
+                if keys:
+                    by_diag[diag] = keys
+                else:
+                    del by_diag[diag]
         obj = object.__new__(cls)
         obj.ctx = ctx
         obj.n = n
-        obj.by_rows = by_rows
+        obj.by_diag = by_diag
         return obj
 
     @classmethod
     def of(cls, L: Lattice, mult: int = 1) -> "LatticeSum":
-        return cls._of_rows(L.ctx, L.n, {L.rows: mult})
+        diag, key = _packing(L.ctx).key_of(L.rows)
+        return cls._of_keys(L.ctx, L.n, {diag: {key: mult}})
 
     @property
     def terms(self) -> "_TermView":
         """The sum as a read-only mapping from Lattice to coefficient."""
         return _TermView(self)
 
+    @property
+    def by_rows(self) -> MappingProxyType:
+        """The sum as a read-only mapping from canonical rows to coefficient."""
+        rows = _packing(self.ctx).rows
+        return MappingProxyType({rows(diag, key): c for diag, keys in self.by_diag.items()
+                                 for key, c in keys.items()})
+
     def _combine(self, other: "LatticeSum", sign: int) -> "LatticeSum":
         if not isinstance(other, LatticeSum) or other.ctx != self.ctx or other.n != self.n:
             raise ValueError("sums are not compatible")
-        out = dict(self.by_rows)
-        get = out.get
-        for key, c in other.by_rows.items():
-            out[key] = get(key, 0) + sign * c
-        return LatticeSum._of_rows(self.ctx, self.n, out)
+        out = {diag: dict(keys) for diag, keys in self.by_diag.items()}
+        _add_into(out, other.by_diag, sign)
+        return LatticeSum._of_keys(self.ctx, self.n, out)
 
     def __add__(self, other: "LatticeSum") -> "LatticeSum":
         return self._combine(other, 1)
@@ -681,25 +848,27 @@ class LatticeSum:
         return self._combine(other, -1)
 
     def __mul__(self, k: int) -> "LatticeSum":
-        return LatticeSum._of_rows(self.ctx, self.n,
-                                   {key: c * k for key, c in self.by_rows.items()})
+        return LatticeSum._of_keys(self.ctx, self.n, {
+            diag: {key: c * k for key, c in keys.items()} for diag, keys in self.by_diag.items()})
 
     __rmul__ = __mul__
 
     @property
     def is_zero(self) -> bool:
-        return not self.by_rows
+        return not self.by_diag
 
     def support_size(self) -> int:
-        return len(self.by_rows)
+        return sum(map(len, self.by_diag.values()))
 
     def total_mass(self) -> int:
-        return sum(self.by_rows.values())
+        return sum(sum(keys.values()) for keys in self.by_diag.values())
 
     def items(self) -> list:
         """(Lattice, coefficient) pairs in canonical order."""
         ctx, n = self.ctx, self.n
-        return sorted(((Lattice._wrap(ctx, n, rows), c) for rows, c in self.by_rows.items()),
+        rows = _packing(ctx).rows
+        return sorted(((Lattice._wrap(ctx, n, rows(diag, key)), c)
+                       for diag, keys in self.by_diag.items() for key, c in keys.items()),
                       key=lambda lc: lc[0].sort_key())
 
     def __eq__(self, other):
@@ -707,19 +876,32 @@ class LatticeSum:
             isinstance(other, LatticeSum)
             and self.ctx == other.ctx
             and self.n == other.n
-            and self.by_rows == other.by_rows
+            and self.by_diag == other.by_diag
         )
 
     def __repr__(self):
-        k = len(self.by_rows)
+        k = self.support_size()
         return f"LatticeSum({k} lattice{'s' if k != 1 else ''}, mass {self.total_mass()})"
 
     def to_json(self) -> list:
         return [[L.to_json(), c] for L, c in self.items()]
 
 
+def _add_into(acc: dict, by_diag: dict, coeff: int) -> None:
+    """acc += coeff * by_diag for dicts of dicts like ``LatticeSum.by_diag``;
+    the zeros this leaves are for ``LatticeSum._of_keys`` to drop."""
+    for diag, keys in by_diag.items():
+        bucket = acc.get(diag)
+        if bucket is None:
+            acc[diag] = {key: coeff * c for key, c in keys.items()}
+        else:
+            get = bucket.get
+            for key, c in keys.items():
+                bucket[key] = get(key, 0) + coeff * c
+
+
 class _TermView(Mapping):
-    """``LatticeSum.terms``: the row-keyed dict seen with Lattice keys."""
+    """``LatticeSum.terms``: the packed dicts seen with Lattice keys."""
 
     __slots__ = ("_sum",)
 
@@ -729,15 +911,20 @@ class _TermView(Mapping):
     def __getitem__(self, L):
         s = self._sum
         if isinstance(L, Lattice) and L.ctx == s.ctx and L.n == s.n:
-            return s.by_rows[L.rows]
+            diag, key = _packing(s.ctx).key_of(L.rows)
+            keys = s.by_diag.get(diag)
+            if keys is not None and key in keys:
+                return keys[key]
         raise KeyError(L)
 
     def __iter__(self):
         s = self._sum
-        return (Lattice._wrap(s.ctx, s.n, rows) for rows in s.by_rows)
+        rows = _packing(s.ctx).rows
+        return (Lattice._wrap(s.ctx, s.n, rows(diag, key))
+                for diag, keys in s.by_diag.items() for key in keys)
 
     def __len__(self):
-        return len(self._sum.by_rows)
+        return self._sum.support_size()
 
 
 def _validate_prime(ctx: FieldCtx, x) -> tuple:
@@ -763,6 +950,8 @@ def sigma_apply(x, j: int, s: LatticeSum) -> LatticeSum:
     n = s.n
     if j < 0 or j > n:
         raise ValueError("codimension out of range")
+    if j == 0:
+        return s * 1
     patterns = [[x if i in pivots else (1,) for i in range(n)]
                 for pivots in itertools.combinations(range(n), j)]
     return _sum_sublattices(s, patterns, elementary=True)
@@ -776,13 +965,15 @@ def t_local(x, m: int, s: LatticeSum) -> LatticeSum:
     Each term N of ``s`` contributes C N for every composition c of m and
     every canonical triangular C with diagonal x^c_i; the canonical rows of
     C N are built bottom up (see ``_sublattice_rows``), the same way for
-    A^n and for any other N, and summed into one row-keyed dict.
+    A^n and for any other N, and summed by packed key.
     """
     ctx = s.ctx
     x = _validate_prime(ctx, x)
     n = s.n
     if m < 0:
         raise ValueError("colength must be nonnegative")
+    if m == 0:
+        return s * 1
     xpow = [(1,)]
     for _ in range(m):
         xpow.append(ctx.pmul(xpow[-1], x))
@@ -793,54 +984,72 @@ def t_local(x, m: int, s: LatticeSum) -> LatticeSum:
 def _sum_sublattices(s: LatticeSum, patterns: list, elementary: bool) -> LatticeSum:
     """Sum over the terms N of s, with their coefficients, of every C N
     that ``_sublattice_rows`` makes for each diagonal in ``patterns``."""
-    acc: dict[tuple, int] = {}
-    get = acc.get
-    classes: dict[tuple, list] = {}
-    for nrows, mult in s.by_rows.items():
-        # the sublattices of one N are distinct across and within patterns
-        fresh = not acc
-        for diags in patterns:
-            keys = _sublattice_rows(s.ctx, nrows, diags, classes, elementary)
-            if fresh:
-                acc.update(zip(keys, itertools.repeat(mult)))
-            else:
-                for key in keys:
-                    acc[key] = get(key, 0) + mult
-    return LatticeSum._of_rows(s.ctx, s.n, acc)
+    ctx = s.ctx
+    pk = _packing(ctx)
+    radd = _row_adder(ctx)
+    acc: dict = {}
+    for diag, keys in s.by_diag.items():
+        for key, mult in keys.items():
+            nrows = pk.rows(diag, key)
+            scaled = {(i, (1,)): row for i, row in enumerate(nrows)}
+            for diags in patterns:
+                out_diag, prods = _sublattice_rows(ctx, pk, radd, nrows, scaled, diags,
+                                                   elementary)
+                bucket = acc.get(out_diag)
+                # the C N of one N and one diagonal are distinct, and no
+                # other diagonal of the same N reaches this bucket
+                if bucket is None:
+                    acc[out_diag] = dict.fromkeys(prods, mult)
+                else:
+                    get = bucket.get
+                    for k in prods:
+                        bucket[k] = get(k, 0) + mult
+    return LatticeSum._of_keys(ctx, s.n, acc)
 
 
-def _sublattice_rows(ctx: FieldCtx, nrows: tuple, diags: list, classes: dict,
-                     elementary: bool) -> list:
-    """Canonical rows of C N for every canonical upper triangular C with
-    diagonal ``diags``, where ``nrows`` are N's canonical rows.  With
-    ``elementary`` the rows of C with a nonunit diagonal entry are zero off
-    the diagonal; for diagonal entries 1 and x these C N are the lattices
-    between N and x N.
+def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: dict,
+                     diags: list, elementary: bool) -> tuple:
+    """The diagonal and the packed keys of C N for every canonical upper
+    triangular C with diagonal ``diags``, where ``nrows`` are N's canonical
+    rows and ``scaled`` memoizes the rows c N_i by (i, c) for one N.  With
+    ``elementary`` the rows of C with a nonunit diagonal entry (x-rows) are
+    zero off the diagonal; for diagonal entries 1 and x these C N are the
+    lattices between N and x N.
 
     Row i of C N is diags[i] N_i + sum_{j > i} e_ij N_j with deg e_ij <
     deg diags[j].  Let R_i reduce a vector against the canonical rows below
     row i; R_i is F_q-linear, so canonical row i runs over the affine space
     R_i(diags[i] N_i) + span_Fq{R_i(t^a N_j) : j > i, a < deg diags[j]}.
-    The rows are fixed from n-1 up to 0, and only the base and the
-    generators of each space are reduced.
+    The rows are fixed from n-1 up to 0, only the base and the generators
+    of each space are reduced, and each key of the space is one vector
+    addition (``_affine_span``).
 
     The generators t^a N_{n-1} = t^a d e_{n-1}, d = N's last diagonal entry,
     need no reduction and span d * {h : deg h < deg diags[n-1]} in the last
     column.  So the other generators are enumerated with the last entry
-    replaced by its residue mod d, and that entry then runs over the whole
-    residue class below the degree of the last diagonal entry of C N.  Each
-    production is a tuple built from precomputed entries.  ``classes``
-    caches the residue classes, keyed by (d, deg diags[n-1], residue).
+    replaced by its residue r mod d, and that entry then runs over the
+    class r + d h.  The rows below row i see row i's last entry only mod d:
+    they reduce their own last entry mod d too.  So the keys below row i
+    are built once per residue, and each element of the class is ORed onto
+    every one of them.  An x-row below row i is reduced mod diags[n-1] d,
+    not mod d; above one, each element of the class is taken on its own.
     """
     n = len(nrows)
     pmul, pdivmod = ctx.pmul, ctx.pdivmod
     d = nrows[-1][-1]
     k = len(diags[-1]) - 1
-    last_gens = [((0,) * a + d,) for a in range(k)]
-    bases = [[pmul(diags[i], e) if e else () for e in row] for i, row in enumerate(nrows)]
-    shifted = [[[(0,) * a + e if e else () for e in nrows[j]] for a in range(len(diags[j]) - 1)]
-               for j in range(n)]
-    out: list[tuple] = []
+    bases = []
+    for i, c in enumerate(diags):
+        row = scaled.get((i, c))
+        if row is None:
+            row = scaled[i, c] = tuple([pmul(c, e) if e else () for e in nrows[i]])
+        bases.append(row)
+    diag = tuple([row[i] for i, row in enumerate(bases)])
+    degs = tuple([len(e) - 1 for e in diag])
+    shifted = [[(0,) * a + e if e else () for e in nrows[j]]
+               for j in range(n - 1) for a in range(len(diags[j]) - 1)]
+    starts = [sum(len(c) - 1 for c in diags[:j]) for j in range(n)]
+    xrows = [elementary and len(c) > 1 for c in diags]
 
     def residue(v: tuple) -> tuple:
         r = v[-1]
@@ -848,48 +1057,64 @@ def _sublattice_rows(ctx: FieldCtx, nrows: tuple, diags: list, classes: dict,
             r = pdivmod(r, d)[1] if len(d) > 1 else ()
         return v[:-1] + (r,)
 
-    def level(i: int, tail: tuple) -> None:
+    def level(i: int, tail: tuple, tkey: int) -> list:
         base = _reduce_row(ctx, list(bases[i]), tail, i)
-        if i == n - 1 or (elementary and len(diags[i]) > 1):
-            rows = [base]
-        else:
-            gens = [residue(_reduce_row(ctx, list(v), tail, i))
-                    for j in range(i + 1, n - 1) for v in shifted[j]]
-            rows = []
-            for p in _affine_span(ctx, residue(base), gens):
-                cls = classes.get((d, k, p[-1]))
-                if cls is None:
-                    cls = classes[d, k, p[-1]] = [
-                        s for (s,) in _affine_span(ctx, (p[-1],), last_gens)]
-                head = p[:-1]
-                rows.extend([head + (s,) for s in cls])
-        if i:
-            for row in rows:
-                level(i - 1, (row,) + tail)
-        else:
-            out.extend([(row,) + tail for row in rows])
+        if i == n - 1:  # no entry off the diagonal
+            return level(i - 1, (base,), 0) if i else [0]
+        offs, add = pk.row_layout(degs[i + 1:])
+        if xrows[i]:
+            key = tkey | pk.pack(base, offs)
+            return level(i - 1, (base,) + tail, key) if i else [key]
+        gens = [residue(_reduce_row(ctx, list(v), tail, i)) for v in shifted[starts[i + 1]:]]
+        steps, rsteps = _steps(ctx, pk, gens, offs)
+        base = residue(base)
+        keys = _affine_span(pk.pack(base, offs), steps, add)
+        rows = _affine_span(base, rsteps, radd) if i else None
+        out: list[int] = []
+        if not k:  # the residue is the whole last entry
+            if not i:
+                return [key | tkey for key in keys]
+            for key, row in zip(keys, rows):
+                out += level(i - 1, (row,) + tail, tkey | key)
+            return out
+        _, off, slots = offs[-1]
+        last = (1 << slots * pk.cw) - 1 << off
+        dkeys, classes = _class_table(ctx, pk, d, k, off, add)
+        shared = not any(xrows[:i])
+        if not shared:  # in the order of dkeys
+            dpolys = [pmul(d, ctx.pfrom_key(h)) for h in range(ctx.q ** k)]
+        for pos, key in enumerate(keys):
+            r = key & last
+            cls = classes.get(r)
+            if cls is None:
+                cls = classes[r] = [add(r, h) for h in dkeys]
+            head = (key ^ r) | tkey
+            if not i:
+                out += [head | c for c in cls]
+            elif shared:
+                below = level(i - 1, (rows[pos],) + tail, head)
+                out += [b | c for c in cls for b in below]
+            else:
+                row = rows[pos]
+                for c, h in zip(cls, dpolys):
+                    full = row[:-1] + (ctx.padd(row[-1], h),)
+                    out += level(i - 1, (full,) + tail, head | c)
+        return out
 
-    level(n - 1, ())
-    return out
+    return diag, level(n - 1, (), 0)
 
 
-def _affine_span(ctx: FieldCtx, base: tuple, gens: list) -> list:
-    """Every vector base + sum_k e_k gens[k], e_k in F_q, each made by one
-    vector addition to an earlier one.  Distinct coefficient choices give
-    distinct vectors when the generators are independent."""
-    padd, pscale = ctx.padd, ctx.pscale
+def _affine_span(base, steps: list, add) -> list:
+    """Every vector base + sum_k e_k g_k, e_k in F_q, at the index
+    sum_k e_k q^k, where steps[k] lists e g_k for e = 1, ..., q - 1 in
+    encoding order; each vector is one ``add`` to an earlier one.  Vectors
+    are keys or row tuples.  Distinct coefficient choices give distinct
+    vectors when the generators are independent."""
     out = [base]
-    for g in gens:
-        cols = [c for c, e in enumerate(g) if e]
-        prev = len(out)
-        for e in range(1, ctx.q):
-            w = [(c, pscale(g[c], e)) for c in cols]
-            for v in out[:prev]:
-                u = list(v)
-                for c, wc in w:
-                    vc = u[c]
-                    u[c] = padd(vc, wc) if vc else wc
-                out.append(tuple(u))
+    for multiples in steps:
+        prev = out[:]
+        for g in multiples:
+            out += map(add, prev, itertools.repeat(g))
     return out
 
 
@@ -919,33 +1144,45 @@ def t_chain(chain: InvariantType, s: LatticeSum) -> LatticeSum:
     the entry of ``_affine_span`` at index sum_k c_ij[a] q^k.  The rows below
     row i are built once for all the matrices that share them, only the base
     and the generators are reduced, and each kept matrix costs one lookup.
+    Row 0 is made as packed keys only.
     """
     ctx = s.ctx
     n = s.n
     if len(chain) != n:
         raise ValueError("chain length must equal the rank")
     plan = _chain_plan(ctx, chain)
+    pk = _packing(ctx)
+    radd = _row_adder(ctx)
     pmul = ctx.pmul
-    out: dict[tuple, int] = {}
-    get = out.get
-    for nrows, mult in s.by_rows.items():
+    out: dict = {}
+    for diag, keys in s.by_diag.items():
+        for nkey, mult in keys.items():
+            nrows = pk.rows(diag, nkey)
 
-        def level(node: dict, i: int, tail: tuple) -> None:
-            gens = [_reduce_row(ctx, [(0,) * a + e if e else () for e in nrows[j]], tail, i)
-                    for j in range(i + 1, n)
-                    for a in range(len(tail[j - i - 1][j]) - len(nrows[j][j]))]
-            for cii, kids in node.items():
-                base = _reduce_row(ctx, [pmul(cii, e) if e else () for e in nrows[i]], tail, i)
-                span = _affine_span(ctx, base, gens)
-                for index, child in kids.items():
-                    rows = (span[index],) + tail
-                    if child is None:
-                        out[rows] = get(rows, 0) + mult
+            def level(node: dict, i: int, tail: tuple, tdegs: tuple, tkey: int) -> None:
+                offs, add = pk.row_layout(tdegs)
+                gens = [_reduce_row(ctx, [(0,) * a + e if e else () for e in nrows[j]], tail, i)
+                        for j in range(i + 1, n)
+                        for a in range(len(tail[j - i - 1][j]) - len(nrows[j][j]))]
+                steps, rsteps = _steps(ctx, pk, gens, offs)
+                for cii, kids in node.items():
+                    base = _reduce_row(ctx, [pmul(cii, e) if e else () for e in nrows[i]], tail, i)
+                    span = _affine_span(pk.pack(base, offs), steps, add)
+                    if i:
+                        rows = _affine_span(base, rsteps, radd)
+                        below = (len(base[i]) - 1,) + tdegs
+                        for index, child in kids.items():
+                            level(child, i - 1, (rows[index],) + tail, below, tkey | span[index])
                     else:
-                        level(child, i - 1, rows)
+                        bucket = out.setdefault(
+                            (base[0],) + tuple([row[j] for j, row in enumerate(tail, 1)]), {})
+                        get = bucket.get
+                        for index in kids:
+                            key = span[index] | tkey
+                            bucket[key] = get(key, 0) + mult
 
-        level(plan, n - 1, ())
-    return LatticeSum._of_rows(ctx, n, out)
+            level(plan, n - 1, (), (), 0)
+    return LatticeSum._of_keys(ctx, n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,7 +1270,7 @@ def newton_verify(
     for N in test_lattices:
         if N.n != n:
             raise ValueError("test lattice rank mismatch")
-        acc: dict[tuple, int] = {}
+        acc: dict = {}
         base = LatticeSum.of(N)
         for j in range(min(n, r) + 1):
             coeff = (-1) ** j * Q ** (j * (j - 1) // 2)
@@ -1041,13 +1278,11 @@ def newton_verify(
                 coeff = -coeff
             term = t_local(x, r - j, sigma_apply(x, j, base))
             if not acc and coeff == 1:
-                acc = dict(term.by_rows)
+                acc = term.by_diag  # a fresh sum, which nothing else holds
                 continue
-            get = acc.get
-            for key, c in term.by_rows.items():
-                acc[key] = get(key, 0) + coeff * c
+            _add_into(acc, term.by_diag, coeff)
         cases += 1
-        residue = LatticeSum._of_rows(ctx, n, acc)
+        residue = LatticeSum._of_keys(ctx, n, acc)
         if not residue.is_zero:
             ok = False
             if witness is None:
@@ -1093,7 +1328,8 @@ def hecke_mult_verify(
         lhs = t_chain(chain_a, t_chain(chain_b, base))
         rhs = t_chain(prod, base)
         if fault == "mult":
-            rhs = rhs + LatticeSum._of_rows(ctx, n, {next(iter(rhs.by_rows)): 1})
+            diag, keys = next(iter(rhs.by_diag.items()))
+            rhs = rhs + LatticeSum._of_keys(ctx, n, {diag: {next(iter(keys)): 1}})
         cases += 1
         if lhs != rhs:
             ok = False

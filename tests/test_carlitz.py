@@ -4,6 +4,7 @@ square construction."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffstick.carlitz import (
     AddPoly,
@@ -152,6 +153,36 @@ def test_ratfunc_field_axioms_randomized():
         if not b.is_zero:
             assert (a / b) * b == a
             assert b * b.inv() == RatFunc(ctx, (1,))
+
+
+_RATFUNC_FIELDS = {2: C2, 3: C3, 4: C4, 5: field_context(5)}
+
+
+@st.composite
+def _ratfunc_pairs(draw):
+    ctx = _RATFUNC_FIELDS[draw(st.sampled_from(sorted(_RATFUNC_FIELDS)))]
+    poly = st.lists(st.integers(0, ctx.q - 1), max_size=4)
+    nums = [draw(poly) for _ in range(2)]
+    dens = [draw(poly.filter(lambda cs: any(cs))) for _ in range(2)]
+    return ctx, [RatFunc(ctx, a, b) for a, b in zip(nums, dens)]
+
+
+@given(_ratfunc_pairs())
+@settings(max_examples=300, deadline=None)
+def test_ratfunc_arithmetic_matches_validating_constructor(pair):
+    # the arithmetic builds its results without pvalidate, and without a gcd
+    # over a denominator 1; each must equal the validated, reduced fraction
+    ctx, (a, b) = pair
+    pmul = ctx.pmul
+    cross = pmul(a.num, b.den), pmul(b.num, a.den)
+    den = pmul(a.den, b.den)
+    assert a + b == RatFunc(ctx, ctx.padd(*cross), den)
+    assert a - b == RatFunc(ctx, ctx.psub(*cross), den)
+    assert -a == RatFunc(ctx, ctx.pneg(a.num), a.den)
+    assert a * b == RatFunc(ctx, pmul(a.num, b.num), den)
+    if not b.is_zero:
+        assert a / b == RatFunc(ctx, cross[0], pmul(a.den, b.num))
+        assert b.inv() == RatFunc(ctx, b.den, b.num)
 
 
 def test_algebra_ring_and_inverse():
