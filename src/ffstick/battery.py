@@ -135,8 +135,10 @@ def mult(ctx: FieldCtx, chain_a: InvariantType, chain_b: InvariantType,
          seed: int, lattices: int) -> dict:
     """T(J) T(J') = T(J J') for one coprime pair, on A^n and lattices - 1
     seeded random sublattices."""
+    if lattices < 1:
+        raise ValueError("the multiplicativity check needs at least one test lattice")
     n = len(chain_a)
-    test = _test_lattices(ctx, n, max(1, lattices), seed, ctx.q, n, 77)
+    test = _test_lattices(ctx, n, lattices, seed, ctx.q, n, 77)
     rep = hecke_mult_verify(ctx, chain_a, chain_b, test_lattices=test)
     details = {
         "chain": chain_a.to_json(), "chain2": chain_b.to_json(),
@@ -349,6 +351,8 @@ def field_contexts(seed: int) -> dict:
 def verify_all(ctxs: dict, seed: int, n_max: int, newton_budget: int,
                pairs: int, fault: str | None) -> list[dict]:
     """Every check family over the default grid; the records, unsorted."""
+    if pairs < 1:
+        raise ValueError("the multiplicativity section needs at least one chain pair")
     checks: list[dict] = []
 
     with Stopwatch("series identity batteries"):

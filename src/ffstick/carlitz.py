@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fieldcore import FieldCtx, Poly
-from .groupring import unit_group
 
 __all__ = [
     "SkewPoly",
@@ -204,13 +203,14 @@ class AddPoly:
     def eval_elem(self, e: "AlgElem") -> "AlgElem":
         """Evaluate at an element of a torsion algebra (or any AlgElem)."""
         alg = e.algebra
+        q = alg.ctx.q
         acc = alg.zero()
         power = e
         for i, c in enumerate(self.coeffs):
             if c:
                 acc = acc + power.scale_poly(c)
             if i + 1 < len(self.coeffs):
-                power = power.frob_power()
+                power = power.pow_int(q)
         return acc
 
     def __repr__(self):
@@ -546,20 +546,6 @@ class AlgElem:
 
     def scale_poly(self, p) -> "AlgElem":
         return self.scale(RatFunc(self.algebra.ctx, p))
-
-    def frob_power(self) -> "AlgElem":
-        """Raise to the q-th power."""
-        q = self.algebra.ctx.q
-        out = self.algebra.one()
-        base = self
-        k = q
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
 
     def pow_int(self, k: int) -> "AlgElem":
         if k < 0:

@@ -37,9 +37,6 @@ __all__ = [
     "norm_element",
     "augmentation",
     "norm_residue",
-    "gr_mul",
-    "frob_mul",
-    "frob_eval_at_one",
     "characters",
     "char_apply",
     "cyclotomic_poly",
@@ -337,10 +334,6 @@ def norm_residue(a: GroupRingElem) -> GroupRingElem:
     return a - c * norm_element(a.group)
 
 
-def gr_mul(a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
-    return a * b
-
-
 class FrobPoly:
     """Polynomial in a central variable F with coefficients in Z[G_I]."""
 
@@ -450,14 +443,6 @@ class FrobPoly:
 
     def to_json(self) -> list:
         return [c.to_json() for c in self.coeffs]
-
-
-def frob_mul(a: FrobPoly, b: FrobPoly) -> FrobPoly:
-    return a * b
-
-
-def frob_eval_at_one(a: FrobPoly) -> GroupRingElem:
-    return a.eval_at_one()
 
 
 # ---------------------------------------------------------------------------

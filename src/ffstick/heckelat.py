@@ -13,18 +13,18 @@ and row tuples are built only where a caller looks at single terms.
 
 The operators implemented here:
 
-* ``sigma_apply``: the elementary operator sending N to the sum of the
-  preimages of codimension j subspaces of N / m_x N over the residue field
-  at a monic prime x;
 * ``t_local``: the sum of all sublattices N' of N with N/N' of length m as
-  a module over the local ring at x.  Both operators sum C N over canonical
-  triangular C with a fixed diagonal, and both build the canonical rows of
-  C N bottom up, each row running over an affine space over F_q, in one
-  path for A^n and every other N; ``t_local`` builds the rows below row i
-  once per residue class of row i's last entry;
+  a module over the local ring at x.  It sums C N over every canonical
+  triangular C with a fixed diagonal and builds the canonical rows of C N
+  bottom up, each row running over a full affine space over F_q, in one
+  path for A^n and every other N; the rows below row i are built once per
+  residue class of row i's last entry;
 * ``t_chain``: sublattices with a prescribed chain of invariant factors,
   from one classification of the coordinate matrices by Smith form, applied
   on the same bottom-up path with an index per kept matrix;
+* ``sigma_apply``: the elementary operator at a monic prime x, summing the
+  preimages of the codimension j subspaces of N / m_x N: ``t_chain`` for
+  the chain (x, ..., x, 1, ..., 1), with the matrices in closed form;
 * ``newton_verify``: checks the Newton style recurrence tying t_local to
   the elementary operators, together with the alternating Gaussian binomial
   identity that drives its proof;
@@ -43,7 +43,6 @@ import operator
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .fieldcore import FieldCtx, Poly, _mix
@@ -526,31 +525,25 @@ def _triangles_by_type(ctx: FieldCtx, g: tuple, n: int) -> dict:
     return groups
 
 
-# (p, m, modulus, chain) -> the kept matrices of the chain as ``t_chain``
-# applies them, keyed like _TRIANGLES_BY_TYPE so no FieldCtx stays reachable.
+# (p, m, modulus, chain) -> the matrices of the chain as ``_apply_plan`` walks
+# them, keyed like _TRIANGLES_BY_TYPE so no FieldCtx stays reachable.
 _CHAIN_PLANS: dict = {}
 
 
-def _chain_plan(ctx: FieldCtx, chain: InvariantType) -> dict:
-    """The coordinate matrices C of a chain as a trie over their rows, from
-    row n-1 up to row 0.
+def _plan(ctx: FieldCtx, chain: tuple, cmats: Iterable) -> dict:
+    """The coordinate matrices C of ``chain`` as a trie over their rows, from
+    row n-1 up to row 0, built from ``cmats`` on a miss of ``_CHAIN_PLANS``.
 
     A node at row i stands for fixed rows i+1, ..., n-1 of C.  It maps each
     diagonal entry c_ii that occurs below it to a dict from the index
     sum_k c_ij[a] q^k of the rest of row i to the node at row i-1, or to None
     at row 0.  The digits c_ij[a] run over j > i and a < deg c_jj in that
-    order, the order of the generators ``t_chain`` spans row i with.
-
-    Every call looks the classification up first, so emptying
-    ``_TRIANGLES_BY_TYPE`` classifies afresh; the plan, keyed by field and
-    chain, is built from that list once.
+    order, the order of the generators ``_apply_plan`` spans row i with.
     """
-    n = len(chain)
-    cmats = _triangles_by_type(ctx, chain.det().coeffs, n).get(chain.chain, ())
-    key = (ctx.p, ctx.m, ctx.modulus, chain.chain)
+    key = (ctx.p, ctx.m, ctx.modulus, chain)
     plan = _CHAIN_PLANS.get(key)
     if plan is None:
-        q = ctx.q
+        q, n = ctx.q, len(chain)
         plan = {}
         for C in cmats:
             node = plan
@@ -570,6 +563,31 @@ def _chain_plan(ctx: FieldCtx, chain: InvariantType) -> dict:
                     kids[index] = None
         _CHAIN_PLANS[key] = plan
     return plan
+
+
+def _chain_plan(ctx: FieldCtx, chain: InvariantType) -> dict:
+    """The plan of the matrices whose Smith form is the chain.  Every call
+    looks the classification up first, so emptying ``_TRIANGLES_BY_TYPE``
+    classifies afresh; the plan is built from that list once."""
+    cmats = _triangles_by_type(ctx, chain.det().coeffs, len(chain)).get(chain.chain, ())
+    return _plan(ctx, chain.chain, cmats)
+
+
+def _sigma_matrices(ctx: FieldCtx, x: tuple, n: int, j: int):
+    """The coordinate matrices of chain (x, ..., x, 1, ..., 1), in closed
+    form: the canonical triangular C with j diagonal entries x, the rest 1,
+    and no entry off the diagonal in the rows of the x's, gauss_binom(n, j,
+    q^deg x) of them."""
+    residues = [ctx.pfrom_key(h) for h in range(ctx.q ** (len(x) - 1))]
+    for pivots in itertools.combinations(range(n), j):
+        free = [(i, c) for c in pivots for i in range(c) if i not in pivots]
+        for choice in itertools.product(residues, repeat=len(free)):
+            rows = [[()] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = x if i in pivots else (1,)
+            for (i, c), e in zip(free, choice):
+                rows[i][c] = e
+            yield rows
 
 
 def d_count(ctx: FieldCtx, chain) -> int:
@@ -782,7 +800,7 @@ class LatticeSum:
     integer coefficient; no inner dict is empty, and the field and rank are
     stored once on the sum.  Lattices and row tuples are built only at the
     edges: the constructor and ``of``, the ``terms`` mapping, ``items``,
-    ``to_json``, the read-only ``by_rows`` view and the witnesses.
+    ``to_json`` and the witnesses.
     """
 
     __slots__ = ("ctx", "n", "by_diag")
@@ -826,13 +844,6 @@ class LatticeSum:
     def terms(self) -> "_TermView":
         """The sum as a read-only mapping from Lattice to coefficient."""
         return _TermView(self)
-
-    @property
-    def by_rows(self) -> MappingProxyType:
-        """The sum as a read-only mapping from canonical rows to coefficient."""
-        rows = _packing(self.ctx).rows
-        return MappingProxyType({rows(diag, key): c for diag, keys in self.by_diag.items()
-                                 for key, c in keys.items()})
 
     def _combine(self, other: "LatticeSum", sign: int) -> "LatticeSum":
         if not isinstance(other, LatticeSum) or other.ctx != self.ctx or other.n != self.n:
@@ -941,9 +952,9 @@ def sigma_apply(x, j: int, s: LatticeSum) -> LatticeSum:
 
     Each lattice N in the sum is replaced by the sum of the preimages in N of
     the codimension j subspaces of N / m_x N; there are gauss_binom(n, j, q_x)
-    of them per lattice.  They are the lattices C N for the canonical
-    triangular C with j diagonal entries x, the rest 1, and no off diagonal
-    entry in the rows of the x's (see ``_sublattice_rows``).
+    of them per lattice, the sublattices with chain (x, ..., x, 1, ..., 1).
+    So this is ``t_chain`` of that chain, with the coordinate matrices in
+    closed form (``_sigma_matrices``) instead of classified.
     """
     ctx = s.ctx
     x = _validate_prime(ctx, x)
@@ -952,9 +963,8 @@ def sigma_apply(x, j: int, s: LatticeSum) -> LatticeSum:
         raise ValueError("codimension out of range")
     if j == 0:
         return s * 1
-    patterns = [[x if i in pivots else (1,) for i in range(n)]
-                for pivots in itertools.combinations(range(n), j)]
-    return _sum_sublattices(s, patterns, elementary=True)
+    chain = (x,) * j + ((1,),) * (n - j)
+    return _apply_plan(s, _plan(ctx, chain, _sigma_matrices(ctx, x, n, j)))
 
 
 def t_local(x, m: int, s: LatticeSum) -> LatticeSum:
@@ -978,13 +988,6 @@ def t_local(x, m: int, s: LatticeSum) -> LatticeSum:
     for _ in range(m):
         xpow.append(ctx.pmul(xpow[-1], x))
     patterns = [[xpow[c] for c in comp] for comp in _compositions(m, n)]
-    return _sum_sublattices(s, patterns, elementary=False)
-
-
-def _sum_sublattices(s: LatticeSum, patterns: list, elementary: bool) -> LatticeSum:
-    """Sum over the terms N of s, with their coefficients, of every C N
-    that ``_sublattice_rows`` makes for each diagonal in ``patterns``."""
-    ctx = s.ctx
     pk = _packing(ctx)
     radd = _row_adder(ctx)
     acc: dict = {}
@@ -993,8 +996,7 @@ def _sum_sublattices(s: LatticeSum, patterns: list, elementary: bool) -> Lattice
             nrows = pk.rows(diag, key)
             scaled = {(i, (1,)): row for i, row in enumerate(nrows)}
             for diags in patterns:
-                out_diag, prods = _sublattice_rows(ctx, pk, radd, nrows, scaled, diags,
-                                                   elementary)
+                out_diag, prods = _sublattice_rows(ctx, pk, radd, nrows, scaled, diags)
                 bucket = acc.get(out_diag)
                 # the C N of one N and one diagonal are distinct, and no
                 # other diagonal of the same N reaches this bucket
@@ -1004,17 +1006,15 @@ def _sum_sublattices(s: LatticeSum, patterns: list, elementary: bool) -> Lattice
                     get = bucket.get
                     for k in prods:
                         bucket[k] = get(k, 0) + mult
-    return LatticeSum._of_keys(ctx, s.n, acc)
+    return LatticeSum._of_keys(ctx, n, acc)
 
 
 def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: dict,
-                     diags: list, elementary: bool) -> tuple:
+                     diags: list) -> tuple:
     """The diagonal and the packed keys of C N for every canonical upper
     triangular C with diagonal ``diags``, where ``nrows`` are N's canonical
-    rows and ``scaled`` memoizes the rows c N_i by (i, c) for one N.  With
-    ``elementary`` the rows of C with a nonunit diagonal entry (x-rows) are
-    zero off the diagonal; for diagonal entries 1 and x these C N are the
-    lattices between N and x N.
+    rows and ``scaled`` memoizes the rows c N_i by (i, c) for one N; this
+    full-span enumerator serves ``t_local`` alone.
 
     Row i of C N is diags[i] N_i + sum_{j > i} e_ij N_j with deg e_ij <
     deg diags[j].  Let R_i reduce a vector against the canonical rows below
@@ -1031,8 +1031,7 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
     class r + d h.  The rows below row i see row i's last entry only mod d:
     they reduce their own last entry mod d too.  So the keys below row i
     are built once per residue, and each element of the class is ORed onto
-    every one of them.  An x-row below row i is reduced mod diags[n-1] d,
-    not mod d; above one, each element of the class is taken on its own.
+    every one of them.
     """
     n = len(nrows)
     pmul, pdivmod = ctx.pmul, ctx.pdivmod
@@ -1049,7 +1048,6 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
     shifted = [[(0,) * a + e if e else () for e in nrows[j]]
                for j in range(n - 1) for a in range(len(diags[j]) - 1)]
     starts = [sum(len(c) - 1 for c in diags[:j]) for j in range(n)]
-    xrows = [elementary and len(c) > 1 for c in diags]
 
     def residue(v: tuple) -> tuple:
         r = v[-1]
@@ -1062,9 +1060,6 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
         if i == n - 1:  # no entry off the diagonal
             return level(i - 1, (base,), 0) if i else [0]
         offs, add = pk.row_layout(degs[i + 1:])
-        if xrows[i]:
-            key = tkey | pk.pack(base, offs)
-            return level(i - 1, (base,) + tail, key) if i else [key]
         gens = [residue(_reduce_row(ctx, list(v), tail, i)) for v in shifted[starts[i + 1]:]]
         steps, rsteps = _steps(ctx, pk, gens, offs)
         base = residue(base)
@@ -1080,9 +1075,6 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
         _, off, slots = offs[-1]
         last = (1 << slots * pk.cw) - 1 << off
         dkeys, classes = _class_table(ctx, pk, d, k, off, add)
-        shared = not any(xrows[:i])
-        if not shared:  # in the order of dkeys
-            dpolys = [pmul(d, ctx.pfrom_key(h)) for h in range(ctx.q ** k)]
         for pos, key in enumerate(keys):
             r = key & last
             cls = classes.get(r)
@@ -1091,14 +1083,9 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
             head = (key ^ r) | tkey
             if not i:
                 out += [head | c for c in cls]
-            elif shared:
+            else:
                 below = level(i - 1, (rows[pos],) + tail, head)
                 out += [b | c for c in cls for b in below]
-            else:
-                row = rows[pos]
-                for c, h in zip(cls, dpolys):
-                    full = row[:-1] + (ctx.padd(row[-1], h),)
-                    out += level(i - 1, (full,) + tail, head | c)
         return out
 
     return diag, level(n - 1, (), 0)
@@ -1133,24 +1120,32 @@ def t_chain(chain: InvariantType, s: LatticeSum) -> LatticeSum:
 
     The sublattices of N with this chain are C N for the canonical
     coordinate matrices C whose Smith form is the chain.  They are
-    classified once per determinant and rank (``_triangles_by_type``) and
-    kept as a trie over their rows (``_chain_plan``).  Each N then takes the
-    bottom-up path of ``_sublattice_rows``, the same for A^n and every other
-    N: with the canonical rows of C N below row i fixed, and R_i the
-    reduction against them, row i is
+    classified once per determinant and rank (``_triangles_by_type``), kept
+    as a trie over their rows (``_chain_plan``) and applied to each N by
+    ``_apply_plan``.
+    """
+    if len(chain) != s.n:
+        raise ValueError("chain length must equal the rank")
+    return _apply_plan(s, _chain_plan(s.ctx, chain))
+
+
+def _apply_plan(s: LatticeSum, plan: dict) -> LatticeSum:
+    """Sum over the terms N of s, with their coefficients, of C N for every
+    coordinate matrix C in ``plan`` (``_plan``); ``t_chain`` and
+    ``sigma_apply`` take this walk.
+
+    Each N takes the bottom-up path of ``_sublattice_rows``, the same for
+    A^n and every other N: with the canonical rows of C N below row i fixed,
+    and R_i the reduction against them, row i is
 
         R_i(c_ii N_i) + sum_{j > i, a < deg c_jj} c_ij[a] R_i(t^a N_j),
 
     the entry of ``_affine_span`` at index sum_k c_ij[a] q^k.  The rows below
     row i are built once for all the matrices that share them, only the base
-    and the generators are reduced, and each kept matrix costs one lookup.
-    Row 0 is made as packed keys only.
+    and the generators are reduced, and each matrix costs one lookup.  Row 0
+    is made as packed keys only.
     """
-    ctx = s.ctx
-    n = s.n
-    if len(chain) != n:
-        raise ValueError("chain length must equal the rank")
-    plan = _chain_plan(ctx, chain)
+    ctx, n = s.ctx, s.n
     pk = _packing(ctx)
     radd = _row_adder(ctx)
     pmul = ctx.pmul

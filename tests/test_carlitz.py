@@ -202,12 +202,6 @@ def test_algebra_ring_and_inverse():
         alg.zero().inv()
 
 
-def test_algebra_frobenius_power():
-    alg = TorsionAlgebra(C3, (1, 1))
-    x = alg.x_gen()
-    assert x.frob_power() == x.pow_int(3)
-
-
 def test_additive_polynomial_is_linear_on_algebra():
     alg = TorsionAlgebra(C2, (1, 1, 1))
     rng = random.Random(9)

@@ -217,6 +217,23 @@ def test_newton_without_test_lattices_is_usage_error():
     assert "test lattice" in proc.stderr
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_mult_without_test_lattices_is_usage_error(count):
+    proc = run_cli("hecke", "mult", "--p", "2", "--m", "1",
+                   "--chain", "0,1", "--chain2", "1,1", "--lattices", count)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "test lattice" in proc.stderr
+
+
+def test_verify_all_without_chain_pairs_is_usage_error():
+    proc = run_cli("verify-all", "--pairs", "0", "--newton-budget", "0", "--n-max", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "chain pair" in proc.stderr
+    assert "series identity batteries" not in proc.stderr  # no section ran
+
+
 REDUCED_BATTERY = ("verify-all", "--seed", "123", "--pairs", "1", "--newton-budget", "200")
 
 
