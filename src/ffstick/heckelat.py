@@ -20,7 +20,8 @@ The operators implemented here:
   path for A^n and every other N; the rows below row i are built once per
   residue class of row i's last entry;
 * ``t_chain``: sublattices with a prescribed chain of invariant factors,
-  from one classification of the coordinate matrices by Smith form, applied
+  from one classification of the coordinate matrices by Smith form (none
+  where the determinant forces the chain: squarefree, or rank 1), applied
   on the same bottom-up path with an index per kept matrix;
 * ``sigma_apply``: the elementary operator at a monic prime x, summing the
   preimages of the codimension j subspaces of N / m_x N: ``t_chain`` for
@@ -506,19 +507,25 @@ def _triangles_by_type(ctx: FieldCtx, g: tuple, n: int) -> dict:
 
     For any lattice N the quotient N / (C N) is isomorphic to A^n / (rows of
     C), so its chain is the Smith form of C alone, read off its determinantal
-    divisors by ``_snf_diagonal``.  Each C is classified once per (field, g,
-    n); the result maps each chain tuple to its matrices, as row tuples in
-    canonical enumeration order.  ``d_count`` counts them, and
-    ``_chain_plan`` turns one chain's list into the index plan ``t_chain``
-    applies.
+    divisors by ``_snf_diagonal``.  The determinant can force the chain: a
+    chain d_1 | ... | d_n of product g has d_k^2 | g for k < n, so for n = 1
+    or a squarefree g (over the perfect field F_q, gcd(g, g') = 1) the only
+    chain is (g, 1, ..., 1), and no C is classified.  Each C is classified
+    once per (field, g, n); the result maps each chain tuple to its
+    matrices, as row tuples in canonical enumeration order.  ``d_count``
+    counts them, and ``_chain_plan`` turns one chain's list into the index
+    plan ``t_chain`` applies.
     """
     key = (ctx.p, ctx.m, ctx.modulus, g, n)
     groups = _TRIANGLES_BY_TYPE.get(key)
     if groups is None:
+        forced = None
+        if n == 1 or ctx.pgcd(g, ctx.pderiv(g)) == (1,):
+            forced = (g,) + ((1,),) * (n - 1)
         groups = {}
         for diags in _diag_tuples(ctx, g, n):
             for rows in _enum_canonical_triangles(ctx, diags):
-                chain = tuple(reversed(_snf_diagonal(ctx, rows)))
+                chain = forced or tuple(reversed(_snf_diagonal(ctx, rows)))
                 groups.setdefault(chain, []).append(tuple(tuple(r) for r in rows))
         groups = {chain: tuple(cs) for chain, cs in groups.items()}
         _TRIANGLES_BY_TYPE[key] = groups
@@ -535,10 +542,12 @@ def _plan(ctx: FieldCtx, chain: tuple, cmats: Iterable) -> dict:
     row n-1 up to row 0, built from ``cmats`` on a miss of ``_CHAIN_PLANS``.
 
     A node at row i stands for fixed rows i+1, ..., n-1 of C.  It maps each
-    diagonal entry c_ii that occurs below it to a dict from the index
+    diagonal entry c_ii that occurs below it, paired with the number of
+    base-q digits of its largest index, to a dict from the index
     sum_k c_ij[a] q^k of the rest of row i to the node at row i-1, or to None
     at row 0.  The digits c_ij[a] run over j > i and a < deg c_jj in that
-    order, the order of the generators ``_apply_plan`` spans row i with.
+    order, the order of the generators ``_apply_plan`` spans row i with, so
+    an index with k digits needs only the first k of them.
     """
     key = (ctx.p, ctx.m, ctx.modulus, chain)
     plan = _CHAIN_PLANS.get(key)
@@ -561,8 +570,21 @@ def _plan(ctx: FieldCtx, chain: tuple, cmats: Iterable) -> dict:
                     node = kids.setdefault(index, {})
                 else:
                     kids[index] = None
-        _CHAIN_PLANS[key] = plan
+        plan = _CHAIN_PLANS[key] = _widths(plan, q)
     return plan
+
+
+def _widths(node: dict, q: int) -> dict:
+    """The trie ``node`` with each c_ii paired with the number of base-q
+    digits of its largest index."""
+    out = {}
+    for cii, kids in node.items():
+        k, top = 0, max(kids)
+        while top:
+            top //= q
+            k += 1
+        out[cii, k] = {index: kid and _widths(kid, q) for index, kid in kids.items()}
+    return out
 
 
 def _chain_plan(ctx: FieldCtx, chain: InvariantType) -> dict:
@@ -594,10 +616,15 @@ def d_count(ctx: FieldCtx, chain) -> int:
     """Number of sublattices of A^n with the given invariant chain, n = len(chain).
 
     Counts the canonical coordinate matrices whose Smith form is the chain,
-    the same list ``t_chain`` applies to each lattice.
+    the same list ``t_chain`` applies to each lattice; a squarefree
+    determinant, or rank 1, forces the chain, and then every canonical
+    triangle of that determinant counts without a Smith form.  An
+    ``InvariantType`` must be over ``ctx``.
     """
     if not isinstance(chain, InvariantType):
         chain = InvariantType(ctx, chain)
+    elif chain.ctx != ctx:
+        raise ValueError("chain is over a different field")
     groups = _triangles_by_type(ctx, chain.det().coeffs, len(chain))
     return len(groups.get(chain.chain, ()))
 
@@ -1120,12 +1147,15 @@ def t_chain(chain: InvariantType, s: LatticeSum) -> LatticeSum:
 
     The sublattices of N with this chain are C N for the canonical
     coordinate matrices C whose Smith form is the chain.  They are
-    classified once per determinant and rank (``_triangles_by_type``), kept
-    as a trie over their rows (``_chain_plan``) and applied to each N by
-    ``_apply_plan``.
+    classified once per determinant and rank (``_triangles_by_type``; a
+    squarefree determinant, or rank 1, forces the chain and needs no Smith
+    form), kept as a trie over their rows (``_chain_plan``) and applied to
+    each N by ``_apply_plan``.  The chain must be over the sum's field.
     """
     if len(chain) != s.n:
         raise ValueError("chain length must equal the rank")
+    if chain.ctx != s.ctx:
+        raise ValueError("chain and lattice sum are over different fields")
     return _apply_plan(s, _chain_plan(s.ctx, chain))
 
 
@@ -1142,8 +1172,10 @@ def _apply_plan(s: LatticeSum, plan: dict) -> LatticeSum:
 
     the entry of ``_affine_span`` at index sum_k c_ij[a] q^k.  The rows below
     row i are built once for all the matrices that share them, only the base
-    and the generators are reduced, and each matrix costs one lookup.  Row 0
-    is made as packed keys only.
+    and the generators are reduced, and each matrix costs one lookup.  An
+    index below q^k needs only the first k generators, so each c_ii spans
+    as far as its largest index reaches; for sigma_j every x-row keeps
+    index 0 alone and spans nothing.  Row 0 is made as packed keys only.
     """
     ctx, n = s.ctx, s.n
     pk = _packing(ctx)
@@ -1160,11 +1192,11 @@ def _apply_plan(s: LatticeSum, plan: dict) -> LatticeSum:
                         for j in range(i + 1, n)
                         for a in range(len(tail[j - i - 1][j]) - len(nrows[j][j]))]
                 steps, rsteps = _steps(ctx, pk, gens, offs)
-                for cii, kids in node.items():
+                for (cii, k), kids in node.items():
                     base = _reduce_row(ctx, [pmul(cii, e) if e else () for e in nrows[i]], tail, i)
-                    span = _affine_span(pk.pack(base, offs), steps, add)
+                    span = _affine_span(pk.pack(base, offs), steps[:k], add)
                     if i:
-                        rows = _affine_span(base, rsteps, radd)
+                        rows = _affine_span(base, rsteps[:k], radd)
                         below = (len(base[i]) - 1,) + tdegs
                         for index, child in kids.items():
                             level(child, i - 1, (rows[index],) + tail, below, tkey | span[index])
@@ -1177,6 +1209,9 @@ def _apply_plan(s: LatticeSum, plan: dict) -> LatticeSum:
                             bucket[key] = get(key, 0) + mult
 
             level(plan, n - 1, (), (), 0)
+            # level holds itself through its closure; emptying that cell
+            # frees each walk's rows now rather than at a cyclic collection
+            del level
     return LatticeSum._of_keys(ctx, n, out)
 
 
@@ -1308,6 +1343,8 @@ def hecke_mult_verify(
     """
     if len(chain_a) != len(chain_b):
         raise ValueError("chains must have equal length")
+    if chain_a.ctx != ctx or chain_b.ctx != ctx:
+        raise ValueError("chains are over a different field")
     da, db = chain_a.det(), chain_b.det()
     if ctx.pgcd(da.coeffs, db.coeffs) != (1,):
         raise ValueError("chain determinants must be coprime")

@@ -6,6 +6,7 @@ tolerance is equality), and enforces a wall clock bound.  Random sampling
 is seeded so reruns see the same instances.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -382,5 +383,7 @@ def test_criterion_11_battery_determinism(announce):
              f"default battery twice, byte identical, {doc['summary']['total']} "
              f"checks, single run {single:.0f}s")
     assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == (
+        "c57e4966ff237e2478c887b4ca727354fa35edc3406f2143697b15e5c302b2d3")
     assert doc["summary"]["failed"] == 0
     assert single < 300.0
