@@ -66,6 +66,7 @@ from .heckelat import (
     standard_lattice,
     sublattice_enum,
     t_chain,
+    t_det,
     t_local,
 )
 from .lseries import (
@@ -107,7 +108,8 @@ __all__ = [
     "InvariantType", "Lattice", "LatticeSum", "alternating_qbinom_sum",
     "d_count", "gauss_binom", "hecke_mult_verify", "hnf_reduce",
     "newton_verify", "phi_count", "quotient_invariants", "random_sublattice",
-    "sigma_apply", "standard_lattice", "sublattice_enum", "t_chain", "t_local",
+    "sigma_apply", "standard_lattice", "sublattice_enum", "t_chain", "t_det",
+    "t_local",
     # lseries
     "GrSeries", "StickCtx", "char_l_poly", "euler_series", "phi_series",
     "stick_context", "stickelberger_q", "theta1", "theta_n", "theta_noinf",

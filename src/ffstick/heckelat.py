@@ -13,16 +13,16 @@ and row tuples are built only where a caller looks at single terms.
 
 The operators implemented here:
 
+* ``t_det``: the sum of all sublattices of N of determinant g.  It sums
+  C N over every canonical triangular C of det g, one diagonal at a time,
+  and builds the canonical rows of C N bottom up, each row running over a
+  full affine space over F_q, in one path for A^n and every other N; the
+  rows below row i are built once per residue class of row i's last entry;
 * ``t_local``: the sum of all sublattices N' of N with N/N' of length m as
-  a module over the local ring at x.  It sums C N over every canonical
-  triangular C with a fixed diagonal and builds the canonical rows of C N
-  bottom up, each row running over a full affine space over F_q, in one
-  path for A^n and every other N; the rows below row i are built once per
-  residue class of row i's last entry;
-* ``t_chain``: sublattices with a prescribed chain of invariant factors,
-  from one classification of the coordinate matrices by Smith form (none
-  where the determinant forces the chain: squarefree, or rank 1), applied
-  on the same bottom-up path with an index per kept matrix;
+  a module over the local ring at x, which is ``t_det`` at g = x^m;
+* ``t_chain``: sublattices with a prescribed chain of invariant factors:
+  ``t_det`` where the determinant forces it, and otherwise the matrices of
+  one Smith form classification, walked with an index per kept matrix;
 * ``sigma_apply``: the elementary operator at a monic prime x, summing the
   preimages of the codimension j subspaces of N / m_x N: ``t_chain`` for
   the chain (x, ..., x, 1, ..., 1), with the matrices in closed form;
@@ -61,6 +61,7 @@ __all__ = [
     "sigma_apply",
     "t_local",
     "t_chain",
+    "t_det",
     "gauss_binom",
     "alternating_qbinom_sum",
     "newton_verify",
@@ -300,6 +301,8 @@ class InvariantType:
     def pointwise_mul(self, other: "InvariantType") -> "InvariantType":
         if len(other) != len(self):
             raise ValueError("chains must have equal length")
+        if other.ctx != self.ctx:
+            raise ValueError("chains are over different fields")
         pmul = self.ctx.pmul
         return InvariantType(self.ctx, [pmul(a, b) for a, b in zip(self.chain, other.chain)])
 
@@ -400,6 +403,7 @@ def _snf_diagonal(ctx: FieldCtx, mat: list) -> list:
                     if g == one:
                         break
         divisors.append(g)
+    del minor  # it holds itself, and the minor memo, through its closure
     divisors.append(one)
     divisors.reverse()
     return [divisors[k] if divisors[k - 1] == one
@@ -419,21 +423,25 @@ def _minor_order(n: int, k: int) -> tuple:
 # enumeration
 
 
-def _diag_tuples(ctx: FieldCtx, g, n: int):
-    """Ordered factorizations of a monic g into n monic diagonal entries."""
-    divisors = ctx.monic_divisors(g)
+# (p, m, modulus, det, rank) -> the diagonals (_DIAG_TUPLES) and {chain:
+# coordinate matrices} (_TRIANGLES_BY_TYPE) of det: equal fields share an
+# entry, and no FieldCtx, with its q x q tables, stays reachable.
+_DIAG_TUPLES: dict = {}
+_TRIANGLES_BY_TYPE: dict = {}
 
-    def rec(remaining, k):
-        if k == 1:
-            yield (remaining,)
-            return
-        for d in divisors:
-            q, r = ctx.pdivmod(remaining, d)
-            if not r:
-                for rest in rec(q, k - 1):
-                    yield (d,) + rest
 
-    yield from rec(tuple(g), n)
+def _diag_tuples(ctx: FieldCtx, g: tuple, n: int) -> tuple:
+    """Ordered factorizations of a monic g into n monic diagonal entries,
+    memoized per (field, g, n); each pass splits the last entry in two."""
+    key = (ctx.p, ctx.m, ctx.modulus, g, n)
+    out = _DIAG_TUPLES.get(key)
+    if out is None:
+        divisors, out = ctx.monic_divisors(g), ((g,),)
+        for _ in range(n - 1):
+            out = tuple([t[:-1] + (d, q) for t in out for d in divisors
+                         for q, r in [ctx.pdivmod(t[-1], d)] if not r])
+        _DIAG_TUPLES[key] = out
+    return out
 
 
 def _enum_canonical_triangles(ctx: FieldCtx, diags: Sequence[tuple]):
@@ -474,6 +482,15 @@ def _apply_basis(ctx: FieldCtx, cmat: list, lrows: tuple) -> tuple:
     return _canonical_rows(ctx, n, rows)
 
 
+def _monic(ctx: FieldCtx, g) -> tuple:
+    """The coefficients of a determinant g, a Poly or a coefficient
+    sequence, which must be monic and nonzero."""
+    g = ctx.pvalidate(g.coeffs if isinstance(g, Poly) else g)
+    if not g or g[-1] != 1:
+        raise ValueError("determinant must be monic and nonzero")
+    return g
+
+
 def sublattice_enum(L: Lattice, g) -> list[Lattice]:
     """All sublattices N of L with L/N of determinant ideal (g), canonical order.
 
@@ -481,11 +498,7 @@ def sublattice_enum(L: Lattice, g) -> list[Lattice]:
     canonical triangular matrices with diagonal product g.
     """
     ctx = L.ctx
-    if isinstance(g, Poly):
-        g = g.coeffs
-    g = ctx.pvalidate(g)
-    if not g or g[-1] != 1:
-        raise ValueError("determinant must be monic and nonzero")
+    g = _monic(ctx, g)
     out = []
     std = L.is_standard
     for diags in _diag_tuples(ctx, g, L.n):
@@ -497,9 +510,12 @@ def sublattice_enum(L: Lattice, g) -> list[Lattice]:
     return out
 
 
-# (p, m, modulus, det, rank) -> {chain: coordinate matrices}: equal fields
-# share an entry, and no FieldCtx, with its q x q tables, stays reachable.
-_TRIANGLES_BY_TYPE: dict = {}
+def _forced(ctx: FieldCtx, g: tuple, n: int) -> bool:
+    """Whether det g forces the chain (g, 1, ..., 1) in rank n: a chain
+    d_1 | ... | d_n of product g has d_k^2 | g for k < n, so for n = 1 or a
+    squarefree g (over the perfect field F_q, gcd(g, g') = 1) it is the one
+    chain every canonical triangle of det g has."""
+    return n == 1 or ctx.pgcd(g, ctx.pderiv(g)) == (1,)
 
 
 def _triangles_by_type(ctx: FieldCtx, g: tuple, n: int) -> dict:
@@ -507,21 +523,16 @@ def _triangles_by_type(ctx: FieldCtx, g: tuple, n: int) -> dict:
 
     For any lattice N the quotient N / (C N) is isomorphic to A^n / (rows of
     C), so its chain is the Smith form of C alone, read off its determinantal
-    divisors by ``_snf_diagonal``.  The determinant can force the chain: a
-    chain d_1 | ... | d_n of product g has d_k^2 | g for k < n, so for n = 1
-    or a squarefree g (over the perfect field F_q, gcd(g, g') = 1) the only
-    chain is (g, 1, ..., 1), and no C is classified.  Each C is classified
-    once per (field, g, n); the result maps each chain tuple to its
-    matrices, as row tuples in canonical enumeration order.  ``d_count``
-    counts them, and ``_chain_plan`` turns one chain's list into the index
-    plan ``t_chain`` applies.
+    divisors by ``_snf_diagonal``, once per (field, g, n), and not at all
+    where g forces the chain (``_forced``).  The result maps each chain
+    tuple to its matrices, as row tuples in canonical enumeration order;
+    ``d_count`` counts them and ``_chain_plan`` turns one chain's list into
+    the index plan ``t_chain`` applies, where g does not force the chain.
     """
     key = (ctx.p, ctx.m, ctx.modulus, g, n)
     groups = _TRIANGLES_BY_TYPE.get(key)
     if groups is None:
-        forced = None
-        if n == 1 or ctx.pgcd(g, ctx.pderiv(g)) == (1,):
-            forced = (g,) + ((1,),) * (n - 1)
+        forced = (g,) + ((1,),) * (n - 1) if _forced(ctx, g, n) else None
         groups = {}
         for diags in _diag_tuples(ctx, g, n):
             for rows in _enum_canonical_triangles(ctx, diags):
@@ -616,17 +627,20 @@ def d_count(ctx: FieldCtx, chain) -> int:
     """Number of sublattices of A^n with the given invariant chain, n = len(chain).
 
     Counts the canonical coordinate matrices whose Smith form is the chain,
-    the same list ``t_chain`` applies to each lattice; a squarefree
-    determinant, or rank 1, forces the chain, and then every canonical
-    triangle of that determinant counts without a Smith form.  An
-    ``InvariantType`` must be over ``ctx``.
+    the same list ``t_chain`` applies.  Where det g forces the chain
+    (``_forced``) that is every canonical triangle of det g, counted in
+    closed form: the j entries above diagonal entry d_j take q^(deg d_j)
+    values each.  An ``InvariantType`` must be over ``ctx``.
     """
     if not isinstance(chain, InvariantType):
         chain = InvariantType(ctx, chain)
     elif chain.ctx != ctx:
         raise ValueError("chain is over a different field")
-    groups = _triangles_by_type(ctx, chain.det().coeffs, len(chain))
-    return len(groups.get(chain.chain, ()))
+    g, n = chain.det().coeffs, len(chain)
+    if _forced(ctx, g, n):
+        return sum(ctx.q ** sum(j * (len(d) - 1) for j, d in enumerate(diags))
+                   for diags in _diag_tuples(ctx, g, n))
+    return len(_triangles_by_type(ctx, g, n).get(chain.chain, ()))
 
 
 def phi_count(ctx: FieldCtx, g, n: int, method: str = "closed") -> int:
@@ -636,11 +650,7 @@ def phi_count(ctx: FieldCtx, g, n: int, method: str = "closed") -> int:
     the local factor is the u^e coefficient of prod_{j<n} 1/(1 - Q^j u) with
     Q = q^deg P.  ``enum`` constructs every sublattice explicitly.
     """
-    if isinstance(g, Poly):
-        g = g.coeffs
-    g = ctx.pvalidate(g)
-    if not g or g[-1] != 1:
-        raise ValueError("g must be monic and nonzero")
+    g = _monic(ctx, g)
     if n < 1:
         raise ValueError("rank must be positive")
     if method == "enum":
@@ -999,22 +1009,26 @@ def t_local(x, m: int, s: LatticeSum) -> LatticeSum:
 
     m counts length over the local ring A/m_x, so the F_q codimension of each
     term is m * deg x.  The multiplicity convention is one per sublattice.
-    Each term N of ``s`` contributes C N for every composition c of m and
-    every canonical triangular C with diagonal x^c_i; the canonical rows of
-    C N are built bottom up (see ``_sublattice_rows``), the same way for
-    A^n and for any other N, and summed by packed key.
+    A sublattice of colength m at x is one of det x^m, so this is
+    ``t_det`` at g = x^m: its diagonals are x^c_i for the compositions c of m.
     """
-    ctx = s.ctx
-    x = _validate_prime(ctx, x)
-    n = s.n
+    x = _validate_prime(s.ctx, x)
     if m < 0:
         raise ValueError("colength must be nonnegative")
-    if m == 0:
+    return t_det(functools.reduce(s.ctx.pmul, [x] * m, (1,)), s)
+
+
+def t_det(g, s: LatticeSum) -> LatticeSum:
+    """Sum over the terms N of s, with their coefficients, of C N for every
+    canonical triangular C of det g, a monic nonzero polynomial: every
+    sublattice of N of determinant g.  The rows of C N are built bottom up
+    one diagonal (``_diag_tuples``) at a time by ``_sublattice_rows``, the
+    same way for A^n and for any other N, and summed by packed key."""
+    ctx = s.ctx
+    g = _monic(ctx, g)
+    if g == (1,):
         return s * 1
-    xpow = [(1,)]
-    for _ in range(m):
-        xpow.append(ctx.pmul(xpow[-1], x))
-    patterns = [[xpow[c] for c in comp] for comp in _compositions(m, n)]
+    patterns = _diag_tuples(ctx, g, s.n)
     pk = _packing(ctx)
     radd = _row_adder(ctx)
     acc: dict = {}
@@ -1033,15 +1047,15 @@ def t_local(x, m: int, s: LatticeSum) -> LatticeSum:
                     get = bucket.get
                     for k in prods:
                         bucket[k] = get(k, 0) + mult
-    return LatticeSum._of_keys(ctx, n, acc)
+    return LatticeSum._of_keys(ctx, s.n, acc)
 
 
 def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: dict,
-                     diags: list) -> tuple:
+                     diags: tuple) -> tuple:
     """The diagonal and the packed keys of C N for every canonical upper
     triangular C with diagonal ``diags``, where ``nrows`` are N's canonical
     rows and ``scaled`` memoizes the rows c N_i by (i, c) for one N; this
-    full-span enumerator serves ``t_local`` alone.
+    full-span enumerator serves ``t_det`` alone.
 
     Row i of C N is diags[i] N_i + sum_{j > i} e_ij N_j with deg e_ij <
     deg diags[j].  Let R_i reduce a vector against the canonical rows below
@@ -1115,7 +1129,9 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
                 out += [b | c for c in cls for b in below]
         return out
 
-    return diag, level(n - 1, (), 0)
+    keys = level(n - 1, (), 0)
+    del level  # it holds itself through its closure, as in ``_apply_plan``
+    return diag, keys
 
 
 def _affine_span(base, steps: list, add) -> list:
@@ -1146,16 +1162,20 @@ def t_chain(chain: InvariantType, s: LatticeSum) -> LatticeSum:
     """Operator summing sublattices with the prescribed invariant chain.
 
     The sublattices of N with this chain are C N for the canonical
-    coordinate matrices C whose Smith form is the chain.  They are
-    classified once per determinant and rank (``_triangles_by_type``; a
-    squarefree determinant, or rank 1, forces the chain and needs no Smith
-    form), kept as a trie over their rows (``_chain_plan``) and applied to
-    each N by ``_apply_plan``.  The chain must be over the sum's field.
+    coordinate matrices C whose Smith form is the chain: every C of det g,
+    so ``t_det(g, s)``, where g forces the chain (``_forced``).  Otherwise
+    they are classified once per determinant and rank
+    (``_triangles_by_type``), kept as a trie over their rows (``_chain_plan``)
+    and applied to each N by ``_apply_plan``.  The chain must be over the
+    sum's field.
     """
     if len(chain) != s.n:
         raise ValueError("chain length must equal the rank")
     if chain.ctx != s.ctx:
         raise ValueError("chain and lattice sum are over different fields")
+    g = chain.det().coeffs
+    if _forced(s.ctx, g, s.n):
+        return t_det(g, s)
     return _apply_plan(s, _chain_plan(s.ctx, chain))
 
 

@@ -2,7 +2,8 @@
 
 A chain's entries are encoded for its own field, so read over another field
 they either index out of its tables or name a different polynomial.
-``t_chain``, ``d_count`` and ``hecke_mult_verify`` compare the fields first.
+``t_chain``, ``d_count``, ``hecke_mult_verify`` and
+``InvariantType.pointwise_mul`` compare the fields first.
 """
 
 import pytest
@@ -42,3 +43,11 @@ def test_hecke_mult_verify_rejects_chains_over_another_field():
         hecke_mult_verify(C3, a, b)
     with pytest.raises(ValueError, match="different field"):
         hecke_mult_verify(C3, InvariantType(C3, [(0, 1)]), b)
+
+
+def test_pointwise_mul_rejects_a_chain_over_another_field():
+    a, b = InvariantType(C3, [(1, 1)]), InvariantType(C4, [(2, 1)])
+    with pytest.raises(ValueError, match="different fields"):
+        a.pointwise_mul(b)
+    with pytest.raises(ValueError, match="different fields"):
+        b.pointwise_mul(a)

@@ -5,6 +5,7 @@ argument parsing, report serialization, exit codes, and the stdout/stderr
 split are exercised exactly as a user sees them.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -156,6 +157,14 @@ def test_verify_all_reduced_run_deterministic_and_valid():
     # the tight budget must leave a visible record of skipped Newton cases
     ident = next(c for c in doc["checks"] if c["check_id"] == "hecke.newton_qbinom_identity")
     assert ident["details"]["skipped_over_budget"]
+
+
+def test_verify_all_benchmark_report_bytes_are_pinned():
+    # the report the perfbench battery workload runs and gates on
+    proc = run_cli("verify-all", "--seed", "123", "--pairs", "2", "--newton-budget", "15000",
+                   check=True)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "e097b7aadffbc34bdd3966cf9960d16d1ecf9e7d53b18c1e650fa065fa5e6c7b")
 
 
 def test_verify_all_seed_changes_sampled_sections():

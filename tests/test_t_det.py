@@ -1,0 +1,136 @@
+"""``t_det`` sums every sublattice of a given determinant.
+
+It serves ``t_local`` (g = x^m) and the chains a determinant forces
+(``t_chain`` in rank 1 or for a squarefree g).  These tests compare it with
+the sum of ``t_chain`` over every chain of det g, also where g leaves a
+choice of chain, and with ``sublattice_enum``.  They check that a forced
+chain is neither classified nor planned, that the closed count of a forced
+``d_count`` equals the enumerated count without enumerating, and that the
+full-span enumerator and the Smith form leave no reference cycle behind.
+"""
+
+import gc
+import types
+
+import pytest
+
+from ffstick import heckelat
+from ffstick.battery import chains_with_det
+from ffstick.fieldcore import field_context
+from ffstick.heckelat import (
+    InvariantType,
+    LatticeSum,
+    d_count,
+    random_sublattice,
+    standard_lattice,
+    sublattice_enum,
+    t_chain,
+    t_det,
+    t_local,
+)
+
+C2 = field_context(2)
+C3 = field_context(3)
+C4 = field_context(2, 2)
+
+# (field, g, rank): t^2 leaves a choice in rank 2, (t + 1)^2 in rank 3;
+# t (t^2 + 1) is squarefree over F_3 and forces its chain.
+CASES = [
+    (C2, (0, 0, 1), 2),
+    (C3, (0, 0, 1), 2),
+    (C3, C3.pmul((0, 1), (1, 0, 1)), 3),
+    (C3, C3.pmul((1, 1), (1, 1)), 3),
+]
+IDS = ["q2-t^2-n2", "q3-t^2-n2", "q3-t(t^2+1)-n3", "q3-(t+1)^2-n3"]
+
+
+def _lattices(ctx, n):
+    return [standard_lattice(ctx, n)] + [random_sublattice(ctx, n, seed, max_deg=1)
+                                        for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("ctx,g,n", CASES, ids=IDS)
+def test_t_det_is_the_sum_of_t_chain_over_every_chain(ctx, g, n):
+    chains = chains_with_det(ctx, g, n)
+    assert chains
+    for N in _lattices(ctx, n):
+        s = LatticeSum.of(N, 2)
+        total = LatticeSum(ctx, n)
+        for chain in chains:
+            total = total + t_chain(chain, s)
+        assert t_det(g, s) == total, (g, N)
+
+
+@pytest.mark.parametrize("ctx,g,n", CASES, ids=IDS)
+def test_t_det_on_the_standard_lattice_equals_sublattice_enum(ctx, g, n):
+    A = standard_lattice(ctx, n)
+    expect = LatticeSum(ctx, n, dict.fromkeys(sublattice_enum(A, g), 1))
+    assert t_det(g, LatticeSum.of(A)) == expect
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_forced_t_chain_neither_classifies_nor_plans(n, monkeypatch):
+    monkeypatch.setattr(heckelat, "_TRIANGLES_BY_TYPE", {})
+    monkeypatch.setattr(heckelat, "_CHAIN_PLANS", {})
+    g = C3.pmul((1, 0, 1), (1, 1))  # (t^2 + 1)(t + 1)
+    s = LatticeSum.of(random_sublattice(C3, n, 1, max_deg=1))
+    got = t_chain(InvariantType(C3, [g] + [(1,)] * (n - 1)), s)
+    assert heckelat._TRIANGLES_BY_TYPE == {}
+    assert heckelat._CHAIN_PLANS == {}
+    assert got == t_det(g, s)
+
+
+def _squarefree_cells():
+    for ctx in (C2, C3, C4):
+        for n in (1, 2, 3):
+            # GF(4) in rank 3 stops at degree 2, as in the forced-chain tests
+            for d in range((2 if ctx is C4 and n == 3 else 3) + 1):
+                for g in ctx.monic_tuples(d):
+                    if all(e == 1 for _, e in ctx.pfactor(g)[1]):
+                        yield ctx, g, n
+
+
+def test_forced_d_count_is_closed_and_equals_the_enumerated_count(monkeypatch):
+    cells = list(_squarefree_cells())
+    expect = [len(sublattice_enum(standard_lattice(ctx, n), g)) for ctx, g, n in cells]
+    calls = []
+    real = heckelat._enum_canonical_triangles
+
+    def counting(ctx, diags):
+        calls.append(diags)
+        return real(ctx, diags)
+
+    monkeypatch.setattr(heckelat, "_enum_canonical_triangles", counting)
+    monkeypatch.setattr(heckelat, "_TRIANGLES_BY_TYPE", {})
+    got = [d_count(ctx, [g] + [(1,)] * (n - 1)) for ctx, g, n in cells]
+    assert calls == []
+    assert got == expect
+    assert {ctx.q for ctx, _, _ in cells} == {2, 3, 4}
+
+
+@pytest.mark.parametrize("g", [(0, 2), (), (0, 0), (2,)])
+def test_t_det_rejects_a_determinant_that_is_not_monic_or_is_zero(g):
+    with pytest.raises(ValueError, match="monic and nonzero"):
+        t_det(g, LatticeSum.of(standard_lattice(C3, 2)))
+
+
+def test_operators_leave_no_closure_cycles():
+    s = LatticeSum.of(random_sublattice(C3, 3, 1, max_deg=1))
+    mat = [[(0, 1), (1,), (2, 1)], [(), (0, 0, 1), (1,)], [(), (), (1, 1)]]
+    gc.collect()
+    flags = gc.get_debug()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        t_local((0, 1), 2, s)
+        t_det(C3.pmul((0, 1), (1, 1)), s)
+        heckelat._snf_diagonal(C3, mat)
+        gc.collect()
+        left = sorted({f.__qualname__ for f in gc.garbage
+                       if isinstance(f, types.FunctionType)})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.enable()
+    assert [name for name in left
+            if name.startswith(("_sublattice_rows.", "_snf_diagonal."))] == []
