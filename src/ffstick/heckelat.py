@@ -886,7 +886,7 @@ class LatticeSum:
         if not isinstance(other, LatticeSum) or other.ctx != self.ctx or other.n != self.n:
             raise ValueError("sums are not compatible")
         out = {diag: dict(keys) for diag, keys in self.by_diag.items()}
-        _add_into(out, other.by_diag, sign)
+        _merge_into(out, (other * sign).by_diag)
         return LatticeSum._of_keys(self.ctx, self.n, out)
 
     def __add__(self, other: "LatticeSum") -> "LatticeSum":
@@ -935,17 +935,21 @@ class LatticeSum:
         return [[L.to_json(), c] for L, c in self.items()]
 
 
-def _add_into(acc: dict, by_diag: dict, coeff: int) -> None:
-    """acc += coeff * by_diag for dicts of dicts like ``LatticeSum.by_diag``;
-    the zeros this leaves are for ``LatticeSum._of_keys`` to drop."""
+def _merge_into(acc: dict, by_diag: dict) -> None:
+    """acc += by_diag for dicts of dicts like ``LatticeSum.by_diag``, where
+    by_diag is fresh and nothing else holds it: a bucket acc lacks is
+    adopted, and of two buckets the smaller is added into the larger.  The
+    zeros this leaves are for ``LatticeSum._of_keys`` to drop."""
     for diag, keys in by_diag.items():
         bucket = acc.get(diag)
         if bucket is None:
-            acc[diag] = {key: coeff * c for key, c in keys.items()}
-        else:
-            get = bucket.get
-            for key, c in keys.items():
-                bucket[key] = get(key, 0) + coeff * c
+            acc[diag] = keys
+            continue
+        if len(bucket) < len(keys):
+            acc[diag], bucket, keys = keys, keys, bucket
+        get = bucket.get
+        for key, c in keys.items():
+            bucket[key] = get(key, 0) + c
 
 
 class _TermView(Mapping):
@@ -975,12 +979,22 @@ class _TermView(Mapping):
         return self._sum.support_size()
 
 
+# (p, m, modulus, x) for every x ``_validate_prime`` accepted, keyed like
+# _PACKINGS so that no FieldCtx stays reachable; rejections are not kept.
+_PRIMES: set = set()
+
+
 def _validate_prime(ctx: FieldCtx, x) -> tuple:
+    """The coefficients of x, which must be monic and irreducible; Rabin's
+    test runs once per (field, x), and then the accepted x is remembered."""
     if isinstance(x, Poly):
         x = x.coeffs
     x = ctx.pvalidate(x)
-    if not x or x[-1] != 1 or not ctx.is_irreducible(x):
-        raise ValueError("x must be a monic irreducible polynomial")
+    key = (ctx.p, ctx.m, ctx.modulus, x)
+    if key not in _PRIMES:
+        if not x or x[-1] != 1 or not ctx.is_irreducible(x):
+            raise ValueError("x must be a monic irreducible polynomial")
+        _PRIMES.add(key)
     return x
 
 
@@ -1023,12 +1037,18 @@ def t_det(g, s: LatticeSum) -> LatticeSum:
     canonical triangular C of det g, a monic nonzero polynomial: every
     sublattice of N of determinant g.  The rows of C N are built bottom up
     one diagonal (``_diag_tuples``) at a time by ``_sublattice_rows``, the
-    same way for A^n and for any other N, and summed by packed key."""
+    same way for A^n and for any other N, and summed by packed key.
+
+    What a diagonal needs of N alone is made once per term: N's canonical
+    rows, the rows c N_i by (i, c), and the generators t^a N_j for
+    0 < j < n - 1 and a < deg g, which no diagonal entry exceeds (row 0
+    and row n - 1 are never shifted)."""
     ctx = s.ctx
     g = _monic(ctx, g)
     if g == (1,):
         return s * 1
-    patterns = _diag_tuples(ctx, g, s.n)
+    n = s.n
+    patterns = _diag_tuples(ctx, g, n)
     pk = _packing(ctx)
     radd = _row_adder(ctx)
     acc: dict = {}
@@ -1036,8 +1056,10 @@ def t_det(g, s: LatticeSum) -> LatticeSum:
         for key, mult in keys.items():
             nrows = pk.rows(diag, key)
             scaled = {(i, (1,)): row for i, row in enumerate(nrows)}
+            shifted = [()] + [[tuple([(0,) * a + e if e else () for e in nrows[j]])
+                               for a in range(len(g) - 1)] for j in range(1, n - 1)]
             for diags in patterns:
-                out_diag, prods = _sublattice_rows(ctx, pk, radd, nrows, scaled, diags)
+                out_diag, prods = _sublattice_rows(ctx, pk, radd, nrows, scaled, shifted, diags)
                 bucket = acc.get(out_diag)
                 # the C N of one N and one diagonal are distinct, and no
                 # other diagonal of the same N reaches this bucket
@@ -1047,15 +1069,16 @@ def t_det(g, s: LatticeSum) -> LatticeSum:
                     get = bucket.get
                     for k in prods:
                         bucket[k] = get(k, 0) + mult
-    return LatticeSum._of_keys(ctx, s.n, acc)
+    return LatticeSum._of_keys(ctx, n, acc)
 
 
 def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: dict,
-                     diags: tuple) -> tuple:
+                     shifted: list, diags: tuple) -> tuple:
     """The diagonal and the packed keys of C N for every canonical upper
     triangular C with diagonal ``diags``, where ``nrows`` are N's canonical
-    rows and ``scaled`` memoizes the rows c N_i by (i, c) for one N; this
-    full-span enumerator serves ``t_det`` alone.
+    rows, ``scaled`` memoizes the rows c N_i by (i, c) and ``shifted[j][a]``
+    is t^a N_j, both for one N; this full-span enumerator serves ``t_det``
+    alone.
 
     Row i of C N is diags[i] N_i + sum_{j > i} e_ij N_j with deg e_ij <
     deg diags[j].  Let R_i reduce a vector against the canonical rows below
@@ -1063,7 +1086,7 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
     R_i(diags[i] N_i) + span_Fq{R_i(t^a N_j) : j > i, a < deg diags[j]}.
     The rows are fixed from n-1 up to 0, only the base and the generators
     of each space are reduced, and each key of the space is one vector
-    addition (``_affine_span``).
+    addition (``_affine_span``); a space with no generator is its base.
 
     The generators t^a N_{n-1} = t^a d e_{n-1}, d = N's last diagonal entry,
     need no reduction and span d * {h : deg h < deg diags[n-1]} in the last
@@ -1085,10 +1108,9 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
             row = scaled[i, c] = tuple([pmul(c, e) if e else () for e in nrows[i]])
         bases.append(row)
     diag = tuple([row[i] for i, row in enumerate(bases)])
+    if n == 1:
+        return diag, [0]
     degs = tuple([len(e) - 1 for e in diag])
-    shifted = [[(0,) * a + e if e else () for e in nrows[j]]
-               for j in range(n - 1) for a in range(len(diags[j]) - 1)]
-    starts = [sum(len(c) - 1 for c in diags[:j]) for j in range(n)]
 
     def residue(v: tuple) -> tuple:
         r = v[-1]
@@ -1097,15 +1119,16 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
         return v[:-1] + (r,)
 
     def level(i: int, tail: tuple, tkey: int) -> list:
-        base = _reduce_row(ctx, list(bases[i]), tail, i)
-        if i == n - 1:  # no entry off the diagonal
-            return level(i - 1, (base,), 0) if i else [0]
         offs, add = pk.row_layout(degs[i + 1:])
-        gens = [residue(_reduce_row(ctx, list(v), tail, i)) for v in shifted[starts[i + 1]:]]
-        steps, rsteps = _steps(ctx, pk, gens, offs)
-        base = residue(base)
-        keys = _affine_span(pk.pack(base, offs), steps, add)
-        rows = _affine_span(base, rsteps, radd) if i else None
+        base = residue(_reduce_row(ctx, list(bases[i]), tail, i))
+        gens = [residue(_reduce_row(ctx, list(v), tail, i))
+                for j in range(i + 1, n - 1) for v in shifted[j][:len(diags[j]) - 1]]
+        if gens:
+            steps, rsteps = _steps(ctx, pk, gens, offs)
+            keys = _affine_span(pk.pack(base, offs), steps, add)
+            rows = _affine_span(base, rsteps, radd) if i else None
+        else:
+            keys, rows = [pk.pack(base, offs)], [base]
         out: list[int] = []
         if not k:  # the residue is the whole last entry
             if not i:
@@ -1129,7 +1152,8 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
                 out += [b | c for c in cls for b in below]
         return out
 
-    keys = level(n - 1, (), 0)
+    # row n - 1 has no entry off the diagonal and needs no reduction
+    keys = level(n - 2, (bases[-1],), 0)
     del level  # it holds itself through its closure, as in ``_apply_plan``
     return diag, keys
 
@@ -1303,7 +1327,10 @@ def newton_verify(
     """Check the Newton recurrence P = 0 on each test lattice.
 
     P applies sum_j (-1)^j q_x^(j(j-1)/2) t_local(x, r-j) sigma_j(x) and the
-    result must vanish identically as a lattice sum.  The companion
+    result must vanish identically as a lattice sum.  Each term is
+    ``t_local(x, r-j, sigma_apply(x, j, N) * coeff)``, so it arrives scaled,
+    and is merged into the residue in place; the witness is the residue's
+    first term in canonical order, whatever the merge order.  The companion
     alternating Gaussian binomial identity is checked alongside for
     1 <= h <= n.  ``fault`` deliberately flips the sign of the j = 1 term so
     harness plumbing can observe a failure.
@@ -1326,11 +1353,8 @@ def newton_verify(
             coeff = (-1) ** j * Q ** (j * (j - 1) // 2)
             if fault == "newton" and j == 1:
                 coeff = -coeff
-            term = t_local(x, r - j, sigma_apply(x, j, base))
-            if not acc and coeff == 1:
-                acc = term.by_diag  # a fresh sum, which nothing else holds
-                continue
-            _add_into(acc, term.by_diag, coeff)
+            # t_local returns a fresh sum, whose buckets _merge_into may adopt
+            _merge_into(acc, t_local(x, r - j, sigma_apply(x, j, base) * coeff).by_diag)
         cases += 1
         residue = LatticeSum._of_keys(ctx, n, acc)
         if not residue.is_zero:
@@ -1358,8 +1382,9 @@ def hecke_mult_verify(
 ) -> MultReport:
     """Check T(J) T(J') = T(J J') for chains with coprime determinants.
 
-    ``fault`` set to "mult" deliberately adds one more copy of one term of
-    T(J J') N, so harness plumbing can observe a failure.
+    ``fault`` set to "mult" deliberately adds one more copy of the first
+    term of T(J J') N in canonical order, so harness plumbing can observe a
+    failure.
     """
     if len(chain_a) != len(chain_b):
         raise ValueError("chains must have equal length")
@@ -1380,8 +1405,7 @@ def hecke_mult_verify(
         lhs = t_chain(chain_a, t_chain(chain_b, base))
         rhs = t_chain(prod, base)
         if fault == "mult":
-            diag, keys = next(iter(rhs.by_diag.items()))
-            rhs = rhs + LatticeSum._of_keys(ctx, n, {diag: {next(iter(keys)): 1}})
+            rhs = rhs + LatticeSum.of(rhs.items()[0][0])
         cases += 1
         if lhs != rhs:
             ok = False

@@ -259,6 +259,15 @@ def test_verify_all_newton_fault_fails_only_newton_records():
     assert others and all(c["status"] == "pass" for c in others)
 
 
+def test_verify_all_newton_fault_report_bytes_are_pinned():
+    # the witness names the first canonical residue term, so the order in
+    # which newton_verify merges its terms must not move these bytes
+    proc = run_cli(*REDUCED_BATTERY, "--inject-fault", "newton")
+    assert proc.returncode == 1
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "81e3fcf3704b5b39ac9b96d035251b85220d3f53bbda0957c04acc9f55a20ca3")
+
+
 def test_verify_all_mult_fault_fails_only_mult_records():
     proc = run_cli(*REDUCED_BATTERY, "--inject-fault", "mult")
     assert proc.returncode == 1

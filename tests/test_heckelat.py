@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ffstick import heckelat
 from ffstick.fieldcore import field_context, Poly
 from ffstick.heckelat import (
     InvariantType,
@@ -388,6 +389,26 @@ def test_hecke_multiplicativity_deeper_chain():
     chb = InvariantType(C3, [(1, 1), (1,)])
     rep = hecke_mult_verify(C3, cha, chb)
     assert rep.ok
+
+
+def test_mult_fault_adds_to_the_first_canonical_term(monkeypatch):
+    # the fault's extra copy goes to the first term of T(J J') N in
+    # canonical order, whatever order the operator fills its sum in
+    cases = [(InvariantType(C3, [(0, 1), (1,)]), InvariantType(C3, [(1, 1), (1,)])),
+             (InvariantType(C3, [(0, 1), (1,), (1,)]), InvariantType(C3, [(1, 0, 1), (1,), (1,)]))]
+    for cha, chb in cases:
+        n = len(cha)
+        for N in (standard_lattice(C3, n), random_sublattice(C3, n, 5)):
+            first, _ = t_chain(cha.pointwise_mul(chb), LatticeSum.of(N)).items()[0]
+            rep = hecke_mult_verify(C3, cha, chb, test_lattices=[N], fault="mult")
+            assert not rep.ok
+            assert rep.witness["residue_term"] == first.to_json()
+            assert rep.witness["residue_mult"] == -1
+            with monkeypatch.context() as m:
+                real = heckelat._diag_tuples
+                m.setattr(heckelat, "_diag_tuples", lambda *args: real(*args)[::-1])
+                again = hecke_mult_verify(C3, cha, chb, test_lattices=[N], fault="mult")
+            assert again.witness == rep.witness
 
 
 def test_hecke_mult_rejects_common_factor():

@@ -152,6 +152,64 @@ def test_newton_term_multiplicities_are_gaussian_binomials(ctx):
     assert checked >= 8
 
 
+def _snapshot(s):
+    return {diag: dict(keys) for diag, keys in s.by_diag.items()}
+
+
+@pytest.mark.parametrize("ctx", [C2, C3], ids=["q2", "q3"])
+def test_merged_residue_equals_public_arithmetic(ctx, monkeypatch):
+    # newton_verify scales each sigma_j N before t_local and merges the
+    # terms in place; here the residue is summed with LatticeSum + and *
+    # instead.  Only q = 3, x = t^2 + 1, n = 3, r = 3 (1,292,566
+    # productions) is over the budget.
+    seen = []
+
+    def spy(op):
+        def run(x, k, s):
+            seen.append((s, _snapshot(s)))
+            out = op(x, k, s)
+            # newton_verify adopts the buckets of t_local's result
+            held = {id(keys) for t, _ in seen for keys in t.by_diag.values()}
+            assert not held & {id(keys) for keys in out.by_diag.values()}
+            return out
+        return run
+
+    cells = 0
+    for x in _places(ctx):
+        Q = ctx.q ** (len(x) - 1)
+        for n in (2, 3):
+            for N in (standard_lattice(ctx, n), _proper_sublattice(ctx, n, 1)):
+                for r in (1, 2, 3):
+                    if predict_newton_cost(ctx, x, n, r) > 20000:
+                        continue
+                    base = LatticeSum.of(N)
+                    before = _snapshot(base)
+                    sums = {}
+                    for fault in (None, "newton"):
+                        total = LatticeSum(ctx, n)
+                        for j in range(min(n, r) + 1):
+                            coeff = (-1) ** j * Q ** (j * (j - 1) // 2)
+                            if fault and j == 1:
+                                coeff = -coeff
+                            total = total + t_local(x, r - j, sigma_apply(x, j, base)) * coeff
+                        sums[fault] = total
+                    assert sums[None].is_zero, (ctx, x, n, r, N)
+                    assert _snapshot(base) == before
+                    with monkeypatch.context() as m:
+                        m.setattr(heckelat, "t_local", spy(heckelat.t_local))
+                        m.setattr(heckelat, "sigma_apply", spy(heckelat.sigma_apply))
+                        assert newton_verify(ctx, x, n, r, test_lattices=[N]).ok
+                        rep = newton_verify(ctx, x, n, r, test_lattices=[N], fault="newton")
+                    # no input to either operator was merged into, or adopted
+                    assert all(_snapshot(s) == snap for s, snap in seen)
+                    seen.clear()
+                    L, c = sums["newton"].items()[0]
+                    assert rep.witness == {"lattice": N.to_json(),
+                                           "residue_term": L.to_json(), "residue_mult": c}
+                    cells += 1
+    assert cells == (22 if ctx is C3 else 24)
+
+
 def _division_bound(q, deg_x, n, m):
     """Rows and generators reduced by the bottom-up enumeration, each
     weighted by the divisions one reduction may take.

@@ -1,0 +1,68 @@
+"""The Newton path pays its set-up once per term and tests each prime once.
+
+``t_det`` makes a term's shifted rows once for all its diagonals, and a
+level of ``_sublattice_rows`` with no generator takes its base as its one
+key and row, with no ``_steps`` or ``_affine_span`` call.  On one warm
+Newton cell (q = 3, x = t^2 + 1, n = 3, r = 2, the four Newton test
+lattices of seed 0), ``newton_verify`` made 3,516 ``_affine_span`` and
+2,344 ``_steps`` calls when every level was spanned, and 25 Rabin tests
+when each ``t_local`` and ``sigma_apply`` call tested x again; it now makes
+544, 488 and none.  The 1,116 ``_sublattice_rows`` calls are unchanged.
+"""
+
+from ffstick import heckelat
+from ffstick.battery import newton_lattices
+from ffstick.fieldcore import FieldCtx, field_context
+from ffstick.heckelat import LatticeSum, gauss_binom, newton_verify, sigma_apply, t_local
+
+C3 = field_context(3)
+X = (1, 0, 1)
+
+
+def _counting(monkeypatch, counts, owner, name):
+    real = getattr(owner, name)
+
+    def run(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, run)
+
+
+def test_newton_cell_spans_only_levels_with_generators(monkeypatch):
+    lattices = newton_lattices(C3, X, 3, 2, 0, 4)
+    assert newton_verify(C3, X, 3, 2, test_lattices=lattices).ok  # warm the memos
+    counts: dict = {}
+    for name in ("_affine_span", "_steps", "_sublattice_rows"):
+        _counting(monkeypatch, counts, heckelat, name)
+    _counting(monkeypatch, counts, FieldCtx, "is_irreducible")
+    assert newton_verify(C3, X, 3, 2, test_lattices=lattices).ok
+    assert counts["_sublattice_rows"] == 1116
+    assert counts["_affine_span"] < 3516 and counts["_steps"] < 2344
+    assert "is_irreducible" not in counts
+
+
+def test_newton_terms_keep_their_mass():
+    # t_local(x, 2 - j) sigma_j N has mass [3 choose j]_Q times the number
+    # of colength 2 - j sublattices of a rank 3 lattice, Q = 9
+    Q, n = 9, 3
+    for N in newton_lattices(C3, X, n, 2, 0, 4):
+        base = LatticeSum.of(N)
+        for j in range(3):
+            term = t_local(X, 2 - j, sigma_apply(X, j, base))
+            assert term.total_mass() == gauss_binom(n, j, Q) * heckelat._local_count(Q, n, 2 - j)
+
+
+def test_each_prime_is_tested_once_per_field(monkeypatch):
+    counts: dict = {}
+    monkeypatch.setattr(heckelat, "_PRIMES", set())
+    _counting(monkeypatch, counts, FieldCtx, "is_irreducible")
+    for ctx in (C3, field_context(3)):  # equal fields share the memo
+        base = LatticeSum.of(heckelat.standard_lattice(ctx, 2))
+        for _ in range(3):
+            t_local(X, 1, sigma_apply(X, 1, base))
+    assert counts["is_irreducible"] == 1
+    t_local((0, 1), 1, base)
+    assert counts["is_irreducible"] == 2
+    t_local((0, 1), 1, LatticeSum.of(heckelat.standard_lattice(field_context(2), 2)))
+    assert counts["is_irreducible"] == 3  # another field tests t again
