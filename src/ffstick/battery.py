@@ -356,11 +356,14 @@ def verify_all(ctxs: dict, seed: int, n_max: int, newton_budget: int,
     checks: list[dict] = []
 
     with Stopwatch("series identity batteries"):
-        for q in (2, 3):
-            for I in (I for d in (1, 2) for I in ctxs[q].monic_tuples(d)):
-                for rec in verify_identities(stick_context(ctxs[q], I), n_max=n_max):
-                    rec["check_id"] += _tag(q, I)
-                    checks.append(rec)
+        moduli = [(q, I) for q in (2, 3) for d in (1, 2) for I in ctxs[q].monic_tuples(d)]
+        for k, (q, I) in enumerate(moduli):
+            # an injected series fault corrupts the first modulus only
+            records = verify_identities(stick_context(ctxs[q], I), n_max=n_max,
+                                        fault=fault if k == 0 else None)
+            for rec in records:
+                rec["check_id"] += _tag(q, I)
+                checks.append(rec)
 
     with Stopwatch("tail law sampling"):
         for q in (2, 3, 4):

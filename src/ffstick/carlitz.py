@@ -654,7 +654,9 @@ class TorsionAlgebra:
 def galois_act(alg: TorsionAlgebra, a, e: AlgElem) -> AlgElem:
     """Action of a unit class a on torsion: X -> phi_a(X), extended to e.
 
-    The action factors through a mod I and requires gcd(a, I) = 1.
+    The action factors through a mod I and requires gcd(a, I) = 1.  The
+    powers of phi_a(X) are taken only up to the last nonzero coefficient of
+    e, so e = X costs no product beyond evaluating phi_a at X.
     """
     ctx = alg.ctx
     if isinstance(a, Poly):
@@ -666,13 +668,14 @@ def galois_act(alg: TorsionAlgebra, a, e: AlgElem) -> AlgElem:
     alg._match(e)
     image_x = torsion_poly(ctx, a).eval_elem(alg.x_gen())
     # substitute X -> image_x in the coefficient expansion of e
+    top = max((i for i, c in enumerate(e.coeffs) if not c.is_zero), default=-1)
     acc = alg.zero()
     power = alg.one()
-    for i, c in enumerate(e.coeffs):
+    for i, c in enumerate(e.coeffs[: top + 1]):
+        if i:
+            power = power * image_x if i > 1 else image_x
         if not c.is_zero:
             acc = acc + power.scale(c)
-        if i + 1 < len(e.coeffs):
-            power = power * image_x
     return acc
 
 

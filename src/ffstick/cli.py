@@ -168,9 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cap on predicted sublattice productions per Newton case")
     va.add_argument("--pairs", type=int, default=DEFAULT_MULT_PAIRS,
                     help="coprime chain pairs per (rank, field) cell")
-    va.add_argument("--inject-fault", choices=["newton", "mult"], default=None,
+    va.add_argument("--inject-fault", choices=["newton", "mult", "series"], default=None,
                     dest="inject_fault",
-                    help="corrupt one side of the Newton or the multiplicativity check")
+                    help="corrupt one side of the Newton, the multiplicativity or the "
+                         "first modulus's Euler product check")
 
     return top
 

@@ -858,14 +858,19 @@ class LatticeSum:
     @classmethod
     def _of_keys(cls, ctx: FieldCtx, n: int, by_diag: dict) -> "LatticeSum":
         """Wrap a dict of dicts like ``by_diag``, which it then owns; zero
-        coefficients and empty inner dicts are dropped in place."""
+        coefficients and empty inner dicts are dropped in place.  Only an
+        inner dict that mixes zero and nonzero values is rebuilt."""
         for diag, keys in list(by_diag.items()):
-            if 0 in keys.values():
-                keys = {key: c for key, c in keys.items() if c}
-                if keys:
-                    by_diag[diag] = keys
-                else:
-                    del by_diag[diag]
+            if not any(keys.values()):
+                del by_diag[diag]
+            elif 0 in keys.values():
+                by_diag[diag] = {key: c for key, c in keys.items() if c}
+        return cls._wrap(ctx, n, by_diag)
+
+    @classmethod
+    def _wrap(cls, ctx: FieldCtx, n: int, by_diag: dict) -> "LatticeSum":
+        """Wrap a dict of dicts that already holds no zero and no empty
+        inner dict, which it then owns."""
         obj = object.__new__(cls)
         obj.ctx = ctx
         obj.n = n
@@ -896,7 +901,14 @@ class LatticeSum:
         return self._combine(other, -1)
 
     def __mul__(self, k: int) -> "LatticeSum":
-        return LatticeSum._of_keys(self.ctx, self.n, {
+        """k times the sum, always a new sum that shares no inner dict; a
+        nonzero k leaves no zero to drop."""
+        if k == 0:
+            return LatticeSum._wrap(self.ctx, self.n, {})
+        if k == 1:
+            return LatticeSum._wrap(self.ctx, self.n, {
+                diag: dict(keys) for diag, keys in self.by_diag.items()})
+        return LatticeSum._wrap(self.ctx, self.n, {
             diag: {key: c * k for key, c in keys.items()} for diag, keys in self.by_diag.items()})
 
     __rmul__ = __mul__

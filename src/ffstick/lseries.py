@@ -22,6 +22,7 @@ All arithmetic is exact over Z.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -207,6 +208,32 @@ def _monic_classes(S: StickCtx, M: int):
             residues = [b + v for r in residues for b, row in (steps[r],) for v in row]
 
 
+def _factor_shapes(S: StickCtx, M: int) -> list[dict]:
+    """For m = 0..M, a histogram of the monic polynomials of degree m coprime
+    to the modulus, by (unit index, shape): the shape is the tuple of
+    (deg P, e) over the prime powers P^e of the polynomial, in the order of
+    the sieve tables' factorization (``FieldCtx.sieve_factor``), and the
+    class comes from the residue recursion of ``_monic_classes``.  The
+    histograms live on the StickCtx; a degree is factored on the first call
+    that reaches it.
+    """
+    hists = S._cache.setdefault("shapes", [])
+    if len(hists) <= M:
+        ctx = S.ctx
+        q, factor, from_key = ctx.q, ctx.sieve_factor, ctx.pfrom_key
+        for m, classes in enumerate(_monic_classes(S, M)):
+            if m < len(hists):
+                continue
+            base = q ** m
+            hist: dict = {}
+            for i, idx in enumerate(classes):
+                if idx >= 0:
+                    key = (idx, tuple([(len(P) - 1, e) for P, e in factor(from_key(base + i))]))
+                    hist[key] = hist.get(key, 0) + 1
+            hists.append(hist)
+    return hists[: M + 1]
+
+
 def euler_series(S: StickCtx, M: int, method: str = "direct") -> GrSeries:
     """The coprime-class series to order M.
 
@@ -216,7 +243,11 @@ def euler_series(S: StickCtx, M: int, method: str = "direct") -> GrSeries:
     (1 - [P] z^deg P)^(-1) over monic irreducibles P coprime to the modulus
     of degree at most M, from the sieve of ``monic_irreducibles`` and one
     ``class_index`` per P, so it shares no step with the direct side.  The
-    two must agree coefficient for coefficient.
+    primes are grouped by (degree d, class g): n of them contribute
+    (1 - [g] z^d)^(-n) = sum_k C(n+k-1, k) [g^k] z^(dk), multiplied into
+    plain coefficient dicts by the permutation row of g^k, with m
+    descending so that each pass reads the lower coefficients it has not yet
+    updated.  The two must agree coefficient for coefficient.
     """
     if M < 0:
         raise ValueError("order must be nonnegative")
@@ -230,32 +261,29 @@ def euler_series(S: StickCtx, M: int, method: str = "direct") -> GrSeries:
         for classes in _monic_classes(S, M):
             counts = Counter(classes)
             counts.pop(-1, None)
-            out.append(GroupRingElem(G, counts))
-        series = GrSeries(G, out)
+            out.append(counts)
     elif method == "euler_product":
-        zero = GroupRingElem.zero(G)
-        coeffs = [GroupRingElem.integer(G, 1)] + [zero] * M
+        primes: Counter = Counter()
         for dP in range(1, M + 1):
             for P in ctx.monic_irreducibles(dP):
-                if not ctx.pmod(I, P):
-                    continue  # P divides the modulus
-                idx = G.class_index(P)
-                new = list(coeffs)
-                for m in range(dP, M + 1):
-                    acc = coeffs[m]
-                    k, shift = 1, dP
-                    while shift <= m:
-                        prev = coeffs[m - shift]
-                        if not prev.is_zero:
-                            acc = acc + prev * GroupRingElem(G, {G.pow(idx, k): 1})
-                        k += 1
-                        shift += dP
-                    new[m] = acc
-                coeffs = new
-        series = GrSeries(G, coeffs)
+                if dP >= len(I) or ctx.pmod(I, P):  # else P divides the modulus
+                    primes[dP, G.class_index(P)] += 1
+        out = [{0: 1}] + [{} for _ in range(M)]
+        for (dP, g), n in primes.items():
+            rows, gk = [], 0
+            for k in range(1, M // dP + 1):
+                gk = G.mul(gk, g)
+                rows.append((math.comb(n + k - 1, k), G._row(gk)))
+            for m in range(M, dP - 1, -1):
+                acc = out[m]
+                for k, (b, row) in enumerate(rows[: m // dP], 1):
+                    for j, c in out[m - k * dP].items():
+                        i = row[j]
+                        acc[i] = acc.get(i, 0) + b * c
     else:
         raise ValueError(f"unknown method {method!r}")
-    assert series.coeffs[0] == GroupRingElem.integer(G, 1)
+    series = GrSeries(G, (GroupRingElem(G, c) for c in out))
+    assert series.coeffs[0].coeffs == {0: 1}
     S._cache[key] = series
     return series
 
@@ -314,9 +342,10 @@ def phi_series(S: StickCtx, n: int, M: int | None = None, method: str = "generat
     with z -> q^j z for j < n.  ``lattice`` sums, over every monic
     polynomial f coprime to the modulus, the closed sublattice count: the
     product of ``heckelat._local_count(q^deg P, n, e)`` over the prime
-    powers P^e of f, read from the sieve tables (``FieldCtx.sieve_factor``),
-    with the class from the residue recursion of ``_monic_classes``.  The
-    truncation defaults to n*d + 3, enough for every identity checked here.
+    powers P^e of f.  It reads the histograms of ``_factor_shapes``, so each
+    monic is factored once per StickCtx whatever the (n, M) of the calls,
+    and each shape's product is taken once per call.  The truncation
+    defaults to n*d + 3, enough for every identity checked here.
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -335,21 +364,16 @@ def phi_series(S: StickCtx, n: int, M: int | None = None, method: str = "generat
             prod = prod * series.scale_variable(q ** j)
         result = prod
     elif method == "lattice":
-        local: dict[tuple[int, int], int] = {}
+        weights: dict[tuple, int] = {}
         out = []
-        for m, classes in enumerate(_monic_classes(S, M)):
-            base = q ** m
+        for hist in _factor_shapes(S, M):
             counts: dict[int, int] = {}
-            for i, idx in enumerate(classes):
-                if idx < 0:
-                    continue
-                w = 1
-                for P, e in ctx.sieve_factor(ctx.pfrom_key(base + i)):
-                    de = (len(P) - 1, e)
-                    if de not in local:
-                        local[de] = heckelat._local_count(q ** de[0], n, e)
-                    w *= local[de]
-                counts[idx] = counts.get(idx, 0) + w
+            for (idx, shape), k in hist.items():
+                w = weights.get(shape)
+                if w is None:
+                    w = weights[shape] = math.prod(
+                        heckelat._local_count(q ** dP, n, e) for dP, e in shape)
+                counts[idx] = counts.get(idx, 0) + k * w
             out.append(GroupRingElem(G, counts))
         result = GrSeries(G, out)
     else:
@@ -425,14 +449,16 @@ def theta2_product_diff(S: StickCtx) -> dict | None:
     return _first_coeff_diff(lhs, rhs)
 
 
-def verify_identities(S: StickCtx, n_max: int = 2) -> list[dict]:
+def verify_identities(S: StickCtx, n_max: int = 2, fault: str | None = None) -> list[dict]:
     """Run the identity battery for this modulus and report each check.
 
     Returns a list of records with check_id, a human anchor naming the
     statement, a pass flag, and enough detail to locate any failure.  The
     deeper geometric statements behind these identities are out of
     computational reach; only their group ring shadows are checked, and the
-    records say exactly that much.
+    records say exactly that much.  ``fault`` set to "series" deliberately
+    adds the identity class to the z^1 coefficient of the Euler-product
+    side, so that the Euler dual check fails with ``first_mismatch`` 1.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -453,6 +479,9 @@ def verify_identities(S: StickCtx, n_max: int = 2) -> list[dict]:
     # (b) dual methods
     direct = euler_series(S, 6, method="direct")
     product = euler_series(S, 6, method="euler_product")
+    if fault == "series":
+        bad = product.coeffs[1] + GroupRingElem.integer(G, 1)
+        product = GrSeries(G, product.coeffs[:1] + (bad,) + product.coeffs[2:])
     mismatch = next(
         (m for m in range(7) if direct.coeffs[m] != product.coeffs[m]), None
     )

@@ -281,6 +281,19 @@ def test_verify_all_mult_fault_fails_only_mult_records():
     assert others and all(c["status"] == "pass" for c in others)
 
 
+def test_verify_all_series_fault_fails_only_the_first_euler_dual():
+    # the fault corrupts the z^1 coefficient of the Euler-product side for
+    # the first modulus of the series section, t over F_2, and nothing else
+    proc = run_cli(*REDUCED_BATTERY, "--inject-fault", "series")
+    assert proc.returncode == 1
+    checks = report_of(proc)["checks"]
+    failing = [c for c in checks if c["status"] == "fail"]
+    assert [c["check_id"] for c in failing] == ["lseries.euler_dual[q=2,I=0,1]"]
+    assert failing[0]["details"]["first_mismatch"] == 1
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "859a748ecd08a37a5dc849dbaf91922882d60a0fd2168bc531f1e5e0e3c85c25")
+
+
 @pytest.mark.parametrize("method", ["generating", "lattice"])
 def test_theta_record_fails_when_the_routes_disagree(method, monkeypatch, capsys):
     from ffstick import cli

@@ -66,3 +66,22 @@ def test_each_prime_is_tested_once_per_field(monkeypatch):
     assert counts["is_irreducible"] == 2
     t_local((0, 1), 1, LatticeSum.of(heckelat.standard_lattice(field_context(2), 2)))
     assert counts["is_irreducible"] == 3  # another field tests t again
+
+
+def test_scaling_returns_a_fresh_sum():
+    # k = 0 and k = 1 skip the multiply but still share no inner dict
+    s = t_local(X, 1, LatticeSum.of(heckelat.standard_lattice(C3, 2)))
+    held = {id(keys) for keys in s.by_diag.values()}
+    for k in (0, 1, -1, 3):
+        out = s * k
+        assert out is not s and not held & {id(keys) for keys in out.by_diag.values()}
+        assert out == LatticeSum(C3, 2, {L: c * k for L, c in s.terms.items()})
+    assert (s * 0).is_zero and (s * 0).by_diag == {}
+
+
+def test_zero_buckets_are_dropped():
+    s = t_local(X, 1, LatticeSum.of(heckelat.standard_lattice(C3, 2)))
+    t = sigma_apply(X, 1, LatticeSum.of(heckelat.standard_lattice(C3, 2)))
+    assert (s - s).by_diag == {}
+    assert (s + t) - t == s
+    assert all(keys and all(keys.values()) for keys in ((s + t) - t).by_diag.values())

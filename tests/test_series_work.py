@@ -1,0 +1,90 @@
+"""The series path does each piece of work once.
+
+``phi_series(method="lattice")`` reads per-degree histograms of
+(class, factorization shape) kept on the StickCtx, so one
+``verify_identities(n_max=3)`` factors each monic coprime to the modulus
+once, up to the largest order any of its checks asks for.  When every
+(n, M) call factored its monics again, the five moduli below made 1,071,
+3,224, 287, 2,353 and 1,275 ``sieve_factor`` calls; they now make 768,
+2,500, 112, 1,053 and 960.
+
+``galois_act`` raises phi_a(X) only to the last nonzero power of e, so on
+e = X its only products are those of evaluating phi_a at X: 2 at q = 2,
+I = t^2 + t + 1, and 3 at q = 3, I = t^3 + 2t + 1, for a = t, where the
+loop up to the algebra's dimension made 4 and 28.
+
+``euler_series(method="euler_product")`` multiplies in one factor per
+(degree, class) on plain dicts and wraps the M + 1 coefficients once: 7
+``GroupRingElem`` constructions at M = 6, where a one-term element per
+(prime, power) made 13,851 at q = 5, I = t^2 - 1, 1,119 at q = 3,
+I = (t^2 + 1)^2 and 96 at q = 2, I = t^2 (t + 1).
+"""
+
+import pytest
+
+from ffstick import carlitz
+from ffstick.fieldcore import FieldCtx, field_context
+from ffstick.groupring import GroupRingElem
+from ffstick.lseries import euler_series, stick_context, verify_identities
+
+C2 = field_context(2)
+C3 = field_context(3)
+C4 = field_context(2, 2)
+C5 = field_context(5)
+
+
+def _counting(monkeypatch, counts, owner, name):
+    real = getattr(owner, name)
+
+    def run(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, run)
+
+
+def _largest_order(d: int, n_max: int) -> int:
+    # phi_dual asks for min(6, n d + 2), theta_n and theta_noinf for n d
+    return max(max(min(6, n * d + 2), n * d) for n in range(1, n_max + 1))
+
+
+@pytest.mark.parametrize("ctx, I, parent", [
+    (C4, (0, 1, 1), 1071),
+    (C5, (4, 0, 1), 3224),
+    (C2, (1, 1, 0, 1), 287),
+    (C3, (1, 2, 0, 1), 2353),
+    (C2, (1, 1, 0, 0, 1), 1275),
+])
+def test_each_coprime_monic_is_factored_once(ctx, I, parent, monkeypatch):
+    counts: dict = {}
+    _counting(monkeypatch, counts, FieldCtx, "sieve_factor")
+    S = stick_context(ctx, I)
+    assert all(r["status"] == "pass" for r in verify_identities(S, n_max=3))
+    M = _largest_order(S.d, 3)
+    coprime = sum(c.augmentation() for c in euler_series(S, M, method="direct").coeffs)
+    assert counts["sieve_factor"] == coprime < parent
+
+
+@pytest.mark.parametrize("ctx, I", [(C2, (1, 1, 1)), (C3, (1, 2, 0, 1)), (C3, (0, 2, 1))])
+def test_galois_action_on_x_makes_only_the_evaluation_products(ctx, I, monkeypatch):
+    alg = carlitz.TorsionAlgebra(ctx, I)
+    x = alg.x_gen()
+    counts: dict = {}
+    _counting(monkeypatch, counts, carlitz.AlgElem, "__mul__")
+    units = [ctx.pfrom_key(k) for k in range(ctx.q, ctx.q ** 3)]
+    for a in [u for u in units if ctx.pgcd(u, I) == (1,)][:6]:
+        counts.clear()
+        carlitz.torsion_poly(ctx, ctx.pmod(a, I)).eval_elem(x)
+        evaluation = counts.get("__mul__", 0)
+        counts.clear()
+        carlitz.galois_act(alg, a, x)
+        assert counts.get("__mul__", 0) == evaluation
+
+
+@pytest.mark.parametrize("ctx, I", [(C5, (4, 0, 1)), (C3, (1, 0, 2, 0, 1)), (C2, (0, 0, 1, 1))])
+def test_euler_product_wraps_each_coefficient_once(ctx, I, monkeypatch):
+    M = 6
+    counts: dict = {}
+    _counting(monkeypatch, counts, GroupRingElem, "__init__")
+    euler_series(stick_context(ctx, I), M, method="euler_product")
+    assert counts["__init__"] <= M + 1
