@@ -299,11 +299,6 @@ def _xdivmod_monic(ctx: FieldCtx, a: list, b: list) -> tuple[list, list]:
     return _xstrip(quot), _xstrip(rem)
 
 
-# (p, m, modulus, I) -> Psi_I: equal fields share an entry, and no FieldCtx,
-# with its q x q tables, stays reachable.
-_PSI_CACHE: dict = {}
-
-
 def psi_cyclotomic(ctx: FieldCtx, I) -> list[Poly]:
     """Primitive I-torsion polynomial: the factor of phi_I(X) not dividing
     the torsion polynomial of any proper divisor.
@@ -323,12 +318,11 @@ def psi_cyclotomic(ctx: FieldCtx, I) -> list[Poly]:
 
 
 def psi_dense(ctx: FieldCtx, I: tuple) -> list:
-    """Psi_I as a dense X-coefficient list of F_q[t] tuples, cached per (field, I).
+    """Psi_I as a dense X-coefficient list of F_q[t] tuples, memoized on ctx per I.
 
     I must be a validated monic tuple; psi_cyclotomic is the checked entry.
     """
-    key = (ctx.p, ctx.m, ctx.modulus, I)
-    hit = _PSI_CACHE.get(key)
+    hit = ctx.memo.get(("psi", I))
     if hit is not None:
         return hit
     if I == (1,):
@@ -345,7 +339,7 @@ def psi_dense(ctx: FieldCtx, I: tuple) -> list:
                 )
             num = quot
         result = num
-    _PSI_CACHE[key] = result
+    ctx.memo["psi", I] = result
     return result
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, Iterable
 
 from .fieldcore import NEG_INF, FieldCtx, Poly
@@ -448,8 +448,6 @@ class FrobPoly:
 # ---------------------------------------------------------------------------
 # cyclotomic integers and characters
 
-_ZCYCLO: dict[int, tuple[int, ...]] = {}
-
 
 def _zmul(a, b):
     if not a or not b:
@@ -481,17 +479,15 @@ def _zdivmod_monic(a, b):
     return q, r
 
 
+@cache
 def cyclotomic_poly(e: int) -> tuple[int, ...]:
     """Coefficients of Phi_e, computed by dividing x^e - 1 by the smaller ones."""
-    if e in _ZCYCLO:
-        return _ZCYCLO[e]
     num = [-1] + [0] * (e - 1) + [1]
     for d in range(1, e):
         if e % d == 0:
             num, rem = _zdivmod_monic(num, list(cyclotomic_poly(d)))
             assert not rem
-    _ZCYCLO[e] = tuple(num)
-    return _ZCYCLO[e]
+    return tuple(num)
 
 
 class CycloInt:

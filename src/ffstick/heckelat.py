@@ -44,7 +44,7 @@ import operator
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .fieldcore import FieldCtx, Poly, _mix
 
@@ -423,24 +423,16 @@ def _minor_order(n: int, k: int) -> tuple:
 # enumeration
 
 
-# (p, m, modulus, det, rank) -> the diagonals (_DIAG_TUPLES) and {chain:
-# coordinate matrices} (_TRIANGLES_BY_TYPE) of det: equal fields share an
-# entry, and no FieldCtx, with its q x q tables, stays reachable.
-_DIAG_TUPLES: dict = {}
-_TRIANGLES_BY_TYPE: dict = {}
-
-
 def _diag_tuples(ctx: FieldCtx, g: tuple, n: int) -> tuple:
     """Ordered factorizations of a monic g into n monic diagonal entries,
-    memoized per (field, g, n); each pass splits the last entry in two."""
-    key = (ctx.p, ctx.m, ctx.modulus, g, n)
-    out = _DIAG_TUPLES.get(key)
+    memoized on ctx per (g, n); each pass splits the last entry in two."""
+    out = ctx.memo.get(("diag", g, n))
     if out is None:
         divisors, out = ctx.monic_divisors(g), ((g,),)
         for _ in range(n - 1):
             out = tuple([t[:-1] + (d, q) for t in out for d in divisors
                          for q, r in [ctx.pdivmod(t[-1], d)] if not r])
-        _DIAG_TUPLES[key] = out
+        ctx.memo["diag", g, n] = out
     return out
 
 
@@ -523,34 +515,27 @@ def _triangles_by_type(ctx: FieldCtx, g: tuple, n: int) -> dict:
 
     For any lattice N the quotient N / (C N) is isomorphic to A^n / (rows of
     C), so its chain is the Smith form of C alone, read off its determinantal
-    divisors by ``_snf_diagonal``, once per (field, g, n), and not at all
-    where g forces the chain (``_forced``).  The result maps each chain
-    tuple to its matrices, as row tuples in canonical enumeration order;
-    ``d_count`` counts them and ``_chain_plan`` turns one chain's list into
-    the index plan ``t_chain`` applies, where g does not force the chain.
+    divisors by ``_snf_diagonal``, once per (g, n) memoized on ctx.  The
+    result maps each chain tuple to its matrices, as row tuples in canonical
+    enumeration order; ``d_count`` counts them and ``_chain_plan`` turns one
+    chain's list into the index plan ``t_chain`` applies.  Both call it only
+    where g does not force the chain (``_forced``).
     """
-    key = (ctx.p, ctx.m, ctx.modulus, g, n)
-    groups = _TRIANGLES_BY_TYPE.get(key)
+    groups = ctx.memo.get(("types", g, n))
     if groups is None:
-        forced = (g,) + ((1,),) * (n - 1) if _forced(ctx, g, n) else None
         groups = {}
         for diags in _diag_tuples(ctx, g, n):
             for rows in _enum_canonical_triangles(ctx, diags):
-                chain = forced or tuple(reversed(_snf_diagonal(ctx, rows)))
+                chain = tuple(reversed(_snf_diagonal(ctx, rows)))
                 groups.setdefault(chain, []).append(tuple(tuple(r) for r in rows))
-        groups = {chain: tuple(cs) for chain, cs in groups.items()}
-        _TRIANGLES_BY_TYPE[key] = groups
+        groups = ctx.memo["types", g, n] = {chain: tuple(cs) for chain, cs in groups.items()}
     return groups
 
 
-# (p, m, modulus, chain) -> the matrices of the chain as ``_apply_plan`` walks
-# them, keyed like _TRIANGLES_BY_TYPE so no FieldCtx stays reachable.
-_CHAIN_PLANS: dict = {}
-
-
-def _plan(ctx: FieldCtx, chain: tuple, cmats: Iterable) -> dict:
+def _plan(ctx: FieldCtx, chain: tuple, cmats: Callable[[], Iterable]) -> dict:
     """The coordinate matrices C of ``chain`` as a trie over their rows, from
-    row n-1 up to row 0, built from ``cmats`` on a miss of ``_CHAIN_PLANS``.
+    row n-1 up to row 0, memoized on ctx per chain; ``cmats()`` lists the
+    matrices, and is called only to build the plan.
 
     A node at row i stands for fixed rows i+1, ..., n-1 of C.  It maps each
     diagonal entry c_ii that occurs below it, paired with the number of
@@ -560,12 +545,11 @@ def _plan(ctx: FieldCtx, chain: tuple, cmats: Iterable) -> dict:
     order, the order of the generators ``_apply_plan`` spans row i with, so
     an index with k digits needs only the first k of them.
     """
-    key = (ctx.p, ctx.m, ctx.modulus, chain)
-    plan = _CHAIN_PLANS.get(key)
+    plan = ctx.memo.get(("plan", chain))
     if plan is None:
         q, n = ctx.q, len(chain)
         plan = {}
-        for C in cmats:
+        for C in cmats():
             node = plan
             for i in range(n - 1, -1, -1):
                 row = C[i]
@@ -581,7 +565,7 @@ def _plan(ctx: FieldCtx, chain: tuple, cmats: Iterable) -> dict:
                     node = kids.setdefault(index, {})
                 else:
                     kids[index] = None
-        plan = _CHAIN_PLANS[key] = _widths(plan, q)
+        plan = ctx.memo["plan", chain] = _widths(plan, q)
     return plan
 
 
@@ -599,11 +583,10 @@ def _widths(node: dict, q: int) -> dict:
 
 
 def _chain_plan(ctx: FieldCtx, chain: InvariantType) -> dict:
-    """The plan of the matrices whose Smith form is the chain.  Every call
-    looks the classification up first, so emptying ``_TRIANGLES_BY_TYPE``
-    classifies afresh; the plan is built from that list once."""
-    cmats = _triangles_by_type(ctx, chain.det().coeffs, len(chain)).get(chain.chain, ())
-    return _plan(ctx, chain.chain, cmats)
+    """The plan of the matrices whose Smith form is the chain, classified by
+    ``_triangles_by_type`` only when the plan is not yet memoized."""
+    return _plan(ctx, chain.chain, lambda: _triangles_by_type(
+        ctx, chain.det().coeffs, len(chain)).get(chain.chain, ()))
 
 
 def _sigma_matrices(ctx: FieldCtx, x: tuple, n: int, j: int):
@@ -682,16 +665,10 @@ def _local_count(Q: int, n: int, m: int) -> int:
 # packed keys
 
 
-# (p, m, modulus) -> the field's _Packing, keyed like _TRIANGLES_BY_TYPE so
-# that no FieldCtx, with its q x q tables, stays reachable.
-_PACKINGS: dict = {}
-
-
 def _packing(ctx: FieldCtx) -> "_Packing":
-    key = (ctx.p, ctx.m, ctx.modulus)
-    pk = _PACKINGS.get(key)
+    pk = ctx.memo.get("packing")
     if pk is None:
-        pk = _PACKINGS[key] = _Packing(ctx.p, ctx.m)
+        pk = ctx.memo["packing"] = _Packing(ctx.p, ctx.m)
     return pk
 
 
@@ -991,22 +968,16 @@ class _TermView(Mapping):
         return self._sum.support_size()
 
 
-# (p, m, modulus, x) for every x ``_validate_prime`` accepted, keyed like
-# _PACKINGS so that no FieldCtx stays reachable; rejections are not kept.
-_PRIMES: set = set()
-
-
 def _validate_prime(ctx: FieldCtx, x) -> tuple:
     """The coefficients of x, which must be monic and irreducible; Rabin's
-    test runs once per (field, x), and then the accepted x is remembered."""
+    test runs once per x on ctx, whose memo keeps the accepted x only."""
     if isinstance(x, Poly):
         x = x.coeffs
     x = ctx.pvalidate(x)
-    key = (ctx.p, ctx.m, ctx.modulus, x)
-    if key not in _PRIMES:
+    if ("prime", x) not in ctx.memo:
         if not x or x[-1] != 1 or not ctx.is_irreducible(x):
             raise ValueError("x must be a monic irreducible polynomial")
-        _PRIMES.add(key)
+        ctx.memo["prime", x] = True
     return x
 
 
@@ -1027,7 +998,7 @@ def sigma_apply(x, j: int, s: LatticeSum) -> LatticeSum:
     if j == 0:
         return s * 1
     chain = (x,) * j + ((1,),) * (n - j)
-    return _apply_plan(s, _plan(ctx, chain, _sigma_matrices(ctx, x, n, j)))
+    return _apply_plan(s, _plan(ctx, chain, lambda: _sigma_matrices(ctx, x, n, j)))
 
 
 def t_local(x, m: int, s: LatticeSum) -> LatticeSum:
@@ -1182,16 +1153,6 @@ def _affine_span(base, steps: list, add) -> list:
         for g in multiples:
             out += map(add, prev, itertools.repeat(g))
     return out
-
-
-def _compositions(m: int, n: int):
-    """Ordered tuples of n nonnegative integers summing to m."""
-    if n == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _compositions(m - first, n - 1):
-            yield (first,) + rest
 
 
 def t_chain(chain: InvariantType, s: LatticeSum) -> LatticeSum:

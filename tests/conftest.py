@@ -1,4 +1,12 @@
+import os
+from pathlib import Path
+
 import pytest
+
+# The CLI tests run ``python -m ffstick.cli`` in subprocesses; they find the
+# package in the same ``src`` that ``pythonpath`` in pyproject.toml adds here.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -13,10 +13,8 @@ from ffstick import heckelat
 from ffstick.fieldcore import field_context
 from ffstick.heckelat import InvariantType, LatticeSum, random_sublattice, t_chain
 
-C3 = field_context(3)
-
-
 def test_t_chain_builds_no_matrix_product_and_no_canonical_form(monkeypatch):
+    C3 = field_context(3)  # an empty memo
     # entries of degree up to 2, so rows are reduced against every row below
     N = next(L for L in (random_sublattice(C3, 3, seed, max_deg=2) for seed in range(100))
              if all(len(L.rows[i][i]) > 1 for i in range(3)))
@@ -30,8 +28,6 @@ def test_t_chain_builds_no_matrix_product_and_no_canonical_form(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(heckelat, name, counting)
-    monkeypatch.setattr(heckelat, "_TRIANGLES_BY_TYPE", {})
-    monkeypatch.setattr(heckelat, "_CHAIN_PLANS", {}, raising=False)
 
     got = t_chain(chain, LatticeSum.of(N, 2))
     assert calls == Counter()

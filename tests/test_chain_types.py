@@ -32,25 +32,21 @@ C3 = field_context(3)
 C4 = field_context(2, 2)
 
 
-@pytest.fixture
-def fresh_types(monkeypatch):
-    """An empty classification memo, so each test fills it in its own order."""
-    monkeypatch.setattr(heckelat, "_TRIANGLES_BY_TYPE", {})
-
-
 def _monic(ctx, max_deg):
     return [g for d in range(1, max_deg + 1) for g in ctx.monic_tuples(d)]
 
 
-# (ctx, dets) per rank; t = (0, 1) appears over every field, so a memo that
+# (ctx, dets) per rank over fresh contexts, so each test fills their memos
+# in its own order; t = (0, 1) appears over every field, so a memo that
 # forgot the field would hand one field's matrices to another.
 def _regression_grid(n):
-    c3_dets = _monic(C3, 2) + [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1)]
+    c2, c3, c4 = field_context(2), field_context(3), field_context(2, 2)
+    c3_dets = _monic(c3, 2) + [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1)]
     if n < 3:
-        c4_dets = _monic(C4, 2) + [(0, 0, 0, 1), (0, 1, 1, 1)]
+        c4_dets = _monic(c4, 2) + [(0, 0, 0, 1), (0, 1, 1, 1)]
     else:
         c4_dets = [(0, 1), (1, 1), (0, 0, 1), (0, 1, 1)]
-    return [(C2, _monic(C2, 3)), (C3, c3_dets), (C4, c4_dets)]
+    return [(c2, _monic(c2, 3)), (c3, c3_dets), (c4, c4_dets)]
 
 
 def _seeded_proper_sublattice(ctx, n):
@@ -69,7 +65,7 @@ def _reference_by_chain(N, g):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_t_chain_matches_enumerate_then_classify(n, fresh_types):
+def test_t_chain_matches_enumerate_then_classify(n):
     for ctx, dets in _regression_grid(n):
         lattices = [standard_lattice(ctx, n), _seeded_proper_sublattice(ctx, n)]
         for g in dets:
@@ -169,12 +165,12 @@ def test_mult_check_classifies_each_matrix_once(monkeypatch):
     bound = sum(phi_count(C3, g, n) for g in dets)
 
     def snf_calls(k):
-        monkeypatch.setattr(heckelat, "_TRIANGLES_BY_TYPE", {}, raising=False)
+        ctx = field_context(3)  # equal to C3, with an empty memo
         calls.clear()
-        lattices = [standard_lattice(C3, n)] + [
-            random_sublattice(C3, n, seed, max_deg=1) for seed in range(1, k)
+        lattices = [standard_lattice(ctx, n)] + [
+            random_sublattice(ctx, n, seed, max_deg=1) for seed in range(1, k)
         ]
-        assert hecke_mult_verify(C3, cha, chb, test_lattices=lattices).ok
+        assert hecke_mult_verify(ctx, cha, chb, test_lattices=lattices).ok
         return len(calls)
 
     two = snf_calls(2)

@@ -2,10 +2,10 @@
 
 A Smith chain d_1 | ... | d_n with product g has d_k^2 | g for k < n, so
 for a squarefree g, or in rank 1, every canonical triangle of determinant g
-has chain (g, 1, ..., 1).  ``_triangles_by_type`` then groups them without
-a Smith form.  These tests count the ``_snf_diagonal`` calls it makes and
-compare its groups with the per-matrix route: ``_snf_diagonal`` on every
-triangle of ``_enum_canonical_triangles``, in enumeration order.
+has chain (g, 1, ..., 1).  ``t_chain`` and ``d_count`` then make no Smith
+form.  These tests count the ``_snf_diagonal`` calls they make and check the
+per-matrix route, ``_snf_diagonal`` on every triangle of
+``_enum_canonical_triangles`` in enumeration order, finds that one chain.
 Squarefreeness is read off ``pfactor`` here, not off gcd(g, g').
 """
 
@@ -13,6 +13,7 @@ import pytest
 
 from ffstick import heckelat
 from ffstick.fieldcore import field_context
+from ffstick.heckelat import InvariantType, LatticeSum, d_count, standard_lattice, t_chain
 
 C2 = field_context(2)
 C3 = field_context(3)
@@ -21,7 +22,7 @@ C4 = field_context(2, 2)
 
 @pytest.fixture
 def snf_calls(monkeypatch):
-    """The matrices handed to ``_snf_diagonal``, with an empty memo."""
+    """The matrices handed to ``_snf_diagonal``."""
     calls = []
     real = heckelat._snf_diagonal
 
@@ -30,7 +31,6 @@ def snf_calls(monkeypatch):
         return real(ctx, mat)
 
     monkeypatch.setattr(heckelat, "_snf_diagonal", counting)
-    monkeypatch.setattr(heckelat, "_TRIANGLES_BY_TYPE", {})
     return calls
 
 
@@ -45,22 +45,26 @@ def _by_matrix(ctx, g, n):
 
 def test_squarefree_determinant_classifies_nothing(snf_calls):
     g = C3.pmul((1, 0, 1), (2, 1, 1))  # (t^2 + 1)(t^2 + t + 2)
-    groups = heckelat._triangles_by_type(C3, g, 3)
+    chain = InvariantType(C3, [g, (1,), (1,)])
+    got = t_chain(chain, LatticeSum.of(standard_lattice(C3, 3)))
+    assert got.support_size() == d_count(C3, chain) == heckelat.phi_count(C3, g, 3) == 8281
     assert snf_calls == []
-    assert list(groups) == [(g, (1,), (1,))]
-    assert len(groups[g, (1,), (1,)]) == heckelat.phi_count(C3, g, 3) == 8281
 
 
 def test_rank_one_classifies_nothing(snf_calls):
     g = (0, 0, 1)  # t^2
-    assert heckelat._triangles_by_type(C3, g, 1) == {(g,): (((g,),),)}
+    A = standard_lattice(C3, 1)
+    assert t_chain(InvariantType(C3, [g]), LatticeSum.of(A)) == LatticeSum.of(A.scale(g))
+    assert d_count(C3, [g]) == 1
     assert snf_calls == []
+    assert heckelat._triangles_by_type(C3, g, 1) == {(g,): (((g,),),)}
 
 
 def test_square_determinant_is_still_classified(snf_calls):
+    ctx = field_context(3)  # an empty memo
     g = (0, 0, 1)  # t^2
-    groups = heckelat._triangles_by_type(C3, g, 2)
-    assert len(snf_calls) == heckelat.phi_count(C3, g, 2)
+    groups = heckelat._triangles_by_type(ctx, g, 2)
+    assert len(snf_calls) == heckelat.phi_count(ctx, g, 2)
     assert set(groups) == {(g, (1,)), ((0, 1), (0, 1))}
 
 
@@ -81,8 +85,9 @@ def test_forced_groups_equal_the_per_matrix_route(q, snf_calls):
     cells = [(ctx, g, n) for ctx, g, n in CELLS if ctx.q == q]
     assert cells
     for ctx, g, n in cells:
+        chain = (g,) + ((1,),) * (n - 1)
+        groups = _by_matrix(ctx, g, n)
+        assert list(groups) == [chain], (g, n)
         snf_calls.clear()
-        got = heckelat._triangles_by_type(ctx, g, n)
+        assert d_count(ctx, chain) == len(groups[chain]), (g, n)
         assert snf_calls == [], (g, n)
-        assert got == _by_matrix(ctx, g, n), (g, n)
-        assert list(got) == [(g,) + ((1,),) * (n - 1)]

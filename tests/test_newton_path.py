@@ -10,6 +10,8 @@ cancelled coefficients leave a sum, and bound the division work of one call
 by the rows and generators it reduces.
 """
 
+import itertools
+
 import pytest
 
 from ffstick import heckelat
@@ -210,6 +212,11 @@ def test_merged_residue_equals_public_arithmetic(ctx, monkeypatch):
     assert cells == (22 if ctx is C3 else 24)
 
 
+def _compositions(m, n):
+    """Ordered tuples of n nonnegative integers summing to m."""
+    return [c for c in itertools.product(range(m + 1), repeat=n) if sum(c) == m]
+
+
 def _division_bound(q, deg_x, n, m):
     """Rows and generators reduced by the bottom-up enumeration, each
     weighted by the divisions one reduction may take.
@@ -220,7 +227,7 @@ def _division_bound(q, deg_x, n, m):
     residue class.
     """
     bound = 0
-    for c in heckelat._compositions(m, n):
+    for c in _compositions(m, n):
         gens = [deg_x * sum(c[i + 1:]) for i in range(n)]
         for i in range(n):
             tails = 1

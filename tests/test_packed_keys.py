@@ -10,6 +10,7 @@ the constructor packs like the operators, and count the row reductions of
 i's last entry, not once per class element.
 """
 
+import itertools
 import random
 
 import pytest
@@ -142,6 +143,11 @@ def test_constructor_packs_like_the_operators(q):
             assert LatticeSum(ctx, n, dict(s.terms)).by_diag == s.by_diag
 
 
+def _compositions(m, n):
+    """Ordered tuples of n nonnegative integers summing to m."""
+    return [c for c in itertools.product(range(m + 1), repeat=n) if sum(c) == m]
+
+
 def _shared_reductions(q, deg_x, n, m):
     """``_reduce_row`` calls of t_local(x, m, N) when the rows below row i
     are built once per span element of row i (a head with its residue mod
@@ -150,7 +156,7 @@ def _shared_reductions(q, deg_x, n, m):
     span elements of rows i+1, ..., n-2.  ``per_element`` multiplies
     each such choice by the q^(c_{n-1} deg x) elements of every class."""
     shared = per_element = 0
-    for c in heckelat._compositions(m, n):
+    for c in _compositions(m, n):
         gens = [deg_x * sum(c[i + 1:n - 1]) for i in range(n)]
         cls = q ** (deg_x * c[n - 1])
         shared += 1

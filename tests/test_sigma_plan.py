@@ -44,12 +44,12 @@ def test_grid_has_26_cells():
 
 @pytest.mark.parametrize("ctx,x,n,j", CELLS,
                          ids=[f"q{c.q}-deg{len(x) - 1}-n{n}-j{j}" for c, x, n, j in CELLS])
-def test_sigma_plan_equals_classified_chain_plan(ctx, x, n, j, monkeypatch):
-    monkeypatch.setattr(heckelat, "_CHAIN_PLANS", {})
+def test_sigma_plan_equals_classified_chain_plan(ctx, x, n, j):
+    ctx = field_context(ctx.p, ctx.m)  # an empty memo
     sigma_apply(x, j, LatticeSum.of(standard_lattice(ctx, n)))
-    [closed] = heckelat._CHAIN_PLANS.values()
+    [closed] = [plan for key, plan in ctx.memo.items() if key[0] == "plan"]
     assert _leaves(closed) == gauss_binom(n, j, ctx.q ** (len(x) - 1))
 
-    monkeypatch.setattr(heckelat, "_CHAIN_PLANS", {})
+    ctx = field_context(ctx.p, ctx.m)
     chain = InvariantType(ctx, [x] * j + [(1,)] * (n - j))
     assert heckelat._chain_plan(ctx, chain) == closed

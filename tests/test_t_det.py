@@ -69,14 +69,12 @@ def test_t_det_on_the_standard_lattice_equals_sublattice_enum(ctx, g, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_forced_t_chain_neither_classifies_nor_plans(n, monkeypatch):
-    monkeypatch.setattr(heckelat, "_TRIANGLES_BY_TYPE", {})
-    monkeypatch.setattr(heckelat, "_CHAIN_PLANS", {})
-    g = C3.pmul((1, 0, 1), (1, 1))  # (t^2 + 1)(t + 1)
-    s = LatticeSum.of(random_sublattice(C3, n, 1, max_deg=1))
-    got = t_chain(InvariantType(C3, [g] + [(1,)] * (n - 1)), s)
-    assert heckelat._TRIANGLES_BY_TYPE == {}
-    assert heckelat._CHAIN_PLANS == {}
+def test_forced_t_chain_neither_classifies_nor_plans(n):
+    ctx = field_context(3)  # an empty memo
+    g = ctx.pmul((1, 0, 1), (1, 1))  # (t^2 + 1)(t + 1)
+    s = LatticeSum.of(random_sublattice(ctx, n, 1, max_deg=1))
+    got = t_chain(InvariantType(ctx, [g] + [(1,)] * (n - 1)), s)
+    assert not [key for key in ctx.memo if key[0] in ("types", "plan")]
     assert got == t_det(g, s)
 
 
@@ -101,8 +99,8 @@ def test_forced_d_count_is_closed_and_equals_the_enumerated_count(monkeypatch):
         return real(ctx, diags)
 
     monkeypatch.setattr(heckelat, "_enum_canonical_triangles", counting)
-    monkeypatch.setattr(heckelat, "_TRIANGLES_BY_TYPE", {})
-    got = [d_count(ctx, [g] + [(1,)] * (n - 1)) for ctx, g, n in cells]
+    fresh = {ctx.q: field_context(ctx.p, ctx.m) for ctx in (C2, C3, C4)}  # empty memos
+    got = [d_count(fresh[ctx.q], [g] + [(1,)] * (n - 1)) for ctx, g, n in cells]
     assert calls == []
     assert got == expect
     assert {ctx.q for ctx, _, _ in cells} == {2, 3, 4}
