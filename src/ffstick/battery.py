@@ -358,7 +358,7 @@ def verify_all(ctxs: dict, seed: int, n_max: int, newton_budget: int,
     with Stopwatch("series identity batteries"):
         moduli = [(q, I) for q in (2, 3) for d in (1, 2) for I in ctxs[q].monic_tuples(d)]
         for k, (q, I) in enumerate(moduli):
-            # an injected series fault corrupts the first modulus only
+            # an injected series or phi fault corrupts the first modulus only
             records = verify_identities(stick_context(ctxs[q], I), n_max=n_max,
                                         fault=fault if k == 0 else None)
             for rec in records:

@@ -114,10 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     st = stick_sub.add_parser(
         parents=[field], name="theta", help="Theta_n and the no-infinity variant",
         description="Theta_n and Theta'_n by --method, checked against the other method.  "
-                    "The lattice method visits all q^(n deg I) monic polynomials of degree "
-                    "at most n deg I, so the check grows fast with n: at q = 3 and deg I = 3 "
-                    "it took about 0.1 s at n = 4 and 10 to 14 s at n = 6 on a 2-core "
-                    "x86-64 host.")
+                    "The lattice method visits every monic polynomial of degree at most "
+                    "n*d, d = deg I - 1, so the check grows by a factor of about q^d with "
+                    "each n: at q = 3 and deg I = 3 it took about 0.2 s at n = 4, 2 s at "
+                    "n = 6 and 15 to 19 s at n = 7 on a 2-core x86-64 host.")
     st.add_argument("--ideal", type=_poly_arg, required=True)
     st.add_argument("--n", type=int, required=True, help="rank")
     st.add_argument("--method", choices=["generating", "lattice"], default="generating")
@@ -168,10 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cap on predicted sublattice productions per Newton case")
     va.add_argument("--pairs", type=int, default=DEFAULT_MULT_PAIRS,
                     help="coprime chain pairs per (rank, field) cell")
-    va.add_argument("--inject-fault", choices=["newton", "mult", "series"], default=None,
+    va.add_argument("--inject-fault", choices=["newton", "mult", "series", "phi"], default=None,
                     dest="inject_fault",
-                    help="corrupt one side of the Newton, the multiplicativity or the "
-                         "first modulus's Euler product check")
+                    help="corrupt one side of the Newton, the multiplicativity, or the "
+                         "first modulus's Euler product or phi series check")
 
     return top
 

@@ -18,11 +18,11 @@ Conventions used throughout the package:
   a primitive element (mul, inv) and by recursion on the base-p digits (add,
   neg, sub), with O(q) products in F_p[u] in all; every entry is one of q
   shared int objects.
-* The monic irreducibles of degree d and the smallest irreducible factor of
-  every monic polynomial of degree d come from one sieve per degree
-  (``FieldCtx.first_factors``), cached on the context; Rabin's test
-  (``is_irreducible``) and ``pfactor`` stay as the routes for single
-  polynomials.
+* The monic irreducibles of degree d, and the smallest irreducible factor
+  of every monic polynomial of degree d with the key offset of its
+  cofactor, come from one sieve per degree (``FieldCtx.first_factors``),
+  cached on the context; Rabin's test (``is_irreducible``) and ``pfactor``
+  stay as the routes for single polynomials.
 
 The low level tuple functions live on :class:`FieldCtx` so hot loops can work
 on plain tuples; :class:`Poly` is a thin immutable wrapper that provides the
@@ -31,6 +31,7 @@ operator interface.
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -177,7 +178,7 @@ class FieldCtx:
         "p", "m", "q", "modulus", "seed",
         "add_table", "sub_table", "mul_table", "neg_table", "inv_table",
         "exp_table", "log_table",
-        "_irred_cache", "_first_factors", "memo", "__weakref__",
+        "_irred_cache", "_first_factors", "_cofactors", "memo", "__weakref__",
     )
 
     def __init__(self, p: int, m: int = 1, seed: int = 0):
@@ -196,6 +197,7 @@ class FieldCtx:
         self._build_tables()
         self._irred_cache: dict[int, tuple] = {}
         self._first_factors: dict[int, list] = {}
+        self._cofactors: dict[int, array] = {}
         self.memo: dict = {}
 
     def _canonical_modulus(self) -> tuple[int, ...]:
@@ -470,13 +472,16 @@ class FieldCtx:
         factor of f in (degree, key) order, or 0 when f is irreducible.  It
         is a sieve, cached per degree: for each irreducible P of degree
         e <= d/2, in canonical order, every product P*g with g monic of
-        degree d - e is marked unless a smaller factor marked it first.
+        degree d - e is marked unless a smaller factor marked it first.  The
+        same pass keeps the cofactor of every mark (:meth:`cofactors`).
 
         The products come in key space.  With g = t*g' + c, the key of P*g
         is q * pkey(P*g') with its e + 1 low digits replaced, and those
         digits depend only on the e low digits of P*g' and on c; a table of
         q^(e+1) entries per P gives them.  Starting from pkey(P), each step
-        multiplies the list of products by q, g' running in key order.
+        multiplies the list of products by q, g' running in key order, so
+        the product at position j of the list is P times the monic of key
+        q^(d-e) + j.
         """
         table = self._first_factors.get(d)
         if table is not None:
@@ -486,6 +491,7 @@ class FieldCtx:
         q = self.q
         base = q ** d
         table = [0] * base
+        cof = array("I", [0]) * base
         at, mt = self.add_table, self.mul_table
         for e in range(1, d // 2 + 1):
             qe = q ** e
@@ -510,30 +516,53 @@ class FieldCtx:
                     keys = [hi * high + v
                             for x in keys for hi, r in (divmod(x, qe),)
                             for v in low[r * q:r * q + q]]
-                for x in keys:
+                for j, x in enumerate(keys):
                     i = x - base
                     if not table[i]:
                         table[i] = pk
+                        cof[i] = j
         self._first_factors[d] = table
+        self._cofactors[d] = cof
         return table
+
+    def cofactors(self, d: int) -> array:
+        """Cofactor offsets of the sieve of :meth:`first_factors`.
+
+        A flat ``array`` indexed like ``first_factors(d)``: for a reducible
+        monic f of degree d with smallest factor P of degree e, the entry j
+        makes f / P the monic of key q^(d-e) + j.  The entry of an
+        irreducible f is 0 and means nothing.
+        """
+        self.first_factors(d)
+        return self._cofactors[d]
 
     def sieve_factor(self, f) -> list:
         """Factorization of a monic f read from :meth:`first_factors`.
 
         Returns the (monic irreducible, multiplicity) list of ``pfactor``,
-        in the same (degree, key) order: each step divides out the smallest
-        factor of what is left, so equal factors come in a row.
+        in the same (degree, key) order.  A table walk, with no division:
+        each step reads the smallest factor P of what is left and moves to
+        the cofactor's offset deg P degrees lower (:meth:`cofactors`), so
+        equal factors come in a row and each distinct one is converted
+        from its key once.
         """
+        q = self.q
         out: list = []
-        while len(f) > 1:
-            d = len(f) - 1
-            pk = self.first_factors(d)[self.pkey(f) - self.q ** d]
-            P = self.pfrom_key(pk) if pk else tuple(f)
-            if out and out[-1][0] == P:
-                out[-1] = (P, out[-1][1] + 1)
+        last = 0
+        d = len(f) - 1
+        i = self.pkey(f) - q ** d
+        while d > 0:
+            pk = self.first_factors(d)[i]
+            if pk:
+                i = self._cofactors[d][i]
             else:
-                out.append((P, 1))
-            f = self.pdivmod(f, P)[0]
+                pk = q ** d + i
+            if pk == last:
+                out[-1] = (out[-1][0], out[-1][1] + 1)
+            else:
+                out.append((self.pfrom_key(pk), 1))
+                last = pk
+            d -= len(out[-1][0]) - 1
         return out
 
     # -- factorization ------------------------------------------------------

@@ -23,6 +23,7 @@ All arithmetic is exact over Z.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -211,26 +212,60 @@ def _monic_classes(S: StickCtx, M: int):
 def _factor_shapes(S: StickCtx, M: int) -> list[dict]:
     """For m = 0..M, a histogram of the monic polynomials of degree m coprime
     to the modulus, by (unit index, shape): the shape is the tuple of
-    (deg P, e) over the prime powers P^e of the polynomial, in the order of
-    the sieve tables' factorization (``FieldCtx.sieve_factor``), and the
-    class comes from the residue recursion of ``_monic_classes``.  The
-    histograms live on the StickCtx; a degree is factored on the first call
-    that reaches it.
+    (deg P, e) over the prime powers P^e of the polynomial, P in (degree,
+    key) order, and the class comes from the residue recursion of
+    ``_monic_classes``.
+
+    Shapes come by degree from the sieve tables, with no polynomial built
+    or divided.  Let P be the smallest factor of a monic f of degree m
+    (``FieldCtx.first_factors``; f itself when irreducible) and g = f / P,
+    whose key offset one table lower is ``FieldCtx.cofactors``.  The shape
+    of f is g's with (deg P, 1) put in front, or with its first exponent
+    raised by 1 when P is g's smallest factor too.  Shapes are interned as
+    ids, and one transition dict (deg P, id of g, same first prime) -> id
+    serves every degree.  The ids of each degree (an ``array``) and the
+    histograms live on the StickCtx, so a later call with a larger M
+    extends them; a degree is done on the first call that reaches it.
     """
     hists = S._cache.setdefault("shapes", [])
     if len(hists) <= M:
+        # ids by degree, shape by id, transitions, id by shape
+        ids, shapes, steps, index = S._cache.setdefault(
+            "shape_ids", ([array("I", [0])], [()], {}, {(): 0}))
         ctx = S.ctx
-        q, factor, from_key = ctx.q, ctx.sieve_factor, ctx.pfrom_key
+        # the sieve tables first, so that no class list is held while they
+        # build; they list the irreducibles of degree up to M/2 on the way
+        firsts = [[0]] + [ctx.first_factors(m) for m in range(1, M + 1)]
+        bases = [ctx.q ** m for m in range(M + 1)]
+        degs = {ctx.pkey(P): e for e in range(1, M // 2 + 1) for P in ctx.monic_irreducibles(e)}
         for m, classes in enumerate(_monic_classes(S, M)):
             if m < len(hists):
                 continue
-            base = q ** m
-            hist: dict = {}
-            for i, idx in enumerate(classes):
-                if idx >= 0:
-                    key = (idx, tuple([(len(P) - 1, e) for P, e in factor(from_key(base + i))]))
-                    hist[key] = hist.get(key, 0) + 1
-            hists.append(hist)
+            if m:
+                first, cof, base = firsts[m], ctx.cofactors(m), bases[m]
+                row = array("I", [0]) * base
+                for i, pk in enumerate(first):
+                    if pk:
+                        e, j = degs[pk], cof[i]
+                    else:  # f is irreducible: P = f over the cofactor 1
+                        pk, e, j = base + i, m, 0
+                    k = m - e
+                    gf = firsts[k][j]
+                    # (deg P, id of g, whether P is g's smallest factor)
+                    step = (e, ids[k][j], gf == pk if gf else bases[k] + j == pk)
+                    sid = steps.get(step)
+                    if sid is None:
+                        g = shapes[step[1]]
+                        shape = ((e, g[0][1] + 1),) + g[1:] if step[2] else ((e, 1),) + g
+                        sid = index.get(shape)
+                        if sid is None:
+                            sid = index[shape] = len(shapes)
+                            shapes.append(shape)
+                        steps[step] = sid
+                    row[i] = sid
+                ids.append(row)
+            hists.append({(idx, shapes[sid]): k
+                          for (idx, sid), k in Counter(zip(classes, ids[m])).items() if idx >= 0})
     return hists[: M + 1]
 
 
@@ -342,9 +377,9 @@ def phi_series(S: StickCtx, n: int, M: int | None = None, method: str = "generat
     with z -> q^j z for j < n.  ``lattice`` sums, over every monic
     polynomial f coprime to the modulus, the closed sublattice count: the
     product of ``heckelat._local_count(q^deg P, n, e)`` over the prime
-    powers P^e of f.  It reads the histograms of ``_factor_shapes``, so each
-    monic is factored once per StickCtx whatever the (n, M) of the calls,
-    and each shape's product is taken once per call.  The truncation
+    powers P^e of f.  It reads the histograms of ``_factor_shapes``, so the
+    shape of each monic is built once per StickCtx whatever the (n, M) of
+    the calls, and each shape's product is taken once per call.  The truncation
     defaults to n*d + 3, enough for every identity checked here.
     """
     if n < 1:
@@ -458,7 +493,11 @@ def verify_identities(S: StickCtx, n_max: int = 2, fault: str | None = None) -> 
     computational reach; only their group ring shadows are checked, and the
     records say exactly that much.  ``fault`` set to "series" deliberately
     adds the identity class to the z^1 coefficient of the Euler-product
-    side, so that the Euler dual check fails with ``first_mismatch`` 1.
+    side, so that the Euler dual check fails with ``first_mismatch`` 1;
+    set to "phi", it adds the identity class to the z^1 coefficient of the
+    rank-1 lattice-route copy compared by the phi dual check, so that only
+    that check fails, with ``first_mismatch`` {n: 1, m: 1}.  Both corrupt a
+    copy, never a cached series.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -498,6 +537,9 @@ def verify_identities(S: StickCtx, n_max: int = 2, fault: str | None = None) -> 
         M = min(6, n * S.d + 2)
         a = phi_series(S, n, M=M, method="generating")
         b = phi_series(S, n, M=M, method="lattice")
+        if fault == "phi" and n == 1:
+            bad = b.coeffs[1] + GroupRingElem.integer(G, 1)
+            b = GrSeries(G, b.coeffs[:1] + (bad,) + b.coeffs[2:])
         mm = next((m for m in range(M + 1) if a.coeffs[m] != b.coeffs[m]), None)
         phi_detail["orders"][str(n)] = M
         if mm is not None:

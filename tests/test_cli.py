@@ -294,6 +294,20 @@ def test_verify_all_series_fault_fails_only_the_first_euler_dual():
         "859a748ecd08a37a5dc849dbaf91922882d60a0fd2168bc531f1e5e0e3c85c25")
 
 
+def test_verify_all_phi_fault_fails_only_the_first_phi_dual():
+    # the fault corrupts the z^1 coefficient of the rank-1 lattice-route copy
+    # for the first modulus, t over F_2; the cached series, which the
+    # factorization, telescoping and pattern checks read, stays intact
+    proc = run_cli(*REDUCED_BATTERY, "--inject-fault", "phi")
+    assert proc.returncode == 1
+    checks = report_of(proc)["checks"]
+    failing = [c for c in checks if c["status"] == "fail"]
+    assert [c["check_id"] for c in failing] == ["lseries.phi_dual[q=2,I=0,1]"]
+    assert failing[0]["details"]["first_mismatch"] == {"n": 1, "m": 1}
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "1518520d41fc7ef7fdc88858c17e0c35fc2fccf4eaed2ffcfdec17e073fb856c")
+
+
 @pytest.mark.parametrize("method", ["generating", "lattice"])
 def test_theta_record_fails_when_the_routes_disagree(method, monkeypatch, capsys):
     from ffstick import cli

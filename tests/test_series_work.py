@@ -2,11 +2,17 @@
 
 ``phi_series(method="lattice")`` reads per-degree histograms of
 (class, factorization shape) kept on the StickCtx, so one
-``verify_identities(n_max=3)`` factors each monic coprime to the modulus
-once, up to the largest order any of its checks asks for.  When every
-(n, M) call factored its monics again, the five moduli below made 1,071,
-3,224, 287, 2,353 and 1,275 ``sieve_factor`` calls; they now make 768,
-2,500, 112, 1,053 and 960.
+``verify_identities(n_max=3)`` counts each monic coprime to the modulus
+once, up to the largest order any of its checks asks for.  The shapes come
+from the sieve tables by degree, with no polynomial built or divided:
+``_factor_shapes`` makes no ``sieve_factor``, ``pdivmod`` or ``pfrom_key``
+call, and reads each degree's cofactor table once.  When every (n, M) call
+factored its monics again, the five moduli below made 1,071, 3,224, 287,
+2,353 and 1,275 ``sieve_factor`` calls.  When each monic was factored once
+by dividing, ``_factor_shapes`` made 768/1,442/1,443
+(``sieve_factor``/``pdivmod``/``pfrom_key``) calls at q = 4, 2,500/4,939/4,940
+at q = 5, 112/317/318 at q = 2 with the cubic, 1,053/2,790/2,791 at q = 3
+and 960/3,215/3,216 at q = 2 with the quartic.
 
 ``galois_act`` raises phi_a(X) only to the last nonzero power of e, so on
 e = X its only products are those of evaluating phi_a at X: 2 at q = 2,
@@ -22,7 +28,7 @@ I = (t^2 + 1)^2 and 96 at q = 2, I = t^2 (t + 1).
 
 import pytest
 
-from ffstick import carlitz
+from ffstick import carlitz, lseries
 from ffstick.fieldcore import FieldCtx, field_context
 from ffstick.groupring import GroupRingElem
 from ffstick.lseries import euler_series, stick_context, verify_identities
@@ -56,13 +62,35 @@ def _largest_order(d: int, n_max: int) -> int:
     (C2, (1, 1, 0, 0, 1), 1275),
 ])
 def test_each_coprime_monic_is_factored_once(ctx, I, parent, monkeypatch):
+    # parent: the sieve_factor calls when every (n, M) call factored again
     counts: dict = {}
-    _counting(monkeypatch, counts, FieldCtx, "sieve_factor")
+    inside = []
+    for name in ("sieve_factor", "pdivmod", "pfrom_key", "cofactors"):
+        real = getattr(FieldCtx, name)
+
+        def run(self, *args, _real=real, _name=name):
+            if inside:
+                counts[_name] = counts.get(_name, 0) + 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(FieldCtx, name, run)
+    real_shapes = lseries._factor_shapes
+
+    def shapes(*args):
+        inside.append(True)
+        try:
+            return real_shapes(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(lseries, "_factor_shapes", shapes)
     S = stick_context(ctx, I)
     assert all(r["status"] == "pass" for r in verify_identities(S, n_max=3))
     M = _largest_order(S.d, 3)
+    assert counts == {"cofactors": M}  # one read per degree 1..M, nothing else
     coprime = sum(c.augmentation() for c in euler_series(S, M, method="direct").coeffs)
-    assert counts["sieve_factor"] == coprime < parent
+    counted = sum(sum(hist.values()) for hist in real_shapes(S, M))
+    assert counted == coprime < parent
 
 
 @pytest.mark.parametrize("ctx, I", [(C2, (1, 1, 1)), (C3, (1, 2, 0, 1)), (C3, (0, 2, 1))])
