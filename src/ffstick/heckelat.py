@@ -11,18 +11,22 @@ digits (``_Packing``), with the field and rank stored once on the sum; the
 operators add packed row vectors by XOR or a SWAR add, and Lattice objects
 and row tuples are built only where a caller looks at single terms.
 
-The operators implemented here:
+The operators implemented here all sum C N over a plan: a dict from each
+diagonal of the coordinate matrices C to a trie over their rows
+(``_plan``), or to None, which stands for every canonical C of that
+diagonal and builds no trie.  One walker, ``_sublattice_rows``, builds the
+canonical rows of C N bottom up, the same way for A^n and every other N:
+each row runs over an affine space over F_q, of which a trie keeps the
+indices of its matrices, and under None the rows below row i are built
+once per residue class of row i's last entry.
 
-* ``t_det``: the sum of all sublattices of N of determinant g.  It sums
-  C N over every canonical triangular C of det g, one diagonal at a time,
-  and builds the canonical rows of C N bottom up, each row running over a
-  full affine space over F_q, in one path for A^n and every other N; the
-  rows below row i are built once per residue class of row i's last entry;
+* ``t_det``: the sum of all sublattices of N of determinant g, a None
+  trie for every diagonal of det g;
 * ``t_local``: the sum of all sublattices N' of N with N/N' of length m as
   a module over the local ring at x, which is ``t_det`` at g = x^m;
 * ``t_chain``: sublattices with a prescribed chain of invariant factors:
-  ``t_det`` where the determinant forces it, and otherwise the matrices of
-  one Smith form classification, walked with an index per kept matrix;
+  ``t_det`` where the determinant forces it, and otherwise the tries of
+  the matrices of one Smith form classification;
 * ``sigma_apply``: the elementary operator at a monic prime x, summing the
   preimages of the codimension j subspaces of N / m_x N: ``t_chain`` for
   the chain (x, ..., x, 1, ..., 1), with the matrices in closed form;
@@ -437,15 +441,14 @@ def _diag_tuples(ctx: FieldCtx, g: tuple, n: int) -> tuple:
 
 
 def _enum_canonical_triangles(ctx: FieldCtx, diags: Sequence[tuple]):
-    """All canonical triangular bases with the given diagonal, as row lists."""
+    """All canonical triangular bases with the given diagonal, as row lists.
+    Column 0 has no entry above the diagonal, so it has no pool."""
     n = len(diags)
     q = ctx.q
-    col_freedom = []
-    for j in range(n):
-        dj = len(diags[j]) - 1
-        col_freedom.append([ctx.pfrom_key(k) for k in range(q ** dj)])
+    col_freedom = [[ctx.pfrom_key(k) for k in range(q ** (len(diags[j]) - 1))]
+                   for j in range(1, n)]
     slots = [(i, j) for j in range(1, n) for i in range(j)]
-    pools = [col_freedom[j] for (_, j) in slots]
+    pools = [col_freedom[j - 1] for (_, j) in slots]
     for choice in itertools.product(*pools):
         rows = [[() for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -532,59 +535,58 @@ def _triangles_by_type(ctx: FieldCtx, g: tuple, n: int) -> dict:
     return groups
 
 
-def _plan(ctx: FieldCtx, chain: tuple, cmats: Callable[[], Iterable]) -> dict:
-    """The coordinate matrices C of ``chain`` as a trie over their rows, from
-    row n-1 up to row 0, memoized on ctx per chain; ``cmats()`` lists the
-    matrices, and is called only to build the plan.
+def _plan(ctx: FieldCtx, chain: tuple,
+          cmats: Callable[[], Iterable]) -> dict[tuple, list | None]:
+    """The coordinate matrices C of ``chain`` as a dict from each diagonal
+    of C to a trie over C's rows n-2, ..., 0, memoized on ctx per chain;
+    ``cmats()`` lists the matrices, and is called only to build the plan.
 
-    A node at row i stands for fixed rows i+1, ..., n-1 of C.  It maps each
-    diagonal entry c_ii that occurs below it, paired with the number of
-    base-q digits of its largest index, to a dict from the index
-    sum_k c_ij[a] q^k of the rest of row i to the node at row i-1, or to None
-    at row 0.  The digits c_ij[a] run over j > i and a < deg c_jj in that
-    order, the order of the generators ``_apply_plan`` spans row i with, so
-    an index with k digits needs only the first k of them.
+    A node at row i stands for fixed rows i+1, ..., n-1 of C.  It is a pair
+    [k, kids]: kids maps the index sum_k c_ij[a] q^k of the rest of row i to
+    the node at row i-1, or to None at row 0, and k is the number of base-q
+    digits of its largest index.  The digits c_ij[a] run over j > i and
+    a < deg c_jj in that order, the order of the generators
+    ``_sublattice_rows`` spans row i with, so an index with k digits needs
+    only the first k of them.  In rank 1 there is no row to index and the
+    trie is None, which ``_sublattice_rows`` reads as every canonical C of
+    the diagonal, here the one C.
     """
     plan = ctx.memo.get(("plan", chain))
     if plan is None:
-        q, n = ctx.q, len(chain)
-        plan = {}
+        q, plan = ctx.q, {}
         for C in cmats():
-            node = plan
-            for i in range(n - 1, -1, -1):
+            n = len(C)
+            diag = tuple([C[i][i] for i in range(n)])
+            if n == 1:
+                plan[diag] = None
+                continue
+            node = plan.get(diag)
+            if node is None:
+                node = plan[diag] = [0, {}]
+            for i in range(n - 2, -1, -1):
                 row = C[i]
-                index, weight = 0, 1
+                index, digit, width = 0, 0, 0
                 for j in range(i + 1, n):
                     e = row[j]
                     for a in range(len(C[j][j]) - 1):
-                        if a < len(e):
-                            index += e[a] * weight
-                        weight *= q
-                kids = node.setdefault(row[i], {})
+                        if a < len(e) and e[a]:
+                            index += e[a] * q ** digit
+                            width = digit + 1
+                        digit += 1
+                if width > node[0]:
+                    node[0] = width
                 if i:
-                    node = kids.setdefault(index, {})
+                    node = node[1].setdefault(index, [0, {}])
                 else:
-                    kids[index] = None
-        plan = ctx.memo["plan", chain] = _widths(plan, q)
+                    node[1][index] = None
+        ctx.memo["plan", chain] = plan
     return plan
 
 
-def _widths(node: dict, q: int) -> dict:
-    """The trie ``node`` with each c_ii paired with the number of base-q
-    digits of its largest index."""
-    out = {}
-    for cii, kids in node.items():
-        k, top = 0, max(kids)
-        while top:
-            top //= q
-            k += 1
-        out[cii, k] = {index: kid and _widths(kid, q) for index, kid in kids.items()}
-    return out
-
-
-def _chain_plan(ctx: FieldCtx, chain: InvariantType) -> dict:
-    """The plan of the matrices whose Smith form is the chain, classified by
-    ``_triangles_by_type`` only when the plan is not yet memoized."""
+def _chain_plan(ctx: FieldCtx, chain: InvariantType) -> dict[tuple, list | None]:
+    """The plan (``_plan``) of the matrices whose Smith form is the chain,
+    classified by ``_triangles_by_type`` only when the plan is not yet
+    memoized: a real trie per diagonal, never None in rank 2 or more."""
     return _plan(ctx, chain.chain, lambda: _triangles_by_type(
         ctx, chain.det().coeffs, len(chain)).get(chain.chain, ()))
 
@@ -988,7 +990,8 @@ def sigma_apply(x, j: int, s: LatticeSum) -> LatticeSum:
     the codimension j subspaces of N / m_x N; there are gauss_binom(n, j, q_x)
     of them per lattice, the sublattices with chain (x, ..., x, 1, ..., 1).
     So this is ``t_chain`` of that chain, with the coordinate matrices in
-    closed form (``_sigma_matrices``) instead of classified.
+    closed form (``_sigma_matrices``) instead of classified, and walked by
+    ``_sublattice_rows`` from a real trie per diagonal (``_plan``).
     """
     ctx = s.ctx
     x = _validate_prime(ctx, x)
@@ -998,7 +1001,7 @@ def sigma_apply(x, j: int, s: LatticeSum) -> LatticeSum:
     if j == 0:
         return s * 1
     chain = (x,) * j + ((1,),) * (n - j)
-    return _apply_plan(s, _plan(ctx, chain, lambda: _sigma_matrices(ctx, x, n, j)))
+    return _plan_sum(s, _plan(ctx, chain, lambda: _sigma_matrices(ctx, x, n, j)))
 
 
 def t_local(x, m: int, s: LatticeSum) -> LatticeSum:
@@ -1018,31 +1021,43 @@ def t_local(x, m: int, s: LatticeSum) -> LatticeSum:
 def t_det(g, s: LatticeSum) -> LatticeSum:
     """Sum over the terms N of s, with their coefficients, of C N for every
     canonical triangular C of det g, a monic nonzero polynomial: every
-    sublattice of N of determinant g.  The rows of C N are built bottom up
-    one diagonal (``_diag_tuples``) at a time by ``_sublattice_rows``, the
-    same way for A^n and for any other N, and summed by packed key.
-
-    What a diagonal needs of N alone is made once per term: N's canonical
-    rows, the rows c N_i by (i, c), and the generators t^a N_j for
-    0 < j < n - 1 and a < deg g, which no diagonal entry exceeds (row 0
-    and row n - 1 are never shifted)."""
+    sublattice of N of determinant g.  Its plan maps each diagonal of det g
+    (``_diag_tuples``) to a trie of None, every canonical C of that
+    diagonal, so no trie is built and ``_sublattice_rows`` spans each row in
+    full, the same way for A^n and for any other N."""
     ctx = s.ctx
     g = _monic(ctx, g)
     if g == (1,):
         return s * 1
-    n = s.n
-    patterns = _diag_tuples(ctx, g, n)
+    return _plan_sum(s, dict.fromkeys(_diag_tuples(ctx, g, s.n)))
+
+
+def _plan_sum(s: LatticeSum, plan: dict) -> LatticeSum:
+    """Sum over the terms N of s, with their coefficients, of C N for every
+    C in ``plan``, a dict from each diagonal of C to its trie (``_plan``) or
+    to None for every canonical C of that diagonal; ``t_det``, ``t_chain``
+    and ``sigma_apply`` all sum through here, and the keys of C N are summed
+    by diagonal.
+
+    What a diagonal needs of N alone is made once per term: N's canonical
+    rows, the rows c N_i by (i, c), and the generators t^a N_j for 0 < j < n
+    and a < deg det C, which no diagonal entry exceeds; row 0 is never
+    shifted, and row n - 1 only for real tries, as no other path reads it."""
+    ctx, n = s.ctx, s.n
     pk = _packing(ctx)
     radd = _row_adder(ctx)
+    top = sum([len(c) - 1 for c in next(iter(plan), ())])
+    last = n - 1 if None in plan.values() else n
     acc: dict = {}
     for diag, keys in s.by_diag.items():
         for key, mult in keys.items():
             nrows = pk.rows(diag, key)
             scaled = {(i, (1,)): row for i, row in enumerate(nrows)}
             shifted = [()] + [[tuple([(0,) * a + e if e else () for e in nrows[j]])
-                               for a in range(len(g) - 1)] for j in range(1, n - 1)]
-            for diags in patterns:
-                out_diag, prods = _sublattice_rows(ctx, pk, radd, nrows, scaled, shifted, diags)
+                               for a in range(top)] for j in range(1, last)]
+            for diags, trie in plan.items():
+                out_diag, prods = _sublattice_rows(ctx, pk, radd, nrows, scaled, shifted,
+                                                   diags, trie)
                 bucket = acc.get(out_diag)
                 # the C N of one N and one diagonal are distinct, and no
                 # other diagonal of the same N reaches this bucket
@@ -1056,29 +1071,36 @@ def t_det(g, s: LatticeSum) -> LatticeSum:
 
 
 def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: dict,
-                     shifted: list, diags: tuple) -> tuple:
-    """The diagonal and the packed keys of C N for every canonical upper
-    triangular C with diagonal ``diags``, where ``nrows`` are N's canonical
-    rows, ``scaled`` memoizes the rows c N_i by (i, c) and ``shifted[j][a]``
-    is t^a N_j, both for one N; this full-span enumerator serves ``t_det``
-    alone.
+                     shifted: list, diags: tuple, trie: list | None) -> tuple:
+    """The diagonal and the packed keys of C N for the canonical upper
+    triangular C with diagonal ``diags`` that ``trie`` keeps (``_plan``), or
+    for every such C when ``trie`` is None, where ``nrows`` are N's
+    canonical rows, ``scaled`` memoizes the rows c N_i by (i, c) and
+    ``shifted[j][a]`` is t^a N_j, both for one N.  This is the one function
+    that builds the rows of C N, for ``t_det``, ``t_chain`` and
+    ``sigma_apply``.
 
     Row i of C N is diags[i] N_i + sum_{j > i} e_ij N_j with deg e_ij <
     deg diags[j].  Let R_i reduce a vector against the canonical rows below
     row i; R_i is F_q-linear, so canonical row i runs over the affine space
-    R_i(diags[i] N_i) + span_Fq{R_i(t^a N_j) : j > i, a < deg diags[j]}.
-    The rows are fixed from n-1 up to 0, only the base and the generators
-    of each space are reduced, and each key of the space is one vector
-    addition (``_affine_span``); a space with no generator is its base.
+    R_i(diags[i] N_i) + span_Fq{R_i(t^a N_j) : j > i, a < deg diags[j]},
+    and the C with entries e_ij[a] is its entry at index sum_k e_ij[a] q^k
+    (``_affine_span``).  The rows are fixed from n-1 up to 0, only the base
+    and the generators of each space are reduced, the rows below row i are
+    built once for every C that shares them, and each key is one vector
+    addition; a space with no generator is its base.  A node of a real trie
+    spans only its first k generators, enough for its largest index, and
+    goes on below the indices it keeps alone; for sigma_j every x-row keeps
+    index 0 and spans nothing.
 
-    The generators t^a N_{n-1} = t^a d e_{n-1}, d = N's last diagonal entry,
-    need no reduction and span d * {h : deg h < deg diags[n-1]} in the last
-    column.  So the other generators are enumerated with the last entry
-    replaced by its residue r mod d, and that entry then runs over the
-    class r + d h.  The rows below row i see row i's last entry only mod d:
-    they reduce their own last entry mod d too.  So the keys below row i
-    are built once per residue, and each element of the class is ORed onto
-    every one of them.
+    Only under a None trie do the generators t^a N_{n-1} = t^a d e_{n-1},
+    d = N's last diagonal entry, span a whole class d * {h : deg h <
+    deg diags[n-1]} in the last column.  There the other generators are
+    enumerated with the last entry replaced by its residue r mod d, and that
+    entry then runs over the class r + d h.  The rows below row i see row
+    i's last entry only mod d: they reduce their own last entry mod d too.
+    So the keys below row i are built once per residue, and each element of
+    the class is ORed onto every one of them.
     """
     n = len(nrows)
     pmul, pdivmod = ctx.pmul, ctx.pdivmod
@@ -1101,11 +1123,17 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
             r = pdivmod(r, d)[1] if len(d) > 1 else ()
         return v[:-1] + (r,)
 
-    def level(i: int, tail: tuple, tkey: int) -> list:
+    def level(i: int, node: list | None, tail: tuple, tkey: int) -> list:
         offs, add = pk.row_layout(degs[i + 1:])
-        base = residue(_reduce_row(ctx, list(bases[i]), tail, i))
-        gens = [residue(_reduce_row(ctx, list(v), tail, i))
-                for j in range(i + 1, n - 1) for v in shifted[j][:len(diags[j]) - 1]]
+        if node is None:
+            base = residue(_reduce_row(ctx, list(bases[i]), tail, i))
+            gens = [residue(_reduce_row(ctx, list(v), tail, i))
+                    for j in range(i + 1, n - 1) for v in shifted[j][:len(diags[j]) - 1]]
+        else:
+            width, node = node
+            base = _reduce_row(ctx, list(bases[i]), tail, i)
+            gens = [_reduce_row(ctx, list(v), tail, i) for v in itertools.islice(
+                (v for j in range(i + 1, n) for v in shifted[j][:len(diags[j]) - 1]), width)]
         if gens:
             steps, rsteps = _steps(ctx, pk, gens, offs)
             keys = _affine_span(pk.pack(base, offs), steps, add)
@@ -1113,11 +1141,17 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
         else:
             keys, rows = [pk.pack(base, offs)], [base]
         out: list[int] = []
+        if node is not None:  # the indices the trie keeps
+            if not i:
+                return [keys[index] | tkey for index in node]
+            for index, kid in node.items():
+                out += level(i - 1, kid, (rows[index],) + tail, tkey | keys[index])
+            return out
         if not k:  # the residue is the whole last entry
             if not i:
                 return [key | tkey for key in keys]
             for key, row in zip(keys, rows):
-                out += level(i - 1, (row,) + tail, tkey | key)
+                out += level(i - 1, None, (row,) + tail, tkey | key)
             return out
         _, off, slots = offs[-1]
         last = (1 << slots * pk.cw) - 1 << off
@@ -1131,13 +1165,15 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
             if not i:
                 out += [head | c for c in cls]
             else:
-                below = level(i - 1, (rows[pos],) + tail, head)
+                below = level(i - 1, None, (rows[pos],) + tail, head)
                 out += [b | c for c in cls for b in below]
         return out
 
     # row n - 1 has no entry off the diagonal and needs no reduction
-    keys = level(n - 2, (bases[-1],), 0)
-    del level  # it holds itself through its closure, as in ``_apply_plan``
+    keys = level(n - 2, trie, (bases[-1],), 0)
+    # level holds itself through its closure; emptying that cell frees each
+    # walk's rows now rather than at a cyclic collection
+    del level
     return diag, keys
 
 
@@ -1162,9 +1198,9 @@ def t_chain(chain: InvariantType, s: LatticeSum) -> LatticeSum:
     coordinate matrices C whose Smith form is the chain: every C of det g,
     so ``t_det(g, s)``, where g forces the chain (``_forced``).  Otherwise
     they are classified once per determinant and rank
-    (``_triangles_by_type``), kept as a trie over their rows (``_chain_plan``)
-    and applied to each N by ``_apply_plan``.  The chain must be over the
-    sum's field.
+    (``_triangles_by_type``), kept as a real trie per diagonal
+    (``_chain_plan``) and walked by ``_sublattice_rows``, as ``t_det`` walks
+    its tries of None.  The chain must be over the sum's field.
     """
     if len(chain) != s.n:
         raise ValueError("chain length must equal the rank")
@@ -1173,63 +1209,7 @@ def t_chain(chain: InvariantType, s: LatticeSum) -> LatticeSum:
     g = chain.det().coeffs
     if _forced(s.ctx, g, s.n):
         return t_det(g, s)
-    return _apply_plan(s, _chain_plan(s.ctx, chain))
-
-
-def _apply_plan(s: LatticeSum, plan: dict) -> LatticeSum:
-    """Sum over the terms N of s, with their coefficients, of C N for every
-    coordinate matrix C in ``plan`` (``_plan``); ``t_chain`` and
-    ``sigma_apply`` take this walk.
-
-    Each N takes the bottom-up path of ``_sublattice_rows``, the same for
-    A^n and every other N: with the canonical rows of C N below row i fixed,
-    and R_i the reduction against them, row i is
-
-        R_i(c_ii N_i) + sum_{j > i, a < deg c_jj} c_ij[a] R_i(t^a N_j),
-
-    the entry of ``_affine_span`` at index sum_k c_ij[a] q^k.  The rows below
-    row i are built once for all the matrices that share them, only the base
-    and the generators are reduced, and each matrix costs one lookup.  An
-    index below q^k needs only the first k generators, so each c_ii spans
-    as far as its largest index reaches; for sigma_j every x-row keeps
-    index 0 alone and spans nothing.  Row 0 is made as packed keys only.
-    """
-    ctx, n = s.ctx, s.n
-    pk = _packing(ctx)
-    radd = _row_adder(ctx)
-    pmul = ctx.pmul
-    out: dict = {}
-    for diag, keys in s.by_diag.items():
-        for nkey, mult in keys.items():
-            nrows = pk.rows(diag, nkey)
-
-            def level(node: dict, i: int, tail: tuple, tdegs: tuple, tkey: int) -> None:
-                offs, add = pk.row_layout(tdegs)
-                gens = [_reduce_row(ctx, [(0,) * a + e if e else () for e in nrows[j]], tail, i)
-                        for j in range(i + 1, n)
-                        for a in range(len(tail[j - i - 1][j]) - len(nrows[j][j]))]
-                steps, rsteps = _steps(ctx, pk, gens, offs)
-                for (cii, k), kids in node.items():
-                    base = _reduce_row(ctx, [pmul(cii, e) if e else () for e in nrows[i]], tail, i)
-                    span = _affine_span(pk.pack(base, offs), steps[:k], add)
-                    if i:
-                        rows = _affine_span(base, rsteps[:k], radd)
-                        below = (len(base[i]) - 1,) + tdegs
-                        for index, child in kids.items():
-                            level(child, i - 1, (rows[index],) + tail, below, tkey | span[index])
-                    else:
-                        bucket = out.setdefault(
-                            (base[0],) + tuple([row[j] for j, row in enumerate(tail, 1)]), {})
-                        get = bucket.get
-                        for index in kids:
-                            key = span[index] | tkey
-                            bucket[key] = get(key, 0) + mult
-
-            level(plan, n - 1, (), (), 0)
-            # level holds itself through its closure; emptying that cell
-            # frees each walk's rows now rather than at a cyclic collection
-            del level
-    return LatticeSum._of_keys(ctx, n, out)
+    return _plan_sum(s, _chain_plan(s.ctx, chain))
 
 
 # ---------------------------------------------------------------------------
@@ -1320,6 +1300,8 @@ def newton_verify(
     for N in test_lattices:
         if N.n != n:
             raise ValueError("test lattice rank mismatch")
+        if N.ctx != ctx:
+            raise ValueError("test lattice is over a different field")
         acc: dict = {}
         base = LatticeSum.of(N)
         for j in range(min(n, r) + 1):

@@ -276,6 +276,15 @@ def test_negative_colength_is_rejected():
         predict_newton_cost(C2, (0, 1), 2, -1)
 
 
+def test_test_lattice_over_another_field_is_rejected():
+    # t over F_2 is a prime there too, so without the check the sums ran
+    # over F_2 while the Newton coefficients used q = 3: a false failure
+    for N in (standard_lattice(C2, 2), random_sublattice(C2, 2, 1, max_deg=1)):
+        with pytest.raises(ValueError, match="different field"):
+            newton_verify(C3, (0, 1), 2, 2, test_lattices=[standard_lattice(C3, 2), N])
+    assert newton_verify(C3, (0, 1), 2, 2, test_lattices=[standard_lattice(C3, 2)]).ok
+
+
 def test_cancelled_terms_leave_the_sum():
     # x A^2 lies in two distinct members B1, B2 of sigma_1(A^2) with colength
     # 1 in each, so its coefficient in t_local(x, 1, B1 - B2) is 1 - 1 = 0

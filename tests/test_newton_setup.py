@@ -7,7 +7,9 @@ Newton cell (q = 3, x = t^2 + 1, n = 3, r = 2, the four Newton test
 lattices of seed 0), ``newton_verify`` made 3,516 ``_affine_span`` and
 2,344 ``_steps`` calls when every level was spanned, and 25 Rabin tests
 when each ``t_local`` and ``sigma_apply`` call tested x again; it now makes
-544, 488 and none.  The 1,116 ``_sublattice_rows`` calls are unchanged.
+436, 428 and none.  It makes 1,140 ``_sublattice_rows`` calls, one per term
+and diagonal of each ``t_local`` and each ``sigma_apply``: sigma_j walks
+its plan through the same function as ``t_local``.
 """
 
 from ffstick import heckelat
@@ -37,7 +39,7 @@ def test_newton_cell_spans_only_levels_with_generators(monkeypatch):
         _counting(monkeypatch, counts, heckelat, name)
     _counting(monkeypatch, counts, FieldCtx, "is_irreducible")
     assert newton_verify(C3, X, 3, 2, test_lattices=lattices).ok
-    assert counts["_sublattice_rows"] == 1116
+    assert counts["_sublattice_rows"] == 1140
     assert counts["_affine_span"] < 3516 and counts["_steps"] < 2344
     assert "is_irreducible" not in counts
 

@@ -1,11 +1,12 @@
-"""``_apply_plan`` spans each row only as far as the plan's indices reach.
+"""``_sublattice_rows`` spans each row only as far as the plan's indices reach.
 
 An index below q^k is a combination of the first k generators of a row's
 affine span, so the walk builds no longer span than the largest index it
-keeps.  For sigma_j every x-row keeps index 0 alone.  This test counts the
-entries ``_affine_span`` returns over sigma_1..sigma_3 at q = 3, x = t^2 + 1
-on the four Newton test lattices of seed 0; spanning every row in full
-makes 1,724.
+keeps, and a row that keeps no generator is its base alone, with no span.
+For sigma_j every x-row keeps index 0 alone.  This test counts the entries
+``_affine_span`` returns over sigma_1..sigma_3 at q = 3, x = t^2 + 1 on the
+four Newton test lattices of seed 0; spanning every row in full makes
+1,724, and spanning the empty rows too (a base and no generator) 956.
 """
 
 from ffstick import heckelat
@@ -33,4 +34,4 @@ def test_sigma_spans_only_the_kept_indices(monkeypatch):
     monkeypatch.setattr(heckelat, "_affine_span", counting)
     for j in (1, 2, 3):
         assert [sigma_apply(X, j, LatticeSum.of(N)) for N in lattices] == sums[j]
-    assert sum(entries) == 956
+    assert sum(entries) == 828

@@ -33,9 +33,13 @@ def _cells():
 CELLS = list(_cells())
 
 
-def _leaves(node) -> int:
-    return sum(1 if kid is None else _leaves(kid)
-               for kids in node.values() for kid in kids.values())
+def _leaves(plan) -> int:
+    """The number of matrices in a plan: a trie of None (rank 1) holds the
+    one matrix of its diagonal, a node [k, kids] the leaves of its kids."""
+    def count(node) -> int:
+        return 1 if node is None else sum(map(count, node[1].values()))
+
+    return sum(map(count, plan.values()))
 
 
 def test_grid_has_26_cells():

@@ -5,8 +5,9 @@ It serves ``t_local`` (g = x^m) and the chains a determinant forces
 the sum of ``t_chain`` over every chain of det g, also where g leaves a
 choice of chain, and with ``sublattice_enum``.  They check that a forced
 chain is neither classified nor planned, that the closed count of a forced
-``d_count`` equals the enumerated count without enumerating, and that the
-full-span enumerator and the Smith form leave no reference cycle behind.
+``d_count`` equals the enumerated count without enumerating, that a real
+trie of every canonical triangle walks to ``t_det``, and that the walker
+and the Smith form leave no reference cycle behind.
 """
 
 import gc
@@ -21,7 +22,9 @@ from ffstick.heckelat import (
     InvariantType,
     LatticeSum,
     d_count,
+    phi_count,
     random_sublattice,
+    sigma_apply,
     standard_lattice,
     sublattice_enum,
     t_chain,
@@ -113,7 +116,12 @@ def test_t_det_rejects_a_determinant_that_is_not_monic_or_is_zero(g):
 
 
 def test_operators_leave_no_closure_cycles():
+    # t_det walks tries of None, sigma_apply and an unforced t_chain real
+    # tries, all through _sublattice_rows
     s = LatticeSum.of(random_sublattice(C3, 3, 1, max_deg=1))
+    s2 = LatticeSum.of(random_sublattice(C3, 2, 1, max_deg=1))
+    chain = InvariantType(C3, [(0, 0, 1), (1,)])  # t^2 leaves a choice in rank 2
+    assert not heckelat._forced(C3, chain.det().coeffs, 2)
     mat = [[(0, 1), (1,), (2, 1)], [(), (0, 0, 1), (1,)], [(), (), (1, 1)]]
     gc.collect()
     flags = gc.get_debug()
@@ -122,6 +130,8 @@ def test_operators_leave_no_closure_cycles():
         gc.set_debug(gc.DEBUG_SAVEALL)
         t_local((0, 1), 2, s)
         t_det(C3.pmul((0, 1), (1, 1)), s)
+        sigma_apply((1, 0, 1), 1, s)
+        t_chain(chain, s2)
         heckelat._snf_diagonal(C3, mat)
         gc.collect()
         left = sorted({f.__qualname__ for f in gc.garbage
@@ -132,3 +142,44 @@ def test_operators_leave_no_closure_cycles():
         gc.enable()
     assert [name for name in left
             if name.startswith(("_sublattice_rows.", "_snf_diagonal."))] == []
+
+
+# (p, m, squarefree g, g with a square factor): t (t + 1) and t^2 (t + 1)
+# over F_2, t (t^2 + 1) and (t + 1)^2 over F_3, t (t + 1) and t^2 over F_4
+WALKER_FIELDS = [
+    (2, 1, (0, 1, 1), (0, 0, 1, 1)),
+    (3, 1, (0, 1, 0, 1), (1, 2, 1)),
+    (2, 2, (0, 1, 1), (0, 0, 1)),
+]
+WALKER_CELLS = [(p, m, g, n) for p, m, *gs in WALKER_FIELDS for g in gs for n in (1, 2, 3)]
+
+
+def _every_triangle_plan(ctx, g, n):
+    """Real tries over every canonical triangle of det g, memoized under a
+    key no chain takes."""
+    return heckelat._plan(ctx, ("every", g, n), lambda: (
+        C for diags in heckelat._diag_tuples(ctx, g, n)
+        for C in heckelat._enum_canonical_triangles(ctx, diags)))
+
+
+def _leaves(node) -> int:
+    return 1 if node is None else sum(map(_leaves, node[1].values()))
+
+
+@pytest.mark.parametrize("p,m,g,n", WALKER_CELLS,
+                         ids=[f"q{p ** m}-{''.join(map(str, g))}-n{n}"
+                              for p, m, g, n in WALKER_CELLS])
+def test_a_real_trie_of_every_triangle_walks_to_t_det(p, m, g, n):
+    ctx = field_context(p, m)  # an empty memo
+    plan = _every_triangle_plan(ctx, g, n)
+    assert set(plan) == set(heckelat._diag_tuples(ctx, g, n))
+    assert n == 1 or None not in plan.values()
+    assert sum(map(_leaves, plan.values())) == phi_count(ctx, g, n)
+    # a last diagonal entry of degree >= 1 makes the residue classes mod d
+    # of t_det's path nontrivial
+    proper = [L for L in (random_sublattice(ctx, n, seed, max_deg=2) for seed in range(40))
+              if len(L.rows[-1][-1]) > 1][:2]
+    assert len(proper) == 2
+    for N in [standard_lattice(ctx, n)] + proper:
+        s = LatticeSum.of(N, 3)
+        assert heckelat._plan_sum(s, plan) == t_det(g, s), N
