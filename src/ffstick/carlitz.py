@@ -25,9 +25,10 @@ phi_(t-a_j)(delta_j) = 0, and the diagonal specialization of u.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
-from .fieldcore import FieldCtx, Poly
+from .fieldcore import FieldCtx, Poly, dense_divmod, dense_mul, dense_strip
 
 __all__ = [
     "SkewPoly",
@@ -57,11 +58,8 @@ class SkewPoly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs):
-        cs = [c.coeffs if isinstance(c, Poly) else ctx.pvalidate(c) for c in coeffs]
-        while cs and cs[-1] == ():
-            cs.pop()
         self.ctx = ctx
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(dense_strip([ctx.pvalidate(c) for c in coeffs]))
 
     @classmethod
     def zero(cls, ctx: FieldCtx) -> "SkewPoly":
@@ -153,11 +151,8 @@ class AddPoly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs):
-        cs = [c.coeffs if isinstance(c, Poly) else ctx.pvalidate(c) for c in coeffs]
-        while cs and cs[-1] == ():
-            cs.pop()
         self.ctx = ctx
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(dense_strip([ctx.pvalidate(c) for c in coeffs]))
 
     @classmethod
     def from_skew(cls, s: SkewPoly) -> "AddPoly":
@@ -231,8 +226,6 @@ class AddPoly:
 
 def carlitz_map(ctx: FieldCtx, a) -> SkewPoly:
     """phi_a, built from phi_t = tau + t by F_q-linearity in the powers of t."""
-    if isinstance(a, Poly):
-        a = a.coeffs
     a = ctx.pvalidate(a)
     phi_t = SkewPoly(ctx, [(0, 1), (1,)])
     acc = SkewPoly.zero(ctx)
@@ -247,8 +240,6 @@ def carlitz_map(ctx: FieldCtx, a) -> SkewPoly:
 
 def torsion_poly(ctx: FieldCtx, a) -> AddPoly:
     """The additive polynomial whose roots are the a-torsion of the module."""
-    if isinstance(a, Poly):
-        a = a.coeffs
     a = ctx.pvalidate(a)
     if not a:
         raise ValueError("torsion polynomial of zero is not defined")
@@ -259,44 +250,9 @@ def torsion_poly(ctx: FieldCtx, a) -> AddPoly:
 # dense polynomials in X over F_q[t]: just enough for the exact divisions
 
 
-def _xstrip(cs: list) -> list:
-    while cs and cs[-1] == ():
-        cs.pop()
-    return cs
-
-
 def xmul(ctx: FieldCtx, a: list, b: list) -> list:
     """Product of dense polynomials in X with F_q[t] tuple coefficients."""
-    if not a or not b:
-        return []
-    out = [()] * (len(a) + len(b) - 1)
-    padd, pmul = ctx.padd, ctx.pmul
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if not cb:
-                continue
-            out[i + j] = padd(out[i + j], pmul(ca, cb))
-    return _xstrip(out)
-
-
-def _xdivmod_monic(ctx: FieldCtx, a: list, b: list) -> tuple[list, list]:
-    """Divide by a divisor whose leading X coefficient is the constant 1."""
-    assert b and b[-1] == (1,)
-    rem = list(a)
-    db = len(b) - 1
-    quot = [()] * max(len(rem) - db, 0)
-    psub, pmul = ctx.psub, ctx.pmul
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        quot[i - db] = c
-        for j in range(db + 1):
-            if b[j]:
-                rem[i - db + j] = psub(rem[i - db + j], pmul(c, b[j]))
-    return _xstrip(quot), _xstrip(rem)
+    return dense_strip(dense_mul(a, b, (), ctx.padd, ctx.pmul))
 
 
 def psi_cyclotomic(ctx: FieldCtx, I) -> list[Poly]:
@@ -308,8 +264,6 @@ def psi_cyclotomic(ctx: FieldCtx, I) -> list[Poly]:
     remainder would signal an implementation bug and raises.  Returns the
     dense X-coefficient list, leading coefficient the constant 1.
     """
-    if isinstance(I, Poly):
-        I = I.coeffs
     I = ctx.pvalidate(I)
     if len(I) < 2 or I[-1] != 1:
         raise ValueError("modulus must be monic of degree at least 1")
@@ -332,7 +286,8 @@ def psi_dense(ctx: FieldCtx, I: tuple) -> list:
         for g in ctx.monic_divisors(I):
             if g == I:
                 continue
-            quot, rem = _xdivmod_monic(ctx, num, psi_dense(ctx, g))
+            # Psi_g is monic in X
+            quot, rem = dense_divmod(num, psi_dense(ctx, g), (), ctx.psub, ctx.pmul, None)
             if rem:
                 raise ArithmeticError(
                     "primitive torsion factor does not divide exactly"
@@ -353,10 +308,6 @@ class RatFunc:
     __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx: FieldCtx, num, den=(1,)):
-        if isinstance(num, Poly):
-            num = num.coeffs
-        if isinstance(den, Poly):
-            den = den.coeffs
         num = ctx.pvalidate(num)
         den = ctx.pvalidate(den)
         if not den:
@@ -380,6 +331,9 @@ class RatFunc:
     @property
     def is_zero(self) -> bool:
         return not self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def __add__(self, other):
         if not isinstance(other, RatFunc) or other.ctx != self.ctx:
@@ -466,43 +420,6 @@ def _reduced(ctx: FieldCtx, num: tuple, den: tuple) -> tuple:
 # the torsion algebra and its tensor square
 
 
-def _fp_strip(cs: list) -> list:
-    while cs and cs[-1].is_zero:
-        cs.pop()
-    return cs
-
-
-def _fp_mul(a: list, b: list, zero: RatFunc) -> list:
-    if not a or not b:
-        return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero:
-            continue
-        for j, cb in enumerate(b):
-            if not cb.is_zero:
-                out[i + j] = out[i + j] + ca * cb
-    return _fp_strip(out)
-
-
-def _fp_divmod(a: list, b: list, zero: RatFunc) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = list(a)
-    db = len(b) - 1
-    lead_inv = b[-1].inv()
-    quot = [zero] * max(len(rem) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c.is_zero:
-            continue
-        f = c * lead_inv
-        quot[i - db] = f
-        for j in range(db + 1):
-            rem[i - db + j] = rem[i - db + j] - f * b[j]
-    return _fp_strip(quot), _fp_strip(rem)
-
-
 class AlgElem:
     """Residue class in F_q(t)[X] / Psi, held as coefficients below deg Psi."""
 
@@ -532,7 +449,7 @@ class AlgElem:
     def __mul__(self, other):
         self.algebra._match(other)
         alg = self.algebra
-        raw = _fp_mul(list(self.coeffs), list(other.coeffs), alg._zero)
+        raw = dense_mul(self.coeffs, other.coeffs, alg._zero, operator.add, operator.mul)
         return alg._from_raw(raw)
 
     def scale(self, f: RatFunc) -> "AlgElem":
@@ -559,21 +476,21 @@ class AlgElem:
         shares a factor with Psi."""
         alg = self.algebra
         zero = alg._zero
-        r0, r1 = list(alg._psi), _fp_strip(list(self.coeffs))
+        r0, r1 = list(alg._psi), dense_strip(list(self.coeffs))
         if not r1:
             raise ZeroDivisionError("zero element has no inverse")
         s0, s1 = [], [RatFunc(alg.ctx, (1,))]
         while r1:
-            q, r = _fp_divmod(r0, r1, zero)
+            q, r = dense_divmod(r0, r1, zero, operator.sub, operator.mul, r1[-1].inv())
             r0, r1 = r1, r
-            qs1 = _fp_mul(q, s1, zero)
+            qs1 = dense_mul(q, s1, zero, operator.add, operator.mul)
             new_s = list(s0)
             for i, c in enumerate(qs1):
                 if i < len(new_s):
                     new_s[i] = new_s[i] - c
                 else:
                     new_s.append(zero - c)
-            s0, s1 = s1, _fp_strip(new_s)
+            s0, s1 = s1, dense_strip(new_s)
         if len(r0) != 1:
             raise ZeroDivisionError(
                 "element is a zero divisor: gcd with Psi has positive degree"
@@ -606,8 +523,6 @@ class TorsionAlgebra:
     """F_q(t)[X] / Psi_I with exact rational function coefficients."""
 
     def __init__(self, ctx: FieldCtx, I):
-        if isinstance(I, Poly):
-            I = I.coeffs
         I = ctx.pvalidate(I)
         psi = psi_dense(ctx, I)
         self.ctx = ctx
@@ -623,11 +538,8 @@ class TorsionAlgebra:
         return AlgElem(self, [RatFunc(self.ctx, (1,))])
 
     def x_gen(self) -> AlgElem:
-        if self.dim < 2:
-            # X reduces to a constant when Psi is linear in X
-            raw = _fp_divmod([self._zero, RatFunc(self.ctx, (1,))], self._psi, self._zero)[1]
-            return AlgElem(self, raw)
-        return AlgElem(self, [self._zero, RatFunc(self.ctx, (1,))])
+        # X reduces to a constant when Psi is linear in X
+        return self._from_raw([self._zero, RatFunc(self.ctx, (1,))])
 
     def constant(self, f: RatFunc) -> AlgElem:
         return AlgElem(self, [f])
@@ -638,7 +550,8 @@ class TorsionAlgebra:
 
     def _from_raw(self, raw: list) -> AlgElem:
         if len(raw) > self.dim:
-            raw = _fp_divmod(raw, self._psi, self._zero)[1]
+            # Psi is monic
+            raw = dense_divmod(raw, self._psi, self._zero, operator.sub, operator.mul, None)[1]
         return AlgElem(self, raw)
 
     def __repr__(self):
@@ -653,8 +566,6 @@ def galois_act(alg: TorsionAlgebra, a, e: AlgElem) -> AlgElem:
     e, so e = X costs no product beyond evaluating phi_a at X.
     """
     ctx = alg.ctx
-    if isinstance(a, Poly):
-        a = a.coeffs
     a = ctx.pvalidate(a)
     if ctx.pgcd(a, alg.I) != (1,):
         raise ValueError("the acting polynomial must be coprime to the modulus")
@@ -680,8 +591,6 @@ def partial_fractions(ctx: FieldCtx, p) -> list[tuple[int, int]]:
     by root encoding.  The exact reconstruction sum_j m_j p(t)/(t - a_j) = 1
     is verified before returning.
     """
-    if isinstance(p, Poly):
-        p = p.coeffs
     p = ctx.pvalidate(p)
     if len(p) < 2 or p[-1] != 1:
         raise ValueError("p must be monic of degree at least 1")
@@ -725,7 +634,8 @@ class SplitElementReport:
             "checks": self.checks,
             "weights": self.weights,
             "diagonal_constant": (
-                self.diagonal_constant.to_json() if self.diagonal_constant else None
+                self.diagonal_constant.to_json()
+                if self.diagonal_constant is not None else None
             ),
             "dim": self.dim,
             "tensor": self.tensor,
@@ -747,8 +657,6 @@ def split_tensor_element(ctx: FieldCtx, p) -> SplitElementReport:
     phi_(t-a_j)(delta_j) = 0, and that the diagonal specialization X = Y
     sends u to the constant (sum_j m_j) - 1.
     """
-    if isinstance(p, Poly):
-        p = p.coeffs
     p = ctx.pvalidate(p)
     pf = partial_fractions(ctx, p)
     alg = TorsionAlgebra(ctx, p)
@@ -813,7 +721,7 @@ def split_tensor_element(ctx: FieldCtx, p) -> SplitElementReport:
                 c = u[i][k]
                 if not c.is_zero:
                     diag_raw[i + k] = diag_raw[i + k] + c
-        diag = alg._from_raw(_fp_strip(diag_raw))
+        diag = alg._from_raw(dense_strip(diag_raw))
         msum = 0
         for _, m in pf:
             msum = ctx.add_table[msum][m]

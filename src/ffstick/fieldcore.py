@@ -21,12 +21,21 @@ Conventions used throughout the package:
 * The monic irreducibles of degree d, and the smallest irreducible factor
   of every monic polynomial of degree d with the key offset of its
   cofactor, come from one sieve per degree (``FieldCtx.first_factors``),
-  cached on the context; Rabin's test (``is_irreducible``) and ``pfactor``
-  stay as the routes for single polynomials.
+  cached in the context's ``memo``; Rabin's test (``is_irreducible``) and
+  ``pfactor`` stay as the routes for single polynomials.
 
 The low level tuple functions live on :class:`FieldCtx` so hot loops can work
 on plain tuples; :class:`Poly` is a thin immutable wrapper that provides the
-operator interface.
+operator interface.  ``FieldCtx.pvalidate`` is the one entry for a
+polynomial argument: it takes a coefficient sequence or a ``Poly``, and
+refuses a ``Poly`` over another field.
+
+The modules above this one multiply and divide dense polynomials over
+other coefficient rings too: F_q[t] in X, F_q(t) in X, Z[G_I] in F or z,
+and Z in x.  They share one schoolbook kernel, ``dense_mul``,
+``dense_divmod`` and ``dense_strip``, which takes the ring as arguments:
+its zero, its operations as callables, and a coefficient is zero when it
+is falsy.
 """
 
 from __future__ import annotations
@@ -45,6 +54,9 @@ __all__ = [
     "poly_gcd",
     "poly_factor",
     "monic_enum",
+    "dense_mul",
+    "dense_divmod",
+    "dense_strip",
 ]
 
 NEG_INF = float("-inf")
@@ -75,17 +87,59 @@ def _mix(*values: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# dense polynomials over any coefficient ring: little endian lists, the ring
+# given by its zero and its operations, a coefficient zero when it is falsy
+
+
+def dense_strip(cs: list) -> list:
+    """Drop the zero coefficients at the top of cs, in place."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def dense_mul(a: Sequence, b: Sequence, zero, add, mul, size: int | None = None) -> list:
+    """The product of a and b, not stripped; with ``size``, only its first
+    ``size`` coefficients (a truncated power series)."""
+    n = len(a) + len(b) - 1 if a and b else 0
+    if size is not None:
+        n = min(n, size)
+    out = [zero] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i]):
+                if y:
+                    out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def dense_divmod(a: Sequence, b: Sequence, zero, sub, mul, lead_inv) -> tuple[list, list]:
+    """Quotient and remainder of a by a stripped nonzero b, both stripped;
+    ``lead_inv`` is the inverse of b's leading coefficient, or None when b
+    is monic, which spares a product per quotient coefficient."""
+    rem = list(a)
+    db = len(b) - 1
+    quot = [zero] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        if lead_inv is not None:
+            c = mul(c, lead_inv)
+        quot[i - db] = c
+        for j, y in enumerate(b):
+            if y:
+                rem[i - db + j] = sub(rem[i - db + j], mul(c, y))
+    return dense_strip(quot), dense_strip(rem)
+
+
+# ---------------------------------------------------------------------------
 # F_p[u] helpers used only while building a context (integer coefficients
 # reduced mod p, little endian lists, no tables required).
 
-def _fp_strip(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
 def _digits(e: int, p: int, m: int) -> list[int]:
     """Base-p digits of an encoded element, stripped of high zeros."""
-    return _fp_strip([e // p ** i % p for i in range(m)])
+    return dense_strip([e // p ** i % p for i in range(m)])
 
 def _fp_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     if not a or not b:
@@ -95,7 +149,7 @@ def _fp_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] = (out[i + j] + ca * cb) % p
-    return _fp_strip(out)
+    return dense_strip(out)
 
 def _fp_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     r = list(a)
@@ -106,7 +160,7 @@ def _fp_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
         shift = len(r) - 1 - db
         for j in range(db + 1):
             r[shift + j] = (r[shift + j] - c * b[j]) % p
-        _fp_strip(r)
+        dense_strip(r)
     return r
 
 def _fp_irreducible(f: Sequence[int], p: int) -> bool:
@@ -163,9 +217,10 @@ class FieldCtx:
     Instances are cheap value objects: equality and hashing only look at
     (p, m, modulus).  The optional seed feeds the deterministic retries of
     equal degree factorization and is not part of the identity.  ``memo``
-    holds the tables other modules derive from the field alone, keyed by a
-    tag and what is left once the field is fixed; it lives and dies with
-    this instance, and an equal instance starts with its own.
+    holds the tables derived from the field alone, the sieve's per degree
+    and those of other modules, keyed by a tag and what is left once the
+    field is fixed; it lives and dies with this instance, and an equal
+    instance starts with its own.
 
     Building the tables takes about 0.01 s at q = 256.  The limit q <= 4096
     is real: measured in a fresh CPython 3.11 process on a 2-core x86-64
@@ -178,7 +233,7 @@ class FieldCtx:
         "p", "m", "q", "modulus", "seed",
         "add_table", "sub_table", "mul_table", "neg_table", "inv_table",
         "exp_table", "log_table",
-        "_irred_cache", "_first_factors", "_cofactors", "memo", "__weakref__",
+        "memo", "__weakref__",
     )
 
     def __init__(self, p: int, m: int = 1, seed: int = 0):
@@ -195,9 +250,6 @@ class FieldCtx:
         self.seed = seed
         self.modulus = self._canonical_modulus()
         self._build_tables()
-        self._irred_cache: dict[int, tuple] = {}
-        self._first_factors: dict[int, list] = {}
-        self._cofactors: dict[int, array] = {}
         self.memo: dict = {}
 
     def _canonical_modulus(self) -> tuple[int, ...]:
@@ -274,7 +326,13 @@ class FieldCtx:
 
     # -- tuple polynomial arithmetic ---------------------------------------
 
-    def pvalidate(self, coeffs: Iterable[int]) -> tuple[int, ...]:
+    def pvalidate(self, coeffs: "Iterable[int] | Poly") -> tuple[int, ...]:
+        """The stripped coefficients of a polynomial argument: a sequence of
+        encoded elements, or a ``Poly`` over this field."""
+        if isinstance(coeffs, Poly):
+            if coeffs.ctx != self:
+                raise ValueError("polynomial is over a different field")
+            return coeffs.coeffs
         out = list(coeffs)
         for c in out:
             if not isinstance(c, int) or not 0 <= c < self.q:
@@ -458,12 +516,13 @@ class FieldCtx:
         """
         if d < 1:
             return ()
-        if d not in self._irred_cache:
+        irreds = self.memo.get(("irreducibles", d))
+        if irreds is None:
             base = self.q ** d
-            self._irred_cache[d] = tuple(
+            irreds = self.memo["irreducibles", d] = tuple(
                 self.pfrom_key(base + i) for i, pk in enumerate(self.first_factors(d)) if not pk
             )
-        return self._irred_cache[d]
+        return irreds
 
     def first_factors(self, d: int) -> list:
         """Smallest irreducible factor of every monic polynomial of degree d.
@@ -483,7 +542,7 @@ class FieldCtx:
         the product at position j of the list is P times the monic of key
         q^(d-e) + j.
         """
-        table = self._first_factors.get(d)
+        table = self.memo.get(("first_factors", d))
         if table is not None:
             return table
         if d < 1:
@@ -521,8 +580,8 @@ class FieldCtx:
                     if not table[i]:
                         table[i] = pk
                         cof[i] = j
-        self._first_factors[d] = table
-        self._cofactors[d] = cof
+        self.memo["first_factors", d] = table
+        self.memo["cofactors", d] = cof
         return table
 
     def cofactors(self, d: int) -> array:
@@ -534,7 +593,7 @@ class FieldCtx:
         irreducible f is 0 and means nothing.
         """
         self.first_factors(d)
-        return self._cofactors[d]
+        return self.memo["cofactors", d]
 
     def sieve_factor(self, f) -> list:
         """Factorization of a monic f read from :meth:`first_factors`.
@@ -554,7 +613,7 @@ class FieldCtx:
         while d > 0:
             pk = self.first_factors(d)[i]
             if pk:
-                i = self._cofactors[d][i]
+                i = self.memo["cofactors", d][i]
             else:
                 pk = q ** d + i
             if pk == last:
@@ -865,6 +924,6 @@ def poly_factor(a: Poly) -> tuple[int, list[tuple[Poly, int]]]:
 
 def monic_enum(ctx: FieldCtx, d: int, coprime_to: Poly | None = None) -> Iterator[Poly]:
     """Monic degree d polynomials in canonical order, optionally coprime to a modulus."""
-    cop = coprime_to.coeffs if coprime_to is not None else None
+    cop = ctx.pvalidate(coprime_to) if coprime_to is not None else None
     for f in ctx.monic_tuples(d, coprime_to=cop):
         yield Poly._wrap(ctx, f)

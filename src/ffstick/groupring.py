@@ -13,19 +13,21 @@ abelian group.  This module provides:
 * exact characters of G_I with values in the cyclotomic integers
   Z[x]/(Phi_e(x)), e the exponent of the group.
 
-Character values are accumulated in Z[x]/(x^e - 1) and only reduced modulo
-the cyclotomic polynomial when an equality test is needed, so no rounding of
-any kind enters the pipeline.
+A character value is accumulated as an exponent vector in Z[x]/(x^e - 1)
+and reduced modulo the cyclotomic polynomial Phi_e as soon as it becomes a
+:class:`CycloInt`; every CycloInt reduces when it is built, so equal values
+have equal coefficients and no rounding of any kind enters the pipeline.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import cache, reduce
 from typing import Callable, Iterable
 
-from .fieldcore import NEG_INF, FieldCtx, Poly
+from .fieldcore import NEG_INF, FieldCtx, Poly, dense_divmod, dense_mul
 
 __all__ = [
     "UnitGroup",
@@ -119,8 +121,6 @@ class UnitGroup:
     __slots__ = ("ctx", "I", "elements", "order", "_index", "_rows", "_orders", "_exponent")
 
     def __init__(self, ctx: FieldCtx, I):
-        if isinstance(I, Poly):
-            I = I.coeffs
         I = ctx.pvalidate(I)
         if len(I) < 2:
             raise ValueError("modulus must have degree >= 1")
@@ -147,9 +147,12 @@ class UnitGroup:
         return Poly(self.ctx, self.elements[i])
 
     def class_index(self, g) -> int:
-        """Index of [g mod I]; raises if g is not coprime to the modulus."""
+        """Index of [g mod I]; raises if g is not coprime to the modulus.
+
+        A tuple g is read as it is, unvalidated: the Euler product makes
+        one call per prime, with tuples from the sieve."""
         if isinstance(g, Poly):
-            g = g.coeffs
+            g = self.ctx.pvalidate(g)
         r = self.ctx.pmod(g, self.I)
         idx = self._index.get(r)
         if idx is None:
@@ -265,7 +268,6 @@ class GroupRingElem:
         if isinstance(other, int):
             return GroupRingElem(self.group, {i: c * other for i, c in self.coeffs.items()})
         other = self._check(other)
-        mul = self.group.mul
         out: dict[int, int] = {}
         for i, ci in self.coeffs.items():
             row = self.group._row(i)
@@ -286,6 +288,9 @@ class GroupRingElem:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def coeff(self, i: int) -> int:
         return self.coeffs.get(i, 0)
@@ -399,16 +404,9 @@ class FrobPoly:
         if isinstance(other, GroupRingElem):
             return FrobPoly(self.group, [c * other for c in self.coeffs])
         other = self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return FrobPoly.zero(self.group)
-        out = [GroupRingElem.zero(self.group) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return FrobPoly(self.group, out)
+        zero = GroupRingElem.zero(self.group)
+        return FrobPoly(self.group, dense_mul(self.coeffs, other.coeffs, zero,
+                                              operator.add, operator.mul))
 
     __rmul__ = __mul__
 
@@ -449,43 +447,13 @@ class FrobPoly:
 # cyclotomic integers and characters
 
 
-def _zmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _zdivmod_monic(a, b):
-    """Exact integer polynomial division by a monic divisor."""
-    r = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(r) >= len(b):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        c = r[-1]
-        s = len(r) - len(b)
-        q[s] = c
-        for j, y in enumerate(b):
-            r[s + j] -= c * y
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
 @cache
 def cyclotomic_poly(e: int) -> tuple[int, ...]:
     """Coefficients of Phi_e, computed by dividing x^e - 1 by the smaller ones."""
     num = [-1] + [0] * (e - 1) + [1]
     for d in range(1, e):
         if e % d == 0:
-            num, rem = _zdivmod_monic(num, list(cyclotomic_poly(d)))
+            num, rem = dense_divmod(num, cyclotomic_poly(d), 0, operator.sub, operator.mul, None)
             assert not rem
     return tuple(num)
 
@@ -496,8 +464,8 @@ class CycloInt:
     __slots__ = ("e", "coeffs")
 
     def __init__(self, e: int, coeffs: Iterable[int]):
-        phi = cyclotomic_poly(e)
-        _, r = _zdivmod_monic(list(coeffs), list(phi))
+        # Phi_e is monic
+        _, r = dense_divmod(coeffs, cyclotomic_poly(e), 0, operator.sub, operator.mul, None)
         self.e = e
         self.coeffs = tuple(r)
 
@@ -539,7 +507,7 @@ class CycloInt:
         if isinstance(other, int):
             return CycloInt(self.e, [c * other for c in self.coeffs])
         other = self._check(other)
-        return CycloInt(self.e, _zmul(list(self.coeffs), list(other.coeffs)))
+        return CycloInt(self.e, dense_mul(self.coeffs, other.coeffs, 0, operator.add, operator.mul))
 
     __rmul__ = __mul__
 

@@ -78,16 +78,12 @@ __all__ = [
 
 
 class Lattice:
-    """A full rank sublattice of A^n in canonical triangular form."""
+    """A full rank sublattice of A^n in canonical triangular form.
+
+    Built by ``hnf_reduce`` from spanning rows, or by ``standard_lattice``
+    and ``random_sublattice``."""
 
     __slots__ = ("ctx", "n", "rows", "_hash")
-
-    def __init__(self, ctx: FieldCtx, rows):
-        canon = hnf_reduce(ctx, rows)
-        self.ctx = ctx
-        self.n = canon.n
-        self.rows = canon.rows
-        self._hash = canon._hash
 
     @classmethod
     def _wrap(cls, ctx: FieldCtx, n: int, rows: tuple) -> "Lattice":
@@ -128,8 +124,6 @@ class Lattice:
 
     def scale(self, g) -> "Lattice":
         """The lattice g * N for a nonzero polynomial g."""
-        if isinstance(g, Poly):
-            g = g.coeffs
         g = self.ctx.pmonic(self.ctx.pvalidate(g))
         if not g:
             raise ValueError("cannot scale a lattice by zero")
@@ -140,7 +134,7 @@ class Lattice:
     def coords_of(self, vector) -> list | None:
         """Coefficients expressing a vector in this basis, or None if outside."""
         ctx = self.ctx
-        v = [e.coeffs if isinstance(e, Poly) else ctx.pvalidate(e) for e in vector]
+        v = [ctx.pvalidate(e) for e in vector]
         if len(v) != self.n:
             raise ValueError("vector length does not match the rank")
         coords = []
@@ -228,7 +222,7 @@ def hnf_reduce(ctx: FieldCtx, rows) -> Lattice:
     mat = []
     n = None
     for row in rows:
-        r = [e.coeffs if isinstance(e, Poly) else ctx.pvalidate(e) for e in row]
+        r = [ctx.pvalidate(e) for e in row]
         if n is None:
             n = len(r)
         elif len(r) != n:
@@ -276,7 +270,7 @@ class InvariantType:
     def __init__(self, ctx: FieldCtx, chain: Iterable):
         cs = []
         for f in chain:
-            f = f.coeffs if isinstance(f, Poly) else ctx.pvalidate(f)
+            f = ctx.pvalidate(f)
             if not f or f[-1] != 1:
                 raise ValueError("chain entries must be monic and nonzero")
             cs.append(f)
@@ -480,7 +474,7 @@ def _apply_basis(ctx: FieldCtx, cmat: list, lrows: tuple) -> tuple:
 def _monic(ctx: FieldCtx, g) -> tuple:
     """The coefficients of a determinant g, a Poly or a coefficient
     sequence, which must be monic and nonzero."""
-    g = ctx.pvalidate(g.coeffs if isinstance(g, Poly) else g)
+    g = ctx.pvalidate(g)
     if not g or g[-1] != 1:
         raise ValueError("determinant must be monic and nonzero")
     return g
@@ -973,8 +967,6 @@ class _TermView(Mapping):
 def _validate_prime(ctx: FieldCtx, x) -> tuple:
     """The coefficients of x, which must be monic and irreducible; Rabin's
     test runs once per x on ctx, whose memo keeps the accepted x only."""
-    if isinstance(x, Poly):
-        x = x.coeffs
     x = ctx.pvalidate(x)
     if ("prime", x) not in ctx.memo:
         if not x or x[-1] != 1 or not ctx.is_irreducible(x):
@@ -1241,13 +1233,12 @@ def predict_newton_cost(ctx: FieldCtx, x, n: int, r: int) -> int:
 
     Used to keep verification batteries inside a sane budget; the count for
     the term t_local(r - j) sigma_j is gauss_binom(n, j) multiplied by the
-    zeta coefficient counting colength r - j submodules.
+    zeta coefficient counting colength r - j submodules.  Like
+    ``newton_verify``, it refuses an x that is not a monic prime.
     """
     if r < 0:
         raise ValueError("colength must be nonnegative")
-    if isinstance(x, Poly):
-        x = x.coeffs
-    Q = ctx.q ** (len(x) - 1)
+    Q = ctx.q ** (len(_validate_prime(ctx, x)) - 1)
     total = 0
     for j in range(min(n, r) + 1):
         total += gauss_binom(n, j, Q) * _local_count(Q, n, r - j)

@@ -23,12 +23,13 @@ All arithmetic is exact over Z.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .fieldcore import FieldCtx, Poly
+from .fieldcore import FieldCtx, Poly, dense_mul
 from .groupring import (
     Character,
     CycloInt,
@@ -78,8 +79,6 @@ class StickCtx:
     __slots__ = ("ctx", "I", "G", "d", "_cache")
 
     def __init__(self, ctx: FieldCtx, I):
-        if isinstance(I, Poly):
-            I = I.coeffs
         I = ctx.pvalidate(I)
         if len(I) < 2 or I[-1] != 1:
             raise ValueError("modulus must be monic of degree at least 1")
@@ -144,17 +143,8 @@ class GrSeries:
     def __mul__(self, other: "GrSeries") -> "GrSeries":
         if not isinstance(other, GrSeries) or other.group != self.group:
             return NotImplemented
-        M = min(self.M, other.M)
-        zero = GroupRingElem.zero(self.group)
-        out = []
-        for m in range(M + 1):
-            acc = zero
-            for i in range(m + 1):
-                a, b = self.coeffs[i], other.coeffs[m - i]
-                if a.is_zero or b.is_zero:
-                    continue
-                acc = acc + a * b
-            out.append(acc)
+        out = dense_mul(self.coeffs, other.coeffs, GroupRingElem.zero(self.group),
+                        operator.add, operator.mul, size=min(self.M, other.M) + 1)
         return GrSeries(self.group, out)
 
     def coefficient_sum(self) -> GroupRingElem:

@@ -167,6 +167,19 @@ def test_verify_all_benchmark_report_bytes_are_pinned():
         "e097b7aadffbc34bdd3966cf9960d16d1ecf9e7d53b18c1e650fa065fa5e6c7b")
 
 
+@pytest.mark.parametrize("args, digest", [
+    (("stick", "theta", "--p", "3", "--ideal", "0,2,1,1", "--n", "3"),
+     "a9f33dacaa38a3a0a8e829d182e5d10926f3cb94cf3dafee8c50ba900d297935"),
+    (("carlitz", "example39", "--p", "5", "--ideal", "0,4,0,1"),
+     "4bef90fcc77c81023e277d6f58d57523d3ca745973ad22bbe9329cb6e7b75fd0"),
+], ids=["stick-theta", "carlitz-example39"])
+def test_polynomial_product_report_bytes_are_pinned(args, digest):
+    # Theta_3 multiplies FrobPoly and GrSeries elements, example39 divides and
+    # inverts in F_5(t)[X]/Psi; no verify-all section reaches these values
+    proc = run_cli(*args, check=True)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_verify_all_seed_changes_sampled_sections():
     a = report_of(run_cli("verify-all", "--seed", "1", "--pairs", "1",
                           "--newton-budget", "0", check=True))

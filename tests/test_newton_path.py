@@ -276,6 +276,15 @@ def test_negative_colength_is_rejected():
         predict_newton_cost(C2, (0, 1), 2, -1)
 
 
+@pytest.mark.parametrize("x", [(0, 0, 1), (0, 0, 2), (2, 0, 1)],
+                         ids=["reducible", "non-monic", "reducible-quadratic"])
+def test_cost_prediction_refuses_what_newton_verify_refuses(x):
+    # the prediction read only deg x, so it priced a check that cannot run
+    for fn in (predict_newton_cost, newton_verify):
+        with pytest.raises(ValueError, match="monic irreducible"):
+            fn(C3, x, 2, 2)
+
+
 def test_test_lattice_over_another_field_is_rejected():
     # t over F_2 is a prime there too, so without the check the sums ran
     # over F_2 while the Newton coefficients used q = 3: a false failure
