@@ -31,7 +31,6 @@ from .fieldcore import (
     Poly,
     field_context,
     monic_enum,
-    poly_divmod,
     poly_factor,
     poly_gcd,
 )
@@ -41,8 +40,6 @@ from .groupring import (
     FrobPoly,
     GroupRingElem,
     UnitGroup,
-    augmentation,
-    char_apply,
     characters,
     cyclotomic_poly,
     norm_element,
@@ -83,7 +80,6 @@ from .lseries import (
     verify_identities,
 )
 from .carlitz import (
-    AddPoly,
     RatFunc,
     SkewPoly,
     TorsionAlgebra,
@@ -98,12 +94,12 @@ from .carlitz import (
 __all__ = [
     "__version__",
     # fieldcore
-    "FieldCtx", "Poly", "field_context", "monic_enum",
-    "poly_divmod", "poly_factor", "poly_gcd",
+    "FieldCtx", "Poly", "field_context", "monic_enum", "poly_factor",
+    "poly_gcd",
     # groupring
     "Character", "CycloInt", "FrobPoly", "GroupRingElem", "UnitGroup",
-    "augmentation", "char_apply", "characters", "cyclotomic_poly",
-    "norm_element", "norm_residue", "unit_group",
+    "characters", "cyclotomic_poly", "norm_element", "norm_residue",
+    "unit_group",
     # heckelat
     "InvariantType", "Lattice", "LatticeSum", "alternating_qbinom_sum",
     "d_count", "gauss_binom", "hecke_mult_verify", "hnf_reduce",
@@ -115,7 +111,7 @@ __all__ = [
     "stick_context", "stickelberger_q", "theta1", "theta_n", "theta_noinf",
     "verify_identities",
     # carlitz
-    "AddPoly", "RatFunc", "SkewPoly", "TorsionAlgebra", "carlitz_map",
-    "galois_act", "partial_fractions", "psi_cyclotomic",
-    "split_tensor_element", "torsion_poly",
+    "RatFunc", "SkewPoly", "TorsionAlgebra", "carlitz_map", "galois_act",
+    "partial_fractions", "psi_cyclotomic", "split_tensor_element",
+    "torsion_poly",
 ]

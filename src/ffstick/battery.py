@@ -30,6 +30,8 @@ from .heckelat import (
     random_sublattice,
     standard_lattice,
     sublattice_enum,
+    _diag_tuples,
+    _monic,
 )
 from .lseries import (
     TAIL_LAW_ANCHOR,
@@ -195,25 +197,15 @@ def _mult_pairs(ctx: FieldCtx, n: int, seed: int, pairs: int, fault: str | None)
                         _with_witness({"pairs": run, "prime_pool_degrees": [1, 2]}, witness))
 
 
-def chains_with_det(ctx: FieldCtx, g: tuple, n: int) -> list:
-    """All length-n divisibility chains of monic polynomials with product g."""
-    out = []
-
-    def rec(remaining, prev, acc):
-        if len(acc) == n:
-            if remaining == (1,):
-                out.append(InvariantType(ctx, acc))
-            return
-        for f in ctx.monic_divisors(remaining):
-            if prev is not None and ctx.pmod(prev, f):
-                continue
-            q, r = ctx.pdivmod(remaining, f)
-            if r:
-                continue
-            rec(q, f, acc + [f])
-
-    rec(ctx.pvalidate(g), None, [])
-    return out
+def chains_with_det(ctx: FieldCtx, g, n: int) -> list:
+    """All length-n divisibility chains of monic polynomials with product g,
+    largest entry first: the ordered factorizations of ``_diag_tuples``
+    whose entries divide in descending order."""
+    if n < 1:
+        raise ValueError("chain length must be at least 1")
+    pmod = ctx.pmod
+    return [InvariantType(ctx, t) for t in _diag_tuples(ctx, _monic(ctx, g), n)
+            if not any(pmod(a, b) for a, b in zip(t, t[1:]))]
 
 
 def _chain_total(ctx: FieldCtx, g: tuple, n: int) -> int:

@@ -4,10 +4,12 @@ The Carlitz module is the F_q-algebra map a -> phi_a from A = F_q[t] into
 skew polynomials in the q-power Frobenius tau, pinned down by phi_t = tau + t
 and the twist rule tau * b = b^q * tau.  Substituting tau^i -> X^(q^i) turns
 phi_a into the additive torsion polynomial of a, whose roots are the
-a-torsion of the module.  The primitive part Psi_I of the torsion polynomial
-of I plays the role of a cyclotomic polynomial: phi_I(X) is the product of
-Psi_g over the monic divisors g, every division along the way being exact,
-and deg Psi_I equals the order of the unit group mod I.
+a-torsion of the module; phi_a is one ``SkewPoly``, which ``to_dense`` and
+``eval_elem`` read as that additive polynomial.  The primitive part Psi_I of
+the torsion polynomial of I plays the role of a cyclotomic polynomial:
+phi_I(X) is the product of Psi_g over the monic divisors g, every division
+along the way being exact, and deg Psi_I equals the order of the unit group
+mod I.
 
 Torsion points are handled symbolically inside F_q(t)[X] / Psi_I, never
 through root finding in a completion: the algebra carries exact rational
@@ -32,7 +34,6 @@ from .fieldcore import FieldCtx, Poly, dense_divmod, dense_mul, dense_strip
 
 __all__ = [
     "SkewPoly",
-    "AddPoly",
     "carlitz_map",
     "torsion_poly",
     "psi_cyclotomic",
@@ -52,7 +53,8 @@ class SkewPoly:
     """Polynomial in the Frobenius symbol tau with coefficients in F_q[t].
 
     Multiplication uses tau * b = b^q * tau, so these compose as additive
-    operators rather than commute.
+    operators rather than commute.  Read with tau^i as X^(q^i), the same
+    coefficients are the additive polynomial sum_i c_i X^(q^i).
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -141,49 +143,6 @@ class SkewPoly:
                 parts.append(f"({cs})*tau^{i}")
         return "SkewPoly(" + " + ".join(parts) + ")"
 
-    def to_json(self) -> list:
-        return [[i, list(c)] for i, c in enumerate(self.coeffs) if c]
-
-
-class AddPoly:
-    """Additive polynomial sum_i c_i X^(q^i) with coefficients in F_q[t]."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: FieldCtx, coeffs):
-        self.ctx = ctx
-        self.coeffs = tuple(dense_strip([ctx.pvalidate(c) for c in coeffs]))
-
-    @classmethod
-    def from_skew(cls, s: SkewPoly) -> "AddPoly":
-        return cls(s.ctx, s.coeffs)
-
-    @property
-    def frobenius_degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other):
-        if not isinstance(other, AddPoly) or other.ctx != self.ctx:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        padd = self.ctx.padd
-
-        def at(cs, i):
-            return cs[i] if i < len(cs) else ()
-
-        return AddPoly(self.ctx, [padd(at(self.coeffs, i), at(other.coeffs, i))
-                                  for i in range(n)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AddPoly)
-            and self.ctx == other.ctx
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ctx.q, self.coeffs))
-
     def to_dense(self) -> list[tuple]:
         """Coefficient list in X (little endian), entries in F_q[t]."""
         if not self.coeffs:
@@ -208,18 +167,6 @@ class AddPoly:
                 power = power.pow_int(q)
         return acc
 
-    def __repr__(self):
-        q = self.ctx.q
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            cs = str(Poly(self.ctx, c))
-            mono = "X" if i == 0 else f"X^{q ** i}"
-            parts.append(f"({cs})*{mono}")
-        return "AddPoly(" + (" + ".join(parts) if parts else "0") + ")"
-
     def to_json(self) -> list:
         return [[i, list(c)] for i, c in enumerate(self.coeffs) if c]
 
@@ -238,12 +185,13 @@ def carlitz_map(ctx: FieldCtx, a) -> SkewPoly:
     return acc
 
 
-def torsion_poly(ctx: FieldCtx, a) -> AddPoly:
-    """The additive polynomial whose roots are the a-torsion of the module."""
-    a = ctx.pvalidate(a)
-    if not a:
+def torsion_poly(ctx: FieldCtx, a) -> SkewPoly:
+    """phi_a read as the additive polynomial whose roots are the a-torsion
+    of the module (:meth:`SkewPoly.to_dense`, :meth:`SkewPoly.eval_elem`)."""
+    phi = carlitz_map(ctx, a)
+    if not phi.coeffs:  # phi_a has constant term a
         raise ValueError("torsion polynomial of zero is not defined")
-    return AddPoly.from_skew(carlitz_map(ctx, a))
+    return phi
 
 
 # ---------------------------------------------------------------------------

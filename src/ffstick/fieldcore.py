@@ -50,7 +50,6 @@ __all__ = [
     "FieldCtx",
     "Poly",
     "field_context",
-    "poly_divmod",
     "poly_gcd",
     "poly_factor",
     "monic_enum",
@@ -595,35 +594,6 @@ class FieldCtx:
         self.first_factors(d)
         return self.memo["cofactors", d]
 
-    def sieve_factor(self, f) -> list:
-        """Factorization of a monic f read from :meth:`first_factors`.
-
-        Returns the (monic irreducible, multiplicity) list of ``pfactor``,
-        in the same (degree, key) order.  A table walk, with no division:
-        each step reads the smallest factor P of what is left and moves to
-        the cofactor's offset deg P degrees lower (:meth:`cofactors`), so
-        equal factors come in a row and each distinct one is converted
-        from its key once.
-        """
-        q = self.q
-        out: list = []
-        last = 0
-        d = len(f) - 1
-        i = self.pkey(f) - q ** d
-        while d > 0:
-            pk = self.first_factors(d)[i]
-            if pk:
-                i = self.memo["cofactors", d][i]
-            else:
-                pk = q ** d + i
-            if pk == last:
-                out[-1] = (out[-1][0], out[-1][1] + 1)
-            else:
-                out.append((self.pfrom_key(pk), 1))
-                last = pk
-            d -= len(out[-1][0]) - 1
-        return out
-
     # -- factorization ------------------------------------------------------
 
     def _pth_root(self, a):
@@ -903,11 +873,6 @@ class Poly:
 def field_context(p: int, m: int = 1, seed: int = 0) -> FieldCtx:
     """Build the table backed context for F_{p^m} with its canonical modulus."""
     return FieldCtx(p, m, seed=seed)
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with deg r < deg b."""
-    return divmod(a, b)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

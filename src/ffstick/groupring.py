@@ -37,10 +37,8 @@ __all__ = [
     "Character",
     "unit_group",
     "norm_element",
-    "augmentation",
     "norm_residue",
     "characters",
-    "char_apply",
     "cyclotomic_poly",
 ]
 
@@ -267,6 +265,8 @@ class GroupRingElem:
     def __mul__(self, other):
         if isinstance(other, int):
             return GroupRingElem(self.group, {i: c * other for i, c in self.coeffs.items()})
+        if not isinstance(other, GroupRingElem):
+            return NotImplemented  # a FrobPoly multiplies from its own side
         other = self._check(other)
         out: dict[int, int] = {}
         for i, ci in self.coeffs.items():
@@ -320,10 +320,6 @@ class GroupRingElem:
 def norm_element(group: UnitGroup) -> GroupRingElem:
     """Sum of all group classes."""
     return GroupRingElem(group, {i: 1 for i in range(group.order)})
-
-
-def augmentation(a: GroupRingElem) -> int:
-    return a.augmentation()
 
 
 def norm_residue(a: GroupRingElem) -> GroupRingElem:
@@ -594,7 +590,3 @@ def characters(group: UnitGroup) -> tuple[Character, ...]:
             exps[idx] = sum(k * ai * (e // o) for k, ai, (_, o) in zip(ktup, a, basis)) % e
         chars.append(Character(group, e, tuple(exps)))
     return tuple(chars)
-
-
-def char_apply(chi: Character, a: GroupRingElem) -> CycloInt:
-    return chi.apply(a)

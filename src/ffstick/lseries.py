@@ -36,7 +36,6 @@ from .groupring import (
     FrobPoly,
     GroupRingElem,
     UnitGroup,
-    char_apply,
     norm_element,
     norm_residue,
     unit_group,
@@ -427,21 +426,21 @@ def theta_noinf(S: StickCtx, n: int, method: str = "generating") -> FrobPoly:
     return total
 
 
-def char_l_poly(S: StickCtx, chi: Character, tail_check: bool = True) -> list[CycloInt]:
+def char_l_poly(S: StickCtx, chi: Character) -> list[CycloInt]:
     """The character image chi(gamma_0), .., chi(gamma_d).
 
     For nontrivial chi the tail coefficients die (chi kills the norm
-    element); with ``tail_check`` this is confirmed on d+1 <= m <= d+3 and
-    a failure raises ArithmeticError, which no valid input can trigger.
+    element); this is confirmed on d+1 <= m <= d+3, and a failure raises
+    ArithmeticError, which no valid input can trigger.
     """
     if chi.group != S.G:
         raise ValueError("character belongs to a different group")
     gammas, _ = stickelberger_q(S)
-    values = [char_apply(chi, g) for g in gammas]
-    if tail_check and not chi.is_trivial:
+    values = [chi.apply(g) for g in gammas]
+    if not chi.is_trivial:
         series = euler_series(S, S.d + 3, method="direct")
         for m in range(S.d + 1, S.d + 4):
-            if not char_apply(chi, series.coeffs[m]).is_zero:
+            if not chi.apply(series.coeffs[m]).is_zero:
                 raise ArithmeticError(
                     f"nontrivial character does not kill the tail at m={m}"
                 )

@@ -79,9 +79,8 @@ def exit_code(doc: dict) -> int:
 class Stopwatch:
     """Reports elapsed wall time on stderr, keeping stdout byte stable."""
 
-    def __init__(self, label: str, stream=None):
+    def __init__(self, label: str):
         self.label = label
-        self.stream = stream if stream is not None else sys.stderr
 
     def __enter__(self):
         self._t0 = time.perf_counter()
@@ -89,5 +88,5 @@ class Stopwatch:
 
     def __exit__(self, *exc):
         ms = (time.perf_counter() - self._t0) * 1000.0
-        print(f"[time] {self.label}: {ms:.1f} ms", file=self.stream)
+        print(f"[time] {self.label}: {ms:.1f} ms", file=sys.stderr)
         return False

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffstick.carlitz import (
-    AddPoly,
     AlgElem,
     RatFunc,
     SkewPoly,
@@ -83,9 +82,42 @@ def test_skew_multiplication_twist_and_associativity():
 def test_torsion_poly_shape():
     tp = torsion_poly(C2, (0, 1))
     assert tp.to_dense() == [(), (0, 1), (1,)]
-    assert tp.frobenius_degree == 1
+    assert tp.degree == 1
     with pytest.raises(ValueError):
         torsion_poly(C2, ())
+
+
+# (q, a) -> to_json() and the nonzero entries {index: coefficient} of
+# to_dense(): the coefficient of tau^i sits at X^(q^i)
+TORSION_PINS = [
+    (C2, (1, 0, 1), [[0, [1, 0, 1]], [1, [0, 1, 1]], [2, [1]]], 5,
+     {1: (1, 0, 1), 2: (0, 1, 1), 4: (1,)}),
+    (C3, (0, 2, 1), [[0, [0, 2, 1]], [1, [2, 1, 0, 1]], [2, [1]]], 10,
+     {1: (0, 2, 1), 3: (2, 1, 0, 1), 9: (1,)}),
+    (C4, (0, 1, 1), [[0, [0, 1, 1]], [1, [1, 1, 0, 0, 1]], [2, [1]]], 17,
+     {1: (0, 1, 1), 4: (1, 1, 0, 0, 1), 16: (1,)}),
+    (C3, (2,), [[0, [2]]], 2, {1: (2,)}),
+]
+
+
+@pytest.mark.parametrize("ctx, a, js, length, nonzero", TORSION_PINS,
+                         ids=["q2", "q3", "q4", "q3-const"])
+def test_torsion_poly_is_carlitz_map_and_is_pinned(ctx, a, js, length, nonzero):
+    tp = torsion_poly(ctx, a)
+    assert tp == carlitz_map(ctx, a)
+    assert tp.to_json() == js
+    dense = tp.to_dense()
+    assert len(dense) == length
+    assert {i: c for i, c in enumerate(dense) if c} == nonzero
+
+
+def test_galois_action_on_x_is_pinned():
+    # I = t^3 over F_2: Psi_I has degree 4 = |G_I|, and phi_(t^2+t+1)(X) has
+    # degree 4, so the image of X is reduced mod Psi_I once
+    alg = TorsionAlgebra(C2, (0, 0, 0, 1))
+    img = galois_act(alg, (1, 1, 1), alg.x_gen())
+    assert img.to_json() == [{"num": [0, 1], "den": [1]}, {"num": [1, 1], "den": [1]},
+                             {"num": [1], "den": [1]}, {"num": [], "den": [1]}]
 
 
 def test_torsion_poly_additive_in_argument():

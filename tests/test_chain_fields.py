@@ -92,7 +92,6 @@ _ENTRY_POINTS = {
     "RatFunc.num": lambda f: carlitz.RatFunc(C3, f),
     "RatFunc.den": lambda f: carlitz.RatFunc(C3, (1,), f),
     "SkewPoly": lambda f: carlitz.SkewPoly(C3, [f]),
-    "AddPoly": lambda f: carlitz.AddPoly(C3, [f]),
     "carlitz_map": lambda f: carlitz.carlitz_map(C3, f),
     "torsion_poly": lambda f: carlitz.torsion_poly(C3, f),
     "psi_cyclotomic": lambda f: carlitz.psi_cyclotomic(C3, f),

@@ -5,14 +5,17 @@ coordinate matrices per (field, determinant, rank).  These tests compare
 them with the enumerate-then-classify route (``sublattice_enum`` followed by
 ``quotient_invariants`` against the ambient lattice), with the Hall
 polynomial count of cotypes, and bound the Smith form work of one
-multiplicativity check.
+multiplicativity check.  The chains of a determinant (``chains_with_det``)
+are checked against every tuple of divisors.
 """
 
 import itertools
+from functools import reduce
 
 import pytest
 
 from ffstick import heckelat
+from ffstick.battery import chains_with_det
 from ffstick.fieldcore import field_context
 from ffstick.heckelat import (
     InvariantType,
@@ -176,3 +179,33 @@ def test_mult_check_classifies_each_matrix_once(monkeypatch):
     two = snf_calls(2)
     assert 0 < two <= bound
     assert snf_calls(4) == two
+
+
+def _brute_force_chains(ctx, g, n):
+    """Every n-tuple over the monic divisors of g, in product order, whose
+    entries divide in descending order and multiply to g."""
+    deg = len(g) - 1
+    return [t for t in itertools.product(ctx.monic_divisors(g), repeat=n)
+            if sum(map(len, t)) - n == deg
+            and not any(ctx.pmod(a, b) for a, b in zip(t, t[1:]))
+            and reduce(ctx.pmul, t) == g]
+
+
+@pytest.mark.parametrize("p,m,max_deg", [(2, 1, 4), (3, 1, 4), (2, 2, 4), (5, 1, 3)],
+                         ids=["q2", "q3", "q4", "q5"])
+def test_chains_with_det_equals_brute_force_in_order(p, m, max_deg):
+    ctx = field_context(p, m)
+    for d in range(max_deg + 1):
+        for g in ctx.monic_tuples(d):
+            for n in range(1, 5):
+                got = [c.chain for c in chains_with_det(ctx, g, n)]
+                assert got == _brute_force_chains(ctx, g, n), (g, n)
+
+
+def test_chains_with_det_rejects_empty_chains_and_bad_determinants():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            chains_with_det(C3, (0, 1), n)
+    for g in ((), (2,), (0, 2)):
+        with pytest.raises(ValueError, match="monic"):
+            chains_with_det(C3, g, 2)

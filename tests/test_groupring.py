@@ -10,8 +10,6 @@ from ffstick.groupring import (
     CycloInt,
     FrobPoly,
     GroupRingElem,
-    augmentation,
-    char_apply,
     characters,
     cyclotomic_poly,
     norm_element,
@@ -73,7 +71,7 @@ def test_group_ring_axioms_randomized():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a  # abelian group
-        assert augmentation(a * b) == augmentation(a) * augmentation(b)
+        assert (a * b).augmentation() == a.augmentation() * b.augmentation()
         assert a - a == GroupRingElem.zero(G)
 
 
@@ -90,7 +88,7 @@ def test_norm_element_properties():
     for p, I in [(2, [1, 1, 1]), (3, [0, 2, 1]), (2, [0, 1, 1])]:
         G = unit_group(field_context(p), I)
         N = norm_element(G)
-        assert augmentation(N) == G.order
+        assert N.augmentation() == G.order
         g = GroupRingElem.basis(G, G.rep(G.order - 1))
         assert g * N == N
         assert N * N == G.order * N
@@ -125,6 +123,18 @@ def test_frobpoly_arithmetic():
     assert (f - f).degree == float("-inf")
 
 
+def test_group_ring_element_times_frobpoly_from_either_side():
+    ctx = field_context(3)
+    G = unit_group(ctx, [0, 0, 1])  # t^2: order 6
+    g = GroupRingElem(G, {0: 2, 1: -1, 3: 4})
+    F = FrobPoly(G, [GroupRingElem(G, {1: 1}), GroupRingElem(G, {0: 3, 5: -2})])
+    assert g * F == F * g == FrobPoly(G, [g * c for c in F.coeffs])
+    with pytest.raises(ValueError):
+        g * GroupRingElem.integer(unit_group(ctx, [1, 0, 1]), 1)
+    with pytest.raises(TypeError):
+        g * "x"
+
+
 def test_frobpoly_degree_additive_when_augmentation_nonzero():
     rng = random.Random(11)
     ctx = field_context(3)
@@ -137,7 +147,7 @@ def test_frobpoly_degree_additive_when_augmentation_nonzero():
                 cs.append(GroupRingElem(G, {rng.randrange(G.order): rng.randrange(-3, 4) for _ in range(2)}))
             return FrobPoly(G, cs)
         a, b = rand_poly(), rand_poly()
-        if a.coeffs and b.coeffs and augmentation(a.coeffs[-1]) != 0 and augmentation(b.coeffs[-1]) != 0:
+        if a.coeffs and b.coeffs and a.coeffs[-1].augmentation() != 0 and b.coeffs[-1].augmentation() != 0:
             assert (a * b).degree == a.degree + b.degree
 
 
@@ -200,11 +210,11 @@ def test_char_apply_accumulates_exactly():
     chs = characters(G)
     N = norm_element(G)
     for ch in chs:
-        v = char_apply(ch, N)
+        v = ch.apply(N)
         assert v == CycloInt.from_int(ch.e, G.order if ch.is_trivial else 0)
     a = GroupRingElem(G, {0: 2, 1: -1, 2: 3})
     for ch in chs:
         expect = CycloInt.from_int(ch.e, 0)
         for i, c in a.items():
             expect = expect + c * ch.value(i)
-        assert char_apply(ch, a) == expect
+        assert ch.apply(a) == expect

@@ -5,8 +5,8 @@
 ``verify_identities(n_max=3)`` counts each monic coprime to the modulus
 once, up to the largest order any of its checks asks for.  The shapes come
 from the sieve tables by degree, with no polynomial built or divided:
-``_factor_shapes`` makes no ``sieve_factor``, ``pdivmod`` or ``pfrom_key``
-call, and reads each degree's cofactor table once.  When every (n, M) call
+``_factor_shapes`` makes no ``pdivmod`` or ``pfrom_key`` call, and reads
+each degree's cofactor table once.  When every (n, M) call
 factored its monics again, the five moduli below made 1,071, 3,224, 287,
 2,353 and 1,275 ``sieve_factor`` calls.  When each monic was factored once
 by dividing, ``_factor_shapes`` made 768/1,442/1,443
@@ -65,7 +65,7 @@ def test_each_coprime_monic_is_factored_once(ctx, I, parent, monkeypatch):
     # parent: the sieve_factor calls when every (n, M) call factored again
     counts: dict = {}
     inside = []
-    for name in ("sieve_factor", "pdivmod", "pfrom_key", "cofactors"):
+    for name in ("pdivmod", "pfrom_key", "cofactors"):
         real = getattr(FieldCtx, name)
 
         def run(self, *args, _real=real, _name=name):

@@ -61,12 +61,10 @@ def test_sieve_equals_rabin_filter(field, d):
 @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=["q2", "q3", "q4", "q5"])
 def test_table_factorization_equals_pfactor(field):
     ctx = field_context(*field)
-    assert ctx.sieve_factor((1,)) == ctx.pfactor((1,))[1] == []
     for d in range(1, 5):
         table = ctx.first_factors(d)
         for i, f in enumerate(ctx.monic_tuples(d)):
             factors = ctx.pfactor(f)[1]
-            assert ctx.sieve_factor(f) == factors, f
             # the table entry is the first factor in (degree, key) order
             irreducible = factors == [(f, 1)]
             assert table[i] == (0 if irreducible else ctx.pkey(factors[0][0]))

@@ -2,8 +2,8 @@
 
 The sieve of ``FieldCtx.first_factors`` keeps, for every reducible monic f,
 its smallest factor P and the key offset of f / P (``FieldCtx.cofactors``).
-``sieve_factor`` walks those two tables, and ``lseries._factor_shapes``
-builds each degree's shapes from lower degrees with them.  The references
+``lseries._factor_shapes`` builds each degree's shapes from lower degrees
+with those two tables.  The references
 are plain multiplication (``pmul``) for the cofactor table, and
 Cantor-Zassenhaus (``pfactor``), which shares nothing with the sieve, with
 ``UnitGroup.class_index`` for the shape histograms.
@@ -45,28 +45,7 @@ def test_irreducible_cofactor_entries_are_never_read():
         for i, pk in enumerate(ctx.first_factors(d)):
             if not pk:
                 cof[i] = 2 ** 32 - 1
-    for f in ctx.monic_tuples(5):
-        assert ctx.sieve_factor(f) == ctx.pfactor(f)[1], f
     assert [dict(h) for h in lseries._factor_shapes(S, 6)] == want
-
-
-def test_sieve_factor_divides_nothing(monkeypatch):
-    ctx = field_context(2, 2)
-    calls = {"pdivmod": 0, "pfrom_key": 0}
-    for name in calls:
-        real = getattr(FieldCtx, name)
-
-        def run(self, *args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(self, *args)
-
-        monkeypatch.setattr(FieldCtx, name, run)
-    for d in range(1, 6):
-        ctx.first_factors(d)  # the irreducibles below are listed here
-    for f in ctx.monic_tuples(5):
-        calls.update(pdivmod=0, pfrom_key=0)
-        factors = ctx.sieve_factor(f)
-        assert calls == {"pdivmod": 0, "pfrom_key": len(factors)}, f
 
 
 def _reference_shapes(S, M):
