@@ -14,11 +14,13 @@ and row tuples are built only where a caller looks at single terms.
 The operators implemented here all sum C N over a plan: a dict from each
 diagonal of the coordinate matrices C to a trie over their rows
 (``_plan``), or to None, which stands for every canonical C of that
-diagonal and builds no trie.  One walker, ``_sublattice_rows``, builds the
+diagonal and builds no trie.  One walker, ``_plan_sum``, builds the
 canonical rows of C N bottom up, the same way for A^n and every other N:
 each row runs over an affine space over F_q, of which a trie keeps the
 indices of its matrices, and under None the rows below row i are built
-once per residue class of row i's last entry.
+once per residue class of row i's last entry.  The terms N of a sum that
+share rows 1, ..., n - 1 share the walk of those rows (``_row0_frames``),
+and each term then builds only its row 0.
 
 * ``t_det``: the sum of all sublattices of N of determinant g, a None
   trie for every diagonal of det g;
@@ -540,10 +542,10 @@ def _plan(ctx: FieldCtx, chain: tuple,
     the node at row i-1, or to None at row 0, and k is the number of base-q
     digits of its largest index.  The digits c_ij[a] run over j > i and
     a < deg c_jj in that order, the order of the generators
-    ``_sublattice_rows`` spans row i with, so an index with k digits needs
+    ``_row0_frames`` spans row i with, so an index with k digits needs
     only the first k of them.  In rank 1 there is no row to index and the
-    trie is None, which ``_sublattice_rows`` reads as every canonical C of
-    the diagonal, here the one C.
+    trie is None, which ``_plan_sum`` reads as every canonical C of the
+    diagonal, here the one C.
     """
     plan = ctx.memo.get(("plan", chain))
     if plan is None:
@@ -745,24 +747,29 @@ class _Packing:
             key |= self.pack(rows[i], self.row_layout(degs[i + 1:])[0])
         return diag, key
 
+    def unpack(self, key: int, offs: tuple, row: list) -> None:
+        """Write the entries at ``offs`` of a key into row vector row, the
+        inverse of ``pack``."""
+        cw, unspread = self.cw, self.unspread
+        cmask = (1 << cw) - 1
+        for j, off, slots in offs:
+            chunk = key >> off & (1 << slots * cw) - 1
+            cs = []
+            while chunk:
+                cs.append(chunk & cmask)
+                chunk >>= cw
+            row[j] = tuple(cs) if unspread is None else tuple([unspread[c] for c in cs])
+
     def rows(self, diag: tuple, key: int) -> tuple:
         """Canonical rows of the lattice with this diagonal and key."""
         n = len(diag)
         degs = tuple(len(e) - 1 for e in diag)
-        cw, unspread = self.cw, self.unspread
-        cmask = (1 << cw) - 1
         out = []
         for i in range(n):
             row = [()] * n
             row[i] = diag[i]
             if key:
-                for j, off, slots in self.row_layout(degs[i + 1:])[0]:
-                    chunk = key >> off & (1 << slots * cw) - 1
-                    cs = []
-                    while chunk:
-                        cs.append(chunk & cmask)
-                        chunk >>= cw
-                    row[j] = tuple(cs) if unspread is None else tuple([unspread[c] for c in cs])
+                self.unpack(key, self.row_layout(degs[i + 1:])[0], row)
             out.append(tuple(row))
         return tuple(out)
 
@@ -821,6 +828,7 @@ class LatticeSum:
         for L, c in (terms or {}).items():
             if L.n != n or L.ctx != ctx:
                 raise ValueError("lattice does not match the sum's field and rank")
+            _check_coefficient(c)
             if c:
                 diag, key = pk.key_of(L.rows)
                 by_diag.setdefault(diag, {})[key] = c
@@ -852,6 +860,7 @@ class LatticeSum:
 
     @classmethod
     def of(cls, L: Lattice, mult: int = 1) -> "LatticeSum":
+        _check_coefficient(mult)
         diag, key = _packing(L.ctx).key_of(L.rows)
         return cls._of_keys(L.ctx, L.n, {diag: {key: mult}})
 
@@ -875,7 +884,10 @@ class LatticeSum:
 
     def __mul__(self, k: int) -> "LatticeSum":
         """k times the sum, always a new sum that shares no inner dict; a
-        nonzero k leaves no zero to drop."""
+        nonzero k leaves no zero to drop.  A sum has integer coefficients,
+        so any other k is not a factor it takes."""
+        if not isinstance(k, int):
+            return NotImplemented
         if k == 0:
             return LatticeSum._wrap(self.ctx, self.n, {})
         if k == 1:
@@ -918,6 +930,13 @@ class LatticeSum:
 
     def to_json(self) -> list:
         return [[L.to_json(), c] for L, c in self.items()]
+
+
+def _check_coefficient(c) -> None:
+    """Refuse a coefficient that is not an integer: a sum is a formal
+    Z-linear combination."""
+    if not isinstance(c, int):
+        raise TypeError(f"lattice sum coefficients must be integers, not {type(c).__name__}")
 
 
 def _merge_into(acc: dict, by_diag: dict) -> None:
@@ -983,7 +1002,7 @@ def sigma_apply(x, j: int, s: LatticeSum) -> LatticeSum:
     of them per lattice, the sublattices with chain (x, ..., x, 1, ..., 1).
     So this is ``t_chain`` of that chain, with the coordinate matrices in
     closed form (``_sigma_matrices``) instead of classified, and walked by
-    ``_sublattice_rows`` from a real trie per diagonal (``_plan``).
+    ``_plan_sum`` from a real trie per diagonal (``_plan``).
     """
     ctx = s.ctx
     x = _validate_prime(ctx, x)
@@ -1015,8 +1034,8 @@ def t_det(g, s: LatticeSum) -> LatticeSum:
     canonical triangular C of det g, a monic nonzero polynomial: every
     sublattice of N of determinant g.  Its plan maps each diagonal of det g
     (``_diag_tuples``) to a trie of None, every canonical C of that
-    diagonal, so no trie is built and ``_sublattice_rows`` spans each row in
-    full, the same way for A^n and for any other N."""
+    diagonal, so no trie is built and ``_plan_sum`` spans each row in full,
+    the same way for A^n and for any other N."""
     ctx = s.ctx
     g = _monic(ctx, g)
     if g == (1,):
@@ -1031,25 +1050,67 @@ def _plan_sum(s: LatticeSum, plan: dict) -> LatticeSum:
     and ``sigma_apply`` all sum through here, and the keys of C N are summed
     by diagonal.
 
-    What a diagonal needs of N alone is made once per term: N's canonical
-    rows, the rows c N_i by (i, c), and the generators t^a N_j for 0 < j < n
-    and a < deg det C, which no diagonal entry exceeds; row 0 is never
-    shifted, and row n - 1 only for real tries, as no other path reads it."""
+    Rows 1, ..., n - 1 of C N depend on N only through N's rows 1, ..., n -
+    1, the tail of its diagonal and the key bits below row 0's, so the terms
+    are grouped by those and the walk has two phases.  Once per group and
+    diagonal, ``_row0_frames`` fixes rows n - 1, ..., 1 into frames; then,
+    per term and frame, only row 0's base diags[0] N_0 is reduced against
+    the frame's rows, added to its span and ORed onto the keys below.  A
+    group makes the rows c N_i by (i, c) and the generators t^a N_j for 0 <
+    j < n and a < deg det C, which no diagonal entry exceeds, once; row
+    n - 1 is shifted only for real tries, as no other path reads it."""
     ctx, n = s.ctx, s.n
     pk = _packing(ctx)
-    radd = _row_adder(ctx)
+    pmul, pack, radd = ctx.pmul, pk.pack, _row_adder(ctx)
+    repeat = itertools.repeat
     top = sum([len(c) - 1 for c in next(iter(plan), ())])
     last = n - 1 if None in plan.values() else n
-    acc: dict = {}
+    groups: dict = {}
     for diag, keys in s.by_diag.items():
+        offs = pk.row_layout(tuple([len(e) - 1 for e in diag[1:]]))[0]
+        low = (1 << offs[0][1]) - 1 if offs else 0
         for key, mult in keys.items():
-            nrows = pk.rows(diag, key)
-            scaled = {(i, (1,)): row for i, row in enumerate(nrows)}
-            shifted = [()] + [[tuple([(0,) * a + e if e else () for e in nrows[j]])
-                               for a in range(top)] for j in range(1, last)]
-            for diags, trie in plan.items():
-                out_diag, prods = _sublattice_rows(ctx, pk, radd, nrows, scaled, shifted,
-                                                   diags, trie)
+            row = [()] * n
+            row[0] = diag[0]
+            pk.unpack(key, offs, row)
+            groups.setdefault((diag[1:], key & low), []).append((row, mult))
+    acc: dict = {}
+    for (tdiag, low), terms in groups.items():
+        nrows = pk.rows((terms[0][0][0],) + tdiag, low)
+        scaled = {(i, (1,)): row for i, row in enumerate(nrows)}
+        rows0 = {(1,): [row for row, _ in terms]}  # c N_0 of each term, by c
+        shifted = [()] + [[tuple([(0,) * a + e if e else () for e in nrows[j]])
+                           for a in range(top)] for j in range(1, last)]
+        for diags, trie in plan.items():
+            out_tail, offs, add, frames, classes = _row0_frames(
+                ctx, pk, radd, nrows, scaled, shifted, diags, trie)
+            d, lastmask, table = classes or (None, 0, None)
+            c0 = diags[0]
+            bases0 = rows0.get(c0)
+            if bases0 is None:
+                bases0 = rows0[c0] = [[pmul(c0, e) if e else () for e in row]
+                                      for row, _ in terms]
+            for base0, (_, mult) in zip(bases0, terms):
+                prods: list[int] = []
+                for tail, kids, span, upper in frames:
+                    bkey = pack(_reduced(ctx, base0, tail, 0, d), offs)
+                    if table is None:
+                        key = bkey | upper
+                        if span is None:
+                            prods.append(key)
+                        elif kids is None:
+                            prods += map(add, span, repeat(key))
+                        else:
+                            prods += [add(key, span[index]) for index in kids]
+                        continue
+                    # row 0's last entry runs over a class r + d h, on top of
+                    # every OR of the classes of the rows below, [0] in rank 2
+                    for key in (bkey,) if span is None else map(add, span, repeat(bkey)):
+                        r = key & lastmask
+                        key ^= r
+                        heads = [key | c for c in _class_of(table, r, add)]
+                        prods += heads if upper == [0] else [h | u for h in heads for u in upper]
+                out_diag = (base0[0],) + out_tail
                 bucket = acc.get(out_diag)
                 # the C N of one N and one diagonal are distinct, and no
                 # other diagonal of the same N reaches this bucket
@@ -1062,13 +1123,14 @@ def _plan_sum(s: LatticeSum, plan: dict) -> LatticeSum:
     return LatticeSum._of_keys(ctx, n, acc)
 
 
-def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: dict,
-                     shifted: list, diags: tuple, trie: list | None) -> tuple:
-    """The diagonal and the packed keys of C N for the canonical upper
-    triangular C with diagonal ``diags`` that ``trie`` keeps (``_plan``), or
-    for every such C when ``trie`` is None, where ``nrows`` are N's
-    canonical rows, ``scaled`` memoizes the rows c N_i by (i, c) and
-    ``shifted[j][a]`` is t^a N_j, both for one N.  This is the one function
+def _row0_frames(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: dict,
+                 shifted: list, diags: tuple, trie: list | None) -> tuple:
+    """The first phase of ``_plan_sum``: rows n - 1, ..., 1 of C N for the
+    canonical upper triangular C with diagonal ``diags`` that ``trie``
+    keeps (``_plan``), or for every such C when ``trie`` is None, where
+    ``nrows`` are the rows of a group of terms N (row 0 is not read),
+    ``scaled`` memoizes the rows c N_i by (i, c) and ``shifted[j][a]`` is t^a
+    N_j.  This and ``_plan_sum``'s loop over the terms are the one walker
     that builds the rows of C N, for ``t_det``, ``t_chain`` and
     ``sigma_apply``.
 
@@ -1077,13 +1139,12 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
     row i; R_i is F_q-linear, so canonical row i runs over the affine space
     R_i(diags[i] N_i) + span_Fq{R_i(t^a N_j) : j > i, a < deg diags[j]},
     and the C with entries e_ij[a] is its entry at index sum_k e_ij[a] q^k
-    (``_affine_span``).  The rows are fixed from n-1 up to 0, only the base
-    and the generators of each space are reduced, the rows below row i are
-    built once for every C that shares them, and each key is one vector
-    addition; a space with no generator is its base.  A node of a real trie
-    spans only its first k generators, enough for its largest index, and
-    goes on below the indices it keeps alone; for sigma_j every x-row keeps
-    index 0 and spans nothing.
+    (``_affine_span``).  The rows are fixed from n-1 up to 1, only the base
+    and the generators of each space are reduced, and each key is one
+    vector addition; a space with no generator is its base.  A node of a
+    real trie spans only its first k generators, enough for its largest
+    index, and goes on below the indices it keeps alone; for sigma_j every
+    x-row keeps index 0 and spans nothing.
 
     Only under a None trie do the generators t^a N_{n-1} = t^a d e_{n-1},
     d = N's last diagonal entry, span a whole class d * {h : deg h <
@@ -1091,82 +1152,87 @@ def _sublattice_rows(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: di
     enumerated with the last entry replaced by its residue r mod d, and that
     entry then runs over the class r + d h.  The rows below row i see row
     i's last entry only mod d: they reduce their own last entry mod d too.
-    So the keys below row i are built once per residue, and each element of
-    the class is ORed onto every one of them.
+    So the rows below row i are built once per residue, and each element of
+    the class is ORed onto every key built on them.
+
+    Returns the tail of C N's diagonal, row 0's layout, the frames and,
+    under classes, (d, row 0's last entry bits, its ``_class_table``).  A
+    frame (rows, kids, span, upper) is one choice of rows 1, ..., n - 1:
+    those rows, the indices a real trie keeps in row 0 (None for all), the
+    keys that row 0's reduced generators span from 0 (None for none), and
+    the key bits below row 0, or under classes every OR of them with the
+    elements of their classes ([0] in rank 2).
     """
     n = len(nrows)
-    pmul, pdivmod = ctx.pmul, ctx.pdivmod
-    d = nrows[-1][-1]
-    k = len(diags[-1]) - 1
-    bases = []
-    for i, c in enumerate(diags):
+    pmul = ctx.pmul
+    bases = [()]
+    for i in range(1, n):
+        c = diags[i]
         row = scaled.get((i, c))
         if row is None:
             row = scaled[i, c] = tuple([pmul(c, e) if e else () for e in nrows[i]])
         bases.append(row)
-    diag = tuple([row[i] for i, row in enumerate(bases)])
-    if n == 1:
-        return diag, [0]
-    degs = tuple([len(e) - 1 for e in diag])
-
-    def residue(v: tuple) -> tuple:
-        r = v[-1]
-        if len(r) >= len(d):
-            r = pdivmod(r, d)[1] if len(d) > 1 else ()
-        return v[:-1] + (r,)
-
-    def level(i: int, node: list | None, tail: tuple, tkey: int) -> list:
-        offs, add = pk.row_layout(degs[i + 1:])
-        if node is None:
-            base = residue(_reduce_row(ctx, list(bases[i]), tail, i))
-            gens = [residue(_reduce_row(ctx, list(v), tail, i))
-                    for j in range(i + 1, n - 1) for v in shifted[j][:len(diags[j]) - 1]]
-        else:
-            width, node = node
-            base = _reduce_row(ctx, list(bases[i]), tail, i)
-            gens = [_reduce_row(ctx, list(v), tail, i) for v in itertools.islice(
-                (v for j in range(i + 1, n) for v in shifted[j][:len(diags[j]) - 1]), width)]
-        if gens:
-            steps, rsteps = _steps(ctx, pk, gens, offs)
-            keys = _affine_span(pk.pack(base, offs), steps, add)
-            rows = _affine_span(base, rsteps, radd) if i else None
-        else:
-            keys, rows = [pk.pack(base, offs)], [base]
-        out: list[int] = []
-        if node is not None:  # the indices the trie keeps
-            if not i:
-                return [keys[index] | tkey for index in node]
-            for index, kid in node.items():
-                out += level(i - 1, kid, (rows[index],) + tail, tkey | keys[index])
-            return out
-        if not k:  # the residue is the whole last entry
-            if not i:
-                return [key | tkey for key in keys]
-            for key, row in zip(keys, rows):
-                out += level(i - 1, None, (row,) + tail, tkey | key)
-            return out
-        _, off, slots = offs[-1]
-        last = (1 << slots * pk.cw) - 1 << off
-        dkeys, classes = _class_table(ctx, pk, d, k, off, add)
-        for pos, key in enumerate(keys):
-            r = key & last
-            cls = classes.get(r)
-            if cls is None:
-                cls = classes[r] = [add(r, h) for h in dkeys]
-            head = (key ^ r) | tkey
-            if not i:
-                out += [head | c for c in cls]
+    out_tail = tuple([bases[i][i] for i in range(1, n)])
+    degs = tuple([len(e) - 1 for e in out_tail])
+    # the residue classes of the last column, where there is one above row 0
+    k = len(diags[-1]) - 1 if trie is None and n > 1 else 0
+    d = nrows[-1][-1] if k else None
+    hi = n - 1 if trie is None else n
+    states = [(trie, (bases[-1],) if n > 1 else (), [0] if k else 0)]
+    for i in range(max(n - 2, 0), -1, -1):  # rank 1 has row 0 alone
+        offs, add = pk.row_layout(degs[i:])
+        gens = [v for j in range(i + 1, hi) for v in shifted[j][:len(diags[j]) - 1]]
+        if k:
+            _, off, slots = offs[-1]
+            lastmask = (1 << slots * pk.cw) - 1 << off
+            table = _class_table(ctx, pk, d, k, off, add)
+        out = []
+        for node, tail, upper in states:
+            if node is not None:
+                width, node = node
+            vs = [_reduced(ctx, v, tail, i, d) for v in (gens if node is None else gens[:width])]
+            if not i:  # row 0's base is each term's own
+                span = _affine_span(0, _steps(ctx, pk, vs, offs)[0], add) if vs else None
+                out.append((tail, node, span, upper))
+                continue
+            base = _reduced(ctx, bases[i], tail, i, d)
+            if vs:
+                steps, rsteps = _steps(ctx, pk, vs, offs)
+                keys = _affine_span(pk.pack(base, offs), steps, add)
+                rows = _affine_span(base, rsteps, radd)
             else:
-                below = level(i - 1, None, (rows[pos],) + tail, head)
-                out += [b | c for c in cls for b in below]
-        return out
+                keys, rows = [pk.pack(base, offs)], [base]
+            if node is not None:  # the indices the trie keeps
+                out += [(kid, (rows[index],) + tail, upper | keys[index])
+                        for index, kid in node.items()]
+            elif not k:
+                out += [(None, (row,) + tail, upper | key) for key, row in zip(keys, rows)]
+            else:
+                for key, row in zip(keys, rows):
+                    r = key & lastmask
+                    out.append((None, (row,) + tail, [(key ^ r) | c | u for c in
+                                                      _class_of(table, r, add) for u in upper]))
+        states = out
+    return out_tail, offs, add, states, (d, lastmask, table) if k else None
 
-    # row n - 1 has no entry off the diagonal and needs no reduction
-    keys = level(n - 2, trie, (bases[-1],), 0)
-    # level holds itself through its closure; emptying that cell frees each
-    # walk's rows now rather than at a cyclic collection
-    del level
-    return diag, keys
+
+def _reduced(ctx: FieldCtx, v, tail: tuple, i: int, d: tuple | None) -> tuple:
+    """Row vector v reduced as row i against the canonical rows ``tail``
+    below it (``_reduce_row``), then, unless d is None, its last entry mod
+    d."""
+    v = _reduce_row(ctx, list(v), tail, i)
+    if d is None or len(v[-1]) < len(d):
+        return v
+    return v[:-1] + (ctx.pdivmod(v[-1], d)[1] if len(d) > 1 else (),)
+
+
+def _class_of(table: tuple, r: int, add) -> list:
+    """The keys of the class r + d h of a ``_class_table``, memoized there."""
+    dkeys, classes = table
+    cls = classes.get(r)
+    if cls is None:
+        cls = classes[r] = [add(r, h) for h in dkeys]
+    return cls
 
 
 def _affine_span(base, steps: list, add) -> list:
@@ -1191,8 +1257,8 @@ def t_chain(chain: InvariantType, s: LatticeSum) -> LatticeSum:
     so ``t_det(g, s)``, where g forces the chain (``_forced``).  Otherwise
     they are classified once per determinant and rank
     (``_triangles_by_type``), kept as a real trie per diagonal
-    (``_chain_plan``) and walked by ``_sublattice_rows``, as ``t_det`` walks
-    its tries of None.  The chain must be over the sum's field.
+    (``_chain_plan``) and walked by ``_plan_sum``, as ``t_det`` walks its
+    tries of None.  The chain must be over the sum's field.
     """
     if len(chain) != s.n:
         raise ValueError("chain length must equal the rank")
@@ -1234,11 +1300,14 @@ def predict_newton_cost(ctx: FieldCtx, x, n: int, r: int) -> int:
     Used to keep verification batteries inside a sane budget; the count for
     the term t_local(r - j) sigma_j is gauss_binom(n, j) multiplied by the
     zeta coefficient counting colength r - j submodules.  Like
-    ``newton_verify``, it refuses an x that is not a monic prime.
+    ``newton_verify``, it refuses an x that is not a monic prime and a rank
+    below 1.
     """
     if r < 0:
         raise ValueError("colength must be nonnegative")
     Q = ctx.q ** (len(_validate_prime(ctx, x)) - 1)
+    if n < 1:
+        raise ValueError("rank must be positive")
     total = 0
     for j in range(min(n, r) + 1):
         total += gauss_binom(n, j, Q) * _local_count(Q, n, r - j)
@@ -1282,6 +1351,8 @@ def newton_verify(
     if r < 0:
         raise ValueError("colength must be nonnegative")
     x = _validate_prime(ctx, x)
+    if n < 1:
+        raise ValueError("rank must be positive")
     Q = ctx.q ** (len(x) - 1)
     if test_lattices is None:
         test_lattices = [standard_lattice(ctx, n)]

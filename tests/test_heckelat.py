@@ -1,6 +1,7 @@
 """Lattice canonical forms, counting, and Hecke operator identities."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -319,6 +320,36 @@ def test_lattice_sum_algebra():
     assert [c for _, c in items] == [1, 3]
     with pytest.raises(ValueError):
         s + LatticeSum.of(standard_lattice(C2, 3))
+
+
+@pytest.mark.parametrize("c", [2.5, 0.5, Fraction(1, 2), Fraction(2, 1), "2"],
+                         ids=["float", "half", "fraction", "whole-fraction", "str"])
+def test_lattice_sum_takes_only_integer_coefficients(c):
+    # a sum is a formal Z-linear combination: a float mass would reach the
+    # report through to_json
+    L1 = standard_lattice(C2, 2)
+    L2 = L1.scale(T)
+    s = LatticeSum.of(L1) + LatticeSum.of(L2)
+    for product in (lambda: s * c, lambda: c * s):
+        with pytest.raises(TypeError):
+            product()
+    with pytest.raises(TypeError):
+        LatticeSum(C2, 2, {L1: c})
+    with pytest.raises(TypeError):
+        LatticeSum.of(L1, c)
+
+
+def test_lattice_sum_integer_coefficients_still_work():
+    L1 = standard_lattice(C2, 2)
+    L2 = L1.scale(T)
+    s = LatticeSum.of(L1) + LatticeSum.of(L2, 2)
+    for k in (0, 1, -1, 3, -4):
+        assert (s * k).total_mass() == (k * s).total_mass() == 3 * k
+        assert (s * k).to_json() == [[L.to_json(), c * k] for L, c in s.items() if k]
+    assert (s * 0).is_zero
+    assert LatticeSum(C2, 2, {L1: 0, L2: -2}) == LatticeSum.of(L2, -2)
+    assert LatticeSum.of(L1, 0).is_zero
+    assert LatticeSum.of(L1, -3).terms[L1] == -3
 
 
 def test_newton_recurrence_small_grid():

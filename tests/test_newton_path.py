@@ -279,10 +279,15 @@ def test_negative_colength_is_rejected():
 @pytest.mark.parametrize("x", [(0, 0, 1), (0, 0, 2), (2, 0, 1)],
                          ids=["reducible", "non-monic", "reducible-quadratic"])
 def test_cost_prediction_refuses_what_newton_verify_refuses(x):
-    # the prediction read only deg x, so it priced a check that cannot run
+    # the prediction read only deg x, so it priced a check that cannot run;
+    # it priced a rank below 1 too, as 1 at r = 0 and 0 at n = -2
     for fn in (predict_newton_cost, newton_verify):
         with pytest.raises(ValueError, match="monic irreducible"):
             fn(C3, x, 2, 2)
+        for n in (0, -1):
+            for r in (0, 2):
+                with pytest.raises(ValueError, match="rank must be positive"):
+                    fn(C3, (0, 1), n, r)
 
 
 def test_test_lattice_over_another_field_is_rejected():

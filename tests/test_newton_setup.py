@@ -1,15 +1,19 @@
-"""The Newton path pays its set-up once per term and tests each prime once.
+"""The Newton path pays its set-up once per group of terms and tests each prime once.
 
-``t_det`` makes a term's shifted rows once for all its diagonals, and a
-level of ``_sublattice_rows`` with no generator takes its base as its one
-key and row, with no ``_steps`` or ``_affine_span`` call.  On one warm
-Newton cell (q = 3, x = t^2 + 1, n = 3, r = 2, the four Newton test
-lattices of seed 0), ``newton_verify`` made 3,516 ``_affine_span`` and
-2,344 ``_steps`` calls when every level was spanned, and 25 Rabin tests
-when each ``t_local`` and ``sigma_apply`` call tested x again; it now makes
-436, 428 and none.  It makes 1,140 ``_sublattice_rows`` calls, one per term
-and diagonal of each ``t_local`` and each ``sigma_apply``: sigma_j walks
-its plan through the same function as ``t_local``.
+``t_det`` makes a group's shifted rows once for all its diagonals, and a
+level of the walk with no generator takes its base as its one key and row,
+with no ``_steps`` or ``_affine_span`` call.  The terms of a sum that share
+rows 1, ..., n - 1 share the walk of those rows: ``_row0_frames`` runs once
+per group and diagonal, and each term then reduces and spans row 0 alone.
+On one warm Newton cell (q = 3, x = t^2 + 1, n = 3, r = 2, the four Newton
+test lattices of seed 0), ``newton_verify`` made 3,516 ``_affine_span`` and
+2,344 ``_steps`` calls when every level was spanned, and 25 Rabin tests when
+each ``t_local`` and ``sigma_apply`` call tested x again.  Walking every
+term and diagonal alone, it made 1,140 walks, 3,216 ``_reduce_row``, 428
+``_steps`` and 436 ``_affine_span`` calls; grouped, it makes 180 shared
+walks, one per group and diagonal of each ``t_local`` and ``sigma_apply``
+(sigma_j walks its plan through the same functions as ``t_local``), 1,616
+``_reduce_row``, 108 ``_steps`` and 116 ``_affine_span`` calls.
 """
 
 from ffstick import heckelat
@@ -35,12 +39,23 @@ def test_newton_cell_spans_only_levels_with_generators(monkeypatch):
     lattices = newton_lattices(C3, X, 3, 2, 0, 4)
     assert newton_verify(C3, X, 3, 2, test_lattices=lattices).ok  # warm the memos
     counts: dict = {}
-    for name in ("_affine_span", "_steps", "_sublattice_rows"):
+    for name in ("_affine_span", "_steps", "_reduce_row", "_row0_frames"):
         _counting(monkeypatch, counts, heckelat, name)
     _counting(monkeypatch, counts, FieldCtx, "is_irreducible")
+    pairs = 0
+    plan_sum = heckelat._plan_sum
+
+    def grouped(s, plan):
+        # a group is the terms with the same canonical rows 1, ..., n - 1
+        nonlocal pairs
+        pairs += len({L.rows[1:] for L in s.terms}) * len(plan)
+        return plan_sum(s, plan)
+
+    monkeypatch.setattr(heckelat, "_plan_sum", grouped)
     assert newton_verify(C3, X, 3, 2, test_lattices=lattices).ok
-    assert counts["_sublattice_rows"] == 1140
-    assert counts["_affine_span"] < 3516 and counts["_steps"] < 2344
+    assert counts["_row0_frames"] == pairs == 180
+    assert counts["_reduce_row"] < 3216 and counts["_steps"] < 428
+    assert counts["_affine_span"] <= 436
     assert "is_irreducible" not in counts
 
 

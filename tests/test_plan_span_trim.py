@@ -1,4 +1,4 @@
-"""``_sublattice_rows`` spans each row only as far as the plan's indices reach.
+"""The walk spans each row only as far as the plan's indices reach.
 
 An index below q^k is a combination of the first k generators of a row's
 affine span, so the walk builds no longer span than the largest index it

@@ -117,7 +117,7 @@ def test_t_det_rejects_a_determinant_that_is_not_monic_or_is_zero(g):
 
 def test_operators_leave_no_closure_cycles():
     # t_det walks tries of None, sigma_apply and an unforced t_chain real
-    # tries, all through _sublattice_rows
+    # tries, all through _plan_sum and _row0_frames
     s = LatticeSum.of(random_sublattice(C3, 3, 1, max_deg=1))
     s2 = LatticeSum.of(random_sublattice(C3, 2, 1, max_deg=1))
     chain = InvariantType(C3, [(0, 0, 1), (1,)])  # t^2 leaves a choice in rank 2
@@ -141,7 +141,7 @@ def test_operators_leave_no_closure_cycles():
         gc.garbage.clear()
         gc.enable()
     assert [name for name in left
-            if name.startswith(("_sublattice_rows.", "_snf_diagonal."))] == []
+            if name.startswith(("_plan_sum.", "_row0_frames.", "_snf_diagonal."))] == []
 
 
 # (p, m, squarefree g, g with a square factor): t (t + 1) and t^2 (t + 1)
