@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     hn = hecke_sub.add_parser(parents=[field], name="newton", help="Newton recurrence for the local operators")
     hn.add_argument("--x", type=_poly_arg, required=True, help="monic irreducible place")
     hn.add_argument("--n", type=int, required=True)
-    hn.add_argument("--r", type=int, required=True, help="colength")
+    hn.add_argument("--r", type=int, required=True, help="colength, at least 1")
     hn.add_argument("--lattices", type=int, default=4,
                     help="test lattices: the standard one plus seeded random ones")
     hn.add_argument("--inject-fault", choices=["newton"], default=None, dest="inject_fault")

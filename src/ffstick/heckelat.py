@@ -20,7 +20,8 @@ each row runs over an affine space over F_q, of which a trie keeps the
 indices of its matrices, and under None the rows below row i are built
 once per residue class of row i's last entry.  The terms N of a sum that
 share rows 1, ..., n - 1 share the walk of those rows (``_row0_frames``),
-and each term then builds only its row 0.
+which is memoized on the field's context by those rows, the tail of C's
+diagonal and the trie, and each term then builds only its row 0.
 
 * ``t_det``: the sum of all sublattices of N of determinant g, a None
   trie for every diagonal of det g;
@@ -823,6 +824,8 @@ class LatticeSum:
     __slots__ = ("ctx", "n", "by_diag")
 
     def __init__(self, ctx: FieldCtx, n: int, terms: dict | None = None):
+        if n < 1:
+            raise ValueError("rank must be positive")
         pk = _packing(ctx)
         by_diag: dict = {}
         for L, c in (terms or {}).items():
@@ -885,8 +888,8 @@ class LatticeSum:
     def __mul__(self, k: int) -> "LatticeSum":
         """k times the sum, always a new sum that shares no inner dict; a
         nonzero k leaves no zero to drop.  A sum has integer coefficients,
-        so any other k is not a factor it takes."""
-        if not isinstance(k, int):
+        so any other k, a bool included, is not a factor it takes."""
+        if not isinstance(k, int) or isinstance(k, bool):
             return NotImplemented
         if k == 0:
             return LatticeSum._wrap(self.ctx, self.n, {})
@@ -933,9 +936,9 @@ class LatticeSum:
 
 
 def _check_coefficient(c) -> None:
-    """Refuse a coefficient that is not an integer: a sum is a formal
-    Z-linear combination."""
-    if not isinstance(c, int):
+    """Refuse a coefficient that is not an integer, a bool included: a sum
+    is a formal Z-linear combination, and a bool would reach the report."""
+    if not isinstance(c, int) or isinstance(c, bool):
         raise TypeError(f"lattice sum coefficients must be integers, not {type(c).__name__}")
 
 
@@ -1052,12 +1055,14 @@ def _plan_sum(s: LatticeSum, plan: dict) -> LatticeSum:
 
     Rows 1, ..., n - 1 of C N depend on N only through N's rows 1, ..., n -
     1, the tail of its diagonal and the key bits below row 0's, so the terms
-    are grouped by those and the walk has two phases.  Once per group and
-    diagonal, ``_row0_frames`` fixes rows n - 1, ..., 1 into frames; then,
-    per term and frame, only row 0's base diags[0] N_0 is reduced against
-    the frame's rows, added to its span and ORed onto the keys below.  A
-    group makes the rows c N_i by (i, c) and the generators t^a N_j for 0 <
-    j < n and a < deg det C, which no diagonal entry exceeds, once; row
+    are grouped by those and the walk has two phases.  ``_row0_frames``
+    fixes rows n - 1, ..., 1 into frames, which read only the group's rows,
+    diags[1:] and the trie, so they are memoized on ctx by those, a real
+    trie by its id, and walked once per field; then, per term and frame,
+    only row 0's base diags[0] N_0 is reduced against the frame's rows,
+    added to its span and ORed onto the keys below.  On a group's first
+    miss it makes the rows c N_i by (i, c) and the generators t^a N_j for 0
+    < j < n and a < deg det C, which no diagonal entry exceeds, once; row
     n - 1 is shifted only for real tries, as no other path reads it."""
     ctx, n = s.ctx, s.n
     pk = _packing(ctx)
@@ -1074,16 +1079,26 @@ def _plan_sum(s: LatticeSum, plan: dict) -> LatticeSum:
             row[0] = diag[0]
             pk.unpack(key, offs, row)
             groups.setdefault((diag[1:], key & low), []).append((row, mult))
+    memo = ctx.memo.get("frames")
+    if memo is None:
+        memo = ctx.memo["frames"] = {}
     acc: dict = {}
     for (tdiag, low), terms in groups.items():
-        nrows = pk.rows((terms[0][0][0],) + tdiag, low)
-        scaled = {(i, (1,)): row for i, row in enumerate(nrows)}
+        nrows = None
         rows0 = {(1,): [row for row, _ in terms]}  # c N_0 of each term, by c
-        shifted = [()] + [[tuple([(0,) * a + e if e else () for e in nrows[j]])
-                           for a in range(top)] for j in range(1, last)]
         for diags, trie in plan.items():
-            out_tail, offs, add, frames, classes = _row0_frames(
-                ctx, pk, radd, nrows, scaled, shifted, diags, trie)
+            # the entry holds a real trie, so no other trie takes its id
+            mkey = (tdiag, low, diags[1:], None if trie is None else id(trie))
+            hit = memo.get(mkey)
+            if hit is None:
+                if nrows is None:
+                    nrows = pk.rows((terms[0][0][0],) + tdiag, low)
+                    scaled = {(i, (1,)): row for i, row in enumerate(nrows)}
+                    shifted = [()] + [[tuple([(0,) * a + e if e else () for e in nrows[j]])
+                                       for a in range(top)] for j in range(1, last)]
+                hit = memo[mkey] = _row0_frames(
+                    ctx, pk, radd, nrows, scaled, shifted, diags, trie) + (trie,)
+            out_tail, offs, add, frames, classes, _ = hit
             d, lastmask, table = classes or (None, 0, None)
             c0 = diags[0]
             bases0 = rows0.get(c0)
@@ -1132,7 +1147,8 @@ def _row0_frames(ctx: FieldCtx, pk: _Packing, radd, nrows: tuple, scaled: dict,
     ``scaled`` memoizes the rows c N_i by (i, c) and ``shifted[j][a]`` is t^a
     N_j.  This and ``_plan_sum``'s loop over the terms are the one walker
     that builds the rows of C N, for ``t_det``, ``t_chain`` and
-    ``sigma_apply``.
+    ``sigma_apply``; ``_plan_sum`` memoizes what this returns, which nothing
+    may change.
 
     Row i of C N is diags[i] N_i + sum_{j > i} e_ij N_j with deg e_ij <
     deg diags[j].  Let R_i reduce a vector against the canonical rows below
@@ -1300,14 +1316,14 @@ def predict_newton_cost(ctx: FieldCtx, x, n: int, r: int) -> int:
     Used to keep verification batteries inside a sane budget; the count for
     the term t_local(r - j) sigma_j is gauss_binom(n, j) multiplied by the
     zeta coefficient counting colength r - j submodules.  Like
-    ``newton_verify``, it refuses an x that is not a monic prime and a rank
-    below 1.
+    ``newton_verify``, it refuses an x that is not a monic prime, a rank
+    below 1 and a colength below 1.
     """
-    if r < 0:
-        raise ValueError("colength must be nonnegative")
     Q = ctx.q ** (len(_validate_prime(ctx, x)) - 1)
     if n < 1:
         raise ValueError("rank must be positive")
+    if r < 1:
+        raise ValueError("colength must be positive")
     total = 0
     for j in range(min(n, r) + 1):
         total += gauss_binom(n, j, Q) * _local_count(Q, n, r - j)
@@ -1345,14 +1361,16 @@ def newton_verify(
     and is merged into the residue in place; the witness is the residue's
     first term in canonical order, whatever the merge order.  The companion
     alternating Gaussian binomial identity is checked alongside for
-    1 <= h <= n.  ``fault`` deliberately flips the sign of the j = 1 term so
-    harness plumbing can observe a failure.
+    1 <= h <= n.  At r = 0 the sum is sigma_0 = t_local(x, 0), the
+    identity, which never vanishes, so r must be at least 1.  ``fault``
+    deliberately flips the sign of the j = 1 term so harness plumbing can
+    observe a failure.
     """
-    if r < 0:
-        raise ValueError("colength must be nonnegative")
     x = _validate_prime(ctx, x)
     if n < 1:
         raise ValueError("rank must be positive")
+    if r < 1:
+        raise ValueError("colength must be positive")
     Q = ctx.q ** (len(x) - 1)
     if test_lattices is None:
         test_lattices = [standard_lattice(ctx, n)]
@@ -1433,6 +1451,10 @@ def hecke_mult_verify(
 
 def random_sublattice(ctx: FieldCtx, n: int, seed: int, max_deg: int = 1) -> Lattice:
     """Deterministic pseudo random canonical lattice, for test batteries."""
+    if n < 1:
+        raise ValueError("rank must be positive")
+    if max_deg < 0:
+        raise ValueError("max_deg must be nonnegative")
     rng = random.Random(_mix(seed, ctx.q, n, max_deg))
     q = ctx.q
     rows = []

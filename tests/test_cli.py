@@ -231,6 +231,16 @@ def test_newton_negative_colength_is_usage_error():
     assert "colength" in proc.stderr
 
 
+def test_newton_zero_colength_is_usage_error():
+    # at r = 0 the recurrence is the identity, which never vanishes: a
+    # usage error, not a failed check with a witness
+    proc = run_cli("hecke", "newton", "--p", "3", "--m", "1", "--x", "0,1",
+                   "--n", "2", "--r", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "colength must be positive" in proc.stderr
+
+
 def test_newton_without_test_lattices_is_usage_error():
     proc = run_cli("hecke", "newton", "--p", "2", "--m", "1", "--x", "0,1",
                    "--n", "2", "--r", "2", "--lattices", "0")

@@ -322,11 +322,12 @@ def test_lattice_sum_algebra():
         s + LatticeSum.of(standard_lattice(C2, 3))
 
 
-@pytest.mark.parametrize("c", [2.5, 0.5, Fraction(1, 2), Fraction(2, 1), "2"],
-                         ids=["float", "half", "fraction", "whole-fraction", "str"])
+@pytest.mark.parametrize("c", [2.5, 0.5, Fraction(1, 2), Fraction(2, 1), "2", True, False],
+                         ids=["float", "half", "fraction", "whole-fraction", "str",
+                              "true", "false"])
 def test_lattice_sum_takes_only_integer_coefficients(c):
-    # a sum is a formal Z-linear combination: a float mass would reach the
-    # report through to_json
+    # a sum is a formal Z-linear combination: a float mass, or a bool that
+    # to_json writes as true, would reach the report through to_json
     L1 = standard_lattice(C2, 2)
     L2 = L1.scale(T)
     s = LatticeSum.of(L1) + LatticeSum.of(L2)
@@ -454,6 +455,19 @@ def test_random_sublattice_deterministic():
     assert a == b and hash(a) == hash(b)
     c = random_sublattice(C3, 3, 43, max_deg=2)
     assert a != c
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: LatticeSum(C2, 0), "rank must be positive"),
+    (lambda: LatticeSum(C2, -1), "rank must be positive"),
+    (lambda: random_sublattice(C2, 0, 1), "rank must be positive"),
+    (lambda: random_sublattice(C2, -2, 1), "rank must be positive"),
+    (lambda: random_sublattice(C2, 2, 1, max_deg=-1), "max_deg"),
+], ids=["sum-rank-0", "sum-rank-neg", "random-rank-0", "random-rank-neg", "random-max-deg-neg"])
+def test_bad_ranks_and_degrees_are_refused_up_front(make, match):
+    # these built rankless empty sums, or failed inside indexing or randrange
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def test_lattice_json_round_shape():

@@ -270,10 +270,12 @@ def test_t_local_divisions_follow_reductions_not_productions(ctx, x, monkeypatch
 
 
 def test_negative_colength_is_rejected():
-    with pytest.raises(ValueError):
-        newton_verify(C2, (0, 1), 2, -1)
-    with pytest.raises(ValueError):
-        predict_newton_cost(C2, (0, 1), 2, -1)
+    # at r = 0 the sum is sigma_0, the identity, which never vanishes
+    for r in (-1, 0):
+        with pytest.raises(ValueError, match="colength must be positive"):
+            newton_verify(C2, (0, 1), 2, r)
+        with pytest.raises(ValueError, match="colength must be positive"):
+            predict_newton_cost(C2, (0, 1), 2, r)
 
 
 @pytest.mark.parametrize("x", [(0, 0, 1), (0, 0, 2), (2, 0, 1)],

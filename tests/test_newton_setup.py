@@ -3,17 +3,20 @@
 ``t_det`` makes a group's shifted rows once for all its diagonals, and a
 level of the walk with no generator takes its base as its one key and row,
 with no ``_steps`` or ``_affine_span`` call.  The terms of a sum that share
-rows 1, ..., n - 1 share the walk of those rows: ``_row0_frames`` runs once
-per group and diagonal, and each term then reduces and spans row 0 alone.
-On one warm Newton cell (q = 3, x = t^2 + 1, n = 3, r = 2, the four Newton
-test lattices of seed 0), ``newton_verify`` made 3,516 ``_affine_span`` and
+rows 1, ..., n - 1 share the walk of those rows, and each term then reduces
+and spans row 0 alone.  The walk of those rows (``_row0_frames``) reads
+only the group's rows, the tail of the diagonal and the trie, so it is
+memoized on the field's context by those and runs once per distinct key.
+On one Newton cell (q = 3, x = t^2 + 1, n = 3, r = 2, the four Newton test
+lattices of seed 0), ``newton_verify`` made 3,516 ``_affine_span`` and
 2,344 ``_steps`` calls when every level was spanned, and 25 Rabin tests when
 each ``t_local`` and ``sigma_apply`` call tested x again.  Walking every
 term and diagonal alone, it made 1,140 walks, 3,216 ``_reduce_row``, 428
-``_steps`` and 436 ``_affine_span`` calls; grouped, it makes 180 shared
-walks, one per group and diagonal of each ``t_local`` and ``sigma_apply``
-(sigma_j walks its plan through the same functions as ``t_local``), 1,616
-``_reduce_row``, 108 ``_steps`` and 116 ``_affine_span`` calls.
+``_steps`` and 436 ``_affine_span`` calls.  Grouped, it made 180 walks, one
+per group and diagonal of each ``t_local`` and ``sigma_apply`` call, with
+1,616 ``_reduce_row`` calls.  With the memo a cold run from a fresh context
+makes 84 walks, one per distinct (group rows, diagonal tail, trie), with
+1,406 ``_reduce_row`` calls, and a warm rerun makes none.
 """
 
 from ffstick import heckelat
@@ -36,27 +39,36 @@ def _counting(monkeypatch, counts, owner, name):
 
 
 def test_newton_cell_spans_only_levels_with_generators(monkeypatch):
-    lattices = newton_lattices(C3, X, 3, 2, 0, 4)
-    assert newton_verify(C3, X, 3, 2, test_lattices=lattices).ok  # warm the memos
+    ctx = field_context(3)  # an empty memo
+    lattices = newton_lattices(ctx, X, 3, 2, 0, 4)
     counts: dict = {}
     for name in ("_affine_span", "_steps", "_reduce_row", "_row0_frames"):
         _counting(monkeypatch, counts, heckelat, name)
     _counting(monkeypatch, counts, FieldCtx, "is_irreducible")
-    pairs = 0
+    pairs, keys = 0, set()
     plan_sum = heckelat._plan_sum
 
     def grouped(s, plan):
-        # a group is the terms with the same canonical rows 1, ..., n - 1
+        # a group is the terms with the same canonical rows 1, ..., n - 1;
+        # the tries are memoized on ctx, so their ids stay distinct
         nonlocal pairs
-        pairs += len({L.rows[1:] for L in s.terms}) * len(plan)
+        groups = {L.rows[1:] for L in s.terms}
+        pairs += len(groups) * len(plan)
+        keys.update((rows, diags[1:], None if trie is None else id(trie))
+                    for rows in groups for diags, trie in plan.items())
         return plan_sum(s, plan)
 
     monkeypatch.setattr(heckelat, "_plan_sum", grouped)
-    assert newton_verify(C3, X, 3, 2, test_lattices=lattices).ok
-    assert counts["_row0_frames"] == pairs == 180
-    assert counts["_reduce_row"] < 3216 and counts["_steps"] < 428
+    assert newton_verify(ctx, X, 3, 2, test_lattices=lattices).ok
+    assert counts["_row0_frames"] == len(keys) == 84 and pairs == 180
+    assert counts["_reduce_row"] < 1616 and counts["_steps"] < 428
     assert counts["_affine_span"] <= 436
-    assert "is_irreducible" not in counts
+    assert counts["is_irreducible"] == 1
+    counts.clear()
+    assert newton_verify(ctx, X, 3, 2, test_lattices=lattices).ok  # warm
+    assert pairs == 360 and len(keys) == 84
+    assert "_row0_frames" not in counts and "is_irreducible" not in counts
+    assert "_steps" not in counts and "_affine_span" not in counts
 
 
 def test_newton_terms_keep_their_mass():
