@@ -5,9 +5,8 @@ Layers, from the ground up:
 
 * ``fieldcore``: finite fields F_q (q a prime power), polynomial arithmetic
   and factorization over them;
-* ``groupring``: the unit group of F_q[t]/I, its integral group ring, the
-  central-symbol polynomial ring over it, and character tables with exact
-  cyclotomic integer values;
+* ``groupring``: the unit group of F_q[t]/I, its integral group ring and
+  the central-symbol polynomial ring over it;
 * ``heckelat``: canonical triangular bases for full rank sublattices of
   A^n, sublattice enumeration and counting, and the Hecke operators with
   their Newton-type and multiplicativity checks;
@@ -30,18 +29,11 @@ from .fieldcore import (
     FieldCtx,
     Poly,
     field_context,
-    monic_enum,
-    poly_factor,
-    poly_gcd,
 )
 from .groupring import (
-    Character,
-    CycloInt,
     FrobPoly,
     GroupRingElem,
     UnitGroup,
-    characters,
-    cyclotomic_poly,
     norm_element,
     norm_residue,
     unit_group,
@@ -69,7 +61,6 @@ from .heckelat import (
 from .lseries import (
     GrSeries,
     StickCtx,
-    char_l_poly,
     euler_series,
     phi_series,
     stick_context,
@@ -94,11 +85,9 @@ from .carlitz import (
 __all__ = [
     "__version__",
     # fieldcore
-    "FieldCtx", "Poly", "field_context", "monic_enum", "poly_factor",
-    "poly_gcd",
+    "FieldCtx", "Poly", "field_context",
     # groupring
-    "Character", "CycloInt", "FrobPoly", "GroupRingElem", "UnitGroup",
-    "characters", "cyclotomic_poly", "norm_element", "norm_residue",
+    "FrobPoly", "GroupRingElem", "UnitGroup", "norm_element", "norm_residue",
     "unit_group",
     # heckelat
     "InvariantType", "Lattice", "LatticeSum", "alternating_qbinom_sum",
@@ -107,7 +96,7 @@ __all__ = [
     "sigma_apply", "standard_lattice", "sublattice_enum", "t_chain", "t_det",
     "t_local",
     # lseries
-    "GrSeries", "StickCtx", "char_l_poly", "euler_series", "phi_series",
+    "GrSeries", "StickCtx", "euler_series", "phi_series",
     "stick_context", "stickelberger_q", "theta1", "theta_n", "theta_noinf",
     "verify_identities",
     # carlitz

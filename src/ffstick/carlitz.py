@@ -212,17 +212,23 @@ def psi_cyclotomic(ctx: FieldCtx, I) -> list[Poly]:
     remainder would signal an implementation bug and raises.  Returns the
     dense X-coefficient list, leading coefficient the constant 1.
     """
+    dense = psi_dense(ctx, _modulus(ctx, I))
+    return [Poly(ctx, c) for c in dense]
+
+
+def _modulus(ctx: FieldCtx, I) -> tuple:
+    """I validated as a monic modulus of degree at least 1."""
     I = ctx.pvalidate(I)
     if len(I) < 2 or I[-1] != 1:
         raise ValueError("modulus must be monic of degree at least 1")
-    dense = psi_dense(ctx, I)
-    return [Poly(ctx, c) for c in dense]
+    return I
 
 
 def psi_dense(ctx: FieldCtx, I: tuple) -> list:
     """Psi_I as a dense X-coefficient list of F_q[t] tuples, memoized on ctx per I.
 
-    I must be a validated monic tuple; psi_cyclotomic is the checked entry.
+    I must be a validated monic tuple; psi_cyclotomic and TorsionAlgebra
+    are the checked entries.
     """
     hit = ctx.memo.get(("psi", I))
     if hit is not None:
@@ -471,7 +477,7 @@ class TorsionAlgebra:
     """F_q(t)[X] / Psi_I with exact rational function coefficients."""
 
     def __init__(self, ctx: FieldCtx, I):
-        I = ctx.pvalidate(I)
+        I = _modulus(ctx, I)
         psi = psi_dense(ctx, I)
         self.ctx = ctx
         self.I = I

@@ -31,8 +31,8 @@ polynomial argument: it takes a coefficient sequence or a ``Poly``, and
 refuses a ``Poly`` over another field.
 
 The modules above this one multiply and divide dense polynomials over
-other coefficient rings too: F_q[t] in X, F_q(t) in X, Z[G_I] in F or z,
-and Z in x.  They share one schoolbook kernel, ``dense_mul``,
+other coefficient rings too: F_q[t] in X, F_q(t) in X, and Z[G_I] in F
+or z.  They share one schoolbook kernel, ``dense_mul``,
 ``dense_divmod`` and ``dense_strip``, which takes the ring as arguments:
 its zero, its operations as callables, and a coefficient is zero when it
 is falsy.
@@ -50,9 +50,6 @@ __all__ = [
     "FieldCtx",
     "Poly",
     "field_context",
-    "poly_gcd",
-    "poly_factor",
-    "monic_enum",
     "dense_mul",
     "dense_divmod",
     "dense_strip",
@@ -225,7 +222,8 @@ class FieldCtx:
     is real: measured in a fresh CPython 3.11 process on a 2-core x86-64
     machine, GF(2^12) builds in about 1.8 s with a peak RSS of 274 MB (add
     and sub share their rows when p = 2), and GF(4093) in about 1.9 s with
-    402 MB.  Larger q is refused.
+    402 MB.  Larger q is refused, and p > 4096 or m > 12 before the
+    primality test and p ** m, whose costs grow with p and m.
     """
 
     __slots__ = (
@@ -236,6 +234,8 @@ class FieldCtx:
     )
 
     def __init__(self, p: int, m: int = 1, seed: int = 0):
+        if p > 4096 or m > 12:
+            raise ValueError(f"field of size {p}^{m} exceeds the table based limit 4096")
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if m < 1:
@@ -327,14 +327,15 @@ class FieldCtx:
 
     def pvalidate(self, coeffs: "Iterable[int] | Poly") -> tuple[int, ...]:
         """The stripped coefficients of a polynomial argument: a sequence of
-        encoded elements, or a ``Poly`` over this field."""
+        encoded elements, or a ``Poly`` over this field.  A coefficient must
+        be exactly an ``int``, so a ``bool`` is refused."""
         if isinstance(coeffs, Poly):
             if coeffs.ctx != self:
                 raise ValueError("polynomial is over a different field")
             return coeffs.coeffs
         out = list(coeffs)
         for c in out:
-            if not isinstance(c, int) or not 0 <= c < self.q:
+            if type(c) is not int or not 0 <= c < self.q:
                 raise ValueError(f"coefficient {c!r} is not an encoded element of GF({self.q})")
         while out and out[-1] == 0:
             out.pop()
@@ -772,12 +773,6 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    @property
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def key(self) -> int:
         return self.ctx.pkey(self.coeffs)
 
@@ -873,22 +868,3 @@ class Poly:
 def field_context(p: int, m: int = 1, seed: int = 0) -> FieldCtx:
     """Build the table backed context for F_{p^m} with its canonical modulus."""
     return FieldCtx(p, m, seed=seed)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) = 0."""
-    a._check(b)
-    return Poly._wrap(a.ctx, a.ctx.pgcd(a.coeffs, b.coeffs))
-
-
-def poly_factor(a: Poly) -> tuple[int, list[tuple[Poly, int]]]:
-    """Factor a nonzero polynomial into a unit and monic irreducible powers."""
-    unit, factors = a.ctx.pfactor(a.coeffs)
-    return unit, [(Poly._wrap(a.ctx, f), mult) for f, mult in factors]
-
-
-def monic_enum(ctx: FieldCtx, d: int, coprime_to: Poly | None = None) -> Iterator[Poly]:
-    """Monic degree d polynomials in canonical order, optionally coprime to a modulus."""
-    cop = ctx.pvalidate(coprime_to) if coprime_to is not None else None
-    for f in ctx.monic_tuples(d, coprime_to=cop):
-        yield Poly._wrap(ctx, f)

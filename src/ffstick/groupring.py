@@ -9,43 +9,30 @@ abelian group.  This module provides:
 * :class:`GroupRingElem`: elements of Z[G_I] with arbitrary precision
   integer coefficients;
 * :class:`FrobPoly`: polynomials in a central variable F over Z[G_I], the
-  commutative shadow in which the annihilator elements are assembled;
-* exact characters of G_I with values in the cyclotomic integers
-  Z[x]/(Phi_e(x)), e the exponent of the group.
+  commutative shadow in which the annihilator elements are assembled.
 
-A character value is accumulated as an exponent vector in Z[x]/(x^e - 1)
-and reduced modulo the cyclotomic polynomial Phi_e as soon as it becomes a
-:class:`CycloInt`; every CycloInt reduces when it is built, so equal values
-have equal coefficients and no rounding of any kind enters the pipeline.
+Every coefficient is an exact integer; no rounding of any kind enters the
+pipeline.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
-from functools import cache, reduce
 from typing import Callable, Iterable
 
-from .fieldcore import NEG_INF, FieldCtx, Poly, dense_divmod, dense_mul
+from .fieldcore import NEG_INF, FieldCtx, Poly, dense_mul
 
 __all__ = [
     "UnitGroup",
     "GroupRingElem",
     "FrobPoly",
-    "CycloInt",
-    "Character",
     "unit_group",
     "norm_element",
     "norm_residue",
-    "characters",
-    "cyclotomic_poly",
 ]
 
 
-# ---------------------------------------------------------------------------
-# abstract-group helpers shared by UnitGroup and the quotients formed during
-# the cyclic decomposition; elements are integers with 0 the identity.
+# Group elements are indices into UnitGroup.elements, with 0 the identity.
 
 def _gpow(mul: Callable[[int, int], int], x: int, k: int) -> int:
     out, base = 0, x
@@ -57,66 +44,10 @@ def _gpow(mul: Callable[[int, int], int], x: int, k: int) -> int:
     return out
 
 
-def _gorder(mul: Callable[[int, int], int], x: int) -> int:
-    k, y = 1, x
-    while y != 0:
-        y = mul(y, x)
-        k += 1
-    return k
-
-
-def _decompose(n: int, mul: Callable[[int, int], int]) -> list[tuple[int, int]]:
-    """Basis (g_i, e_i) of an abelian group with Prod e_i = n.
-
-    Greedy: take a generator of maximal order, form the quotient by brute
-    force on cosets, recurse, then lift the quotient basis so the cyclic
-    factors intersect trivially.
-    """
-    if n == 1:
-        return []
-    orders = {i: _gorder(mul, i) for i in range(n)}
-    g = max(range(n), key=lambda i: (orders[i], -i))
-    e1 = orders[g]
-    if e1 == n:
-        return [(g, e1)]
-    cyc = []
-    x = 0
-    for _ in range(e1):
-        cyc.append(x)
-        x = mul(x, g)
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for i in range(n):
-        if i in coset_of:
-            continue
-        r = len(reps)
-        reps.append(i)
-        for s in cyc:
-            coset_of[mul(i, s)] = r
-
-    def qmul(a: int, b: int) -> int:
-        return coset_of[mul(reps[a], reps[b])]
-
-    out = [(g, e1)]
-    for qb, qe in _decompose(len(reps), qmul):
-        h = reps[qb]
-        target = _gpow(mul, h, qe)
-        s = 0
-        y = 0
-        while y != target:
-            y = mul(y, g)
-            s += 1
-        # s is divisible by qe because e1 is the group exponent
-        h = mul(h, _gpow(mul, g, (-(s // qe)) % e1))
-        assert _gorder(mul, h) == qe
-        out.append((h, qe))
-    return out
-
-
 class UnitGroup:
     """(F_q[t]/I)^* with canonical residue representatives."""
 
-    __slots__ = ("ctx", "I", "elements", "order", "_index", "_rows", "_orders", "_exponent")
+    __slots__ = ("ctx", "I", "elements", "order", "_index", "_rows")
 
     def __init__(self, ctx: FieldCtx, I):
         I = ctx.pvalidate(I)
@@ -135,8 +66,6 @@ class UnitGroup:
         self.order = len(elems)
         self._index = {e: i for i, e in enumerate(elems)}
         self._rows: list = [None] * self.order
-        self._orders: list = [None] * self.order
-        self._exponent = None
         assert self.elements[0] == (1,), "identity residue must come first"
 
     # -- group structure ----------------------------------------------------
@@ -175,17 +104,6 @@ class UnitGroup:
         if k < 0:
             return _gpow(self.mul, self.inv(i), -k)
         return _gpow(self.mul, i, k)
-
-    def element_order(self, i: int) -> int:
-        if self._orders[i] is None:
-            self._orders[i] = _gorder(self.mul, i)
-        return self._orders[i]
-
-    @property
-    def exponent(self) -> int:
-        if self._exponent is None:
-            self._exponent = reduce(math.lcm, (self.element_order(i) for i in range(self.order)), 1)
-        return self._exponent
 
     def order_by_formula(self) -> int:
         """Closed form Prod (q^deg P - 1) q^(deg P (e-1)) over P^e dividing I."""
@@ -437,156 +355,3 @@ class FrobPoly:
 
     def to_json(self) -> list:
         return [c.to_json() for c in self.coeffs]
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic integers and characters
-
-
-@cache
-def cyclotomic_poly(e: int) -> tuple[int, ...]:
-    """Coefficients of Phi_e, computed by dividing x^e - 1 by the smaller ones."""
-    num = [-1] + [0] * (e - 1) + [1]
-    for d in range(1, e):
-        if e % d == 0:
-            num, rem = dense_divmod(num, cyclotomic_poly(d), 0, operator.sub, operator.mul, None)
-            assert not rem
-    return tuple(num)
-
-
-class CycloInt:
-    """Element of Z[x]/(Phi_e(x)), coefficients stored exactly."""
-
-    __slots__ = ("e", "coeffs")
-
-    def __init__(self, e: int, coeffs: Iterable[int]):
-        # Phi_e is monic
-        _, r = dense_divmod(coeffs, cyclotomic_poly(e), 0, operator.sub, operator.mul, None)
-        self.e = e
-        self.coeffs = tuple(r)
-
-    @classmethod
-    def from_power(cls, e: int, k: int) -> "CycloInt":
-        vec = [0] * e
-        vec[k % e] = 1
-        return cls(e, vec)
-
-    @classmethod
-    def from_int(cls, e: int, n: int) -> "CycloInt":
-        return cls(e, [n])
-
-    def _check(self, other: "CycloInt") -> "CycloInt":
-        if not isinstance(other, CycloInt) or other.e != self.e:
-            raise ValueError("cyclotomic integers live in different rings")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return CycloInt(self.e, a)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] -= c
-        return CycloInt(self.e, a)
-
-    def __neg__(self):
-        return CycloInt(self.e, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycloInt(self.e, [c * other for c in self.coeffs])
-        other = self._check(other)
-        return CycloInt(self.e, dense_mul(self.coeffs, other.coeffs, 0, operator.add, operator.mul))
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "CycloInt":
-        """Complex conjugation x -> x^(e-1)."""
-        vec = [0] * max(self.e, 1)
-        for i, c in enumerate(self.coeffs):
-            vec[(i * (self.e - 1)) % self.e] += c
-        return CycloInt(self.e, vec)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, CycloInt) and self.e == other.e and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.e, self.coeffs))
-
-    def __repr__(self):
-        return f"CycloInt(e={self.e}, {list(self.coeffs)})"
-
-
-class Character:
-    """A character of G_I, tabulated as exponents k_g with chi(g) = zeta_e^k_g."""
-
-    __slots__ = ("group", "e", "exps")
-
-    def __init__(self, group: UnitGroup, e: int, exps: tuple[int, ...]):
-        self.group = group
-        self.e = e
-        self.exps = exps
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(k == 0 for k in self.exps)
-
-    @property
-    def order(self) -> int:
-        d = reduce(math.gcd, self.exps, self.e)
-        return self.e // d
-
-    def value(self, i: int) -> CycloInt:
-        return CycloInt.from_power(self.e, self.exps[i])
-
-    def apply(self, a: GroupRingElem) -> CycloInt:
-        """chi extended Z-linearly; the sum is accumulated before reduction."""
-        if a.group != self.group:
-            raise ValueError("element and character live over different groups")
-        vec = [0] * self.e
-        for i, c in a.coeffs.items():
-            vec[self.exps[i]] += c
-        return CycloInt(self.e, vec)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Character)
-            and self.group == other.group
-            and self.exps == other.exps
-        )
-
-    def __repr__(self):
-        return f"Character(order={self.order}, exps={list(self.exps)})"
-
-
-def characters(group: UnitGroup) -> tuple[Character, ...]:
-    """All characters of G_I in a deterministic order, the trivial one first."""
-    n = group.order
-    e = group.exponent
-    basis = _decompose(n, group.mul)
-    coords: dict[int, tuple[int, ...]] = {}
-    for tup in itertools.product(*[range(o) for _, o in basis]):
-        elem = 0
-        for (b, _), a in zip(basis, tup):
-            elem = group.mul(elem, group.pow(b, a))
-        coords[elem] = tup
-    assert len(coords) == n, "cyclic decomposition failed to cover the group"
-    chars = []
-    for ktup in itertools.product(*[range(o) for _, o in basis]):
-        exps = [0] * n
-        for idx in range(n):
-            a = coords[idx]
-            exps[idx] = sum(k * ai * (e // o) for k, ai, (_, o) in zip(ktup, a, basis)) % e
-        chars.append(Character(group, e, tuple(exps)))
-    return tuple(chars)

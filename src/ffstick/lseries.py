@@ -31,8 +31,6 @@ from typing import Iterable
 
 from .fieldcore import FieldCtx, Poly, dense_mul
 from .groupring import (
-    Character,
-    CycloInt,
     FrobPoly,
     GroupRingElem,
     UnitGroup,
@@ -54,7 +52,6 @@ __all__ = [
     "phi_series",
     "theta_n",
     "theta_noinf",
-    "char_l_poly",
     "verify_identities",
     "t_times_t_minus_one",
     "theta2_product_diff",
@@ -424,27 +421,6 @@ def theta_noinf(S: StickCtx, n: int, method: str = "generating") -> FrobPoly:
         block = FrobPoly(S.G, [c.coeffs[nd - i]] * (i + 1))
         total = total + block
     return total
-
-
-def char_l_poly(S: StickCtx, chi: Character) -> list[CycloInt]:
-    """The character image chi(gamma_0), .., chi(gamma_d).
-
-    For nontrivial chi the tail coefficients die (chi kills the norm
-    element); this is confirmed on d+1 <= m <= d+3, and a failure raises
-    ArithmeticError, which no valid input can trigger.
-    """
-    if chi.group != S.G:
-        raise ValueError("character belongs to a different group")
-    gammas, _ = stickelberger_q(S)
-    values = [chi.apply(g) for g in gammas]
-    if not chi.is_trivial:
-        series = euler_series(S, S.d + 3, method="direct")
-        for m in range(S.d + 1, S.d + 4):
-            if not chi.apply(series.coeffs[m]).is_zero:
-                raise ArithmeticError(
-                    f"nontrivial character does not kill the tail at m={m}"
-                )
-    return values
 
 
 def t_times_t_minus_one(ctx: FieldCtx) -> tuple:

@@ -163,6 +163,14 @@ def test_psi_rejects_bad_modulus():
         psi_cyclotomic(C3, (0, 1, 2))  # leading coefficient is not 1
 
 
+@pytest.mark.parametrize("I", [(1, 2), (2,), (2, 0, 2)])  # 2t + 1, 2, 2t^2 + 2
+def test_torsion_algebra_rejects_bad_modulus(I):
+    ctx = field_context(3)  # a fresh memo
+    with pytest.raises(ValueError, match="monic of degree at least 1"):
+        TorsionAlgebra(ctx, I)
+    assert ("psi", I) not in ctx.memo
+
+
 def test_ratfunc_normalization():
     r = RatFunc(C3, (0, 2), (0, 0, 2))  # 2t / 2t^2 = 1/t
     assert r.num == (1,) and r.den == (0, 1)

@@ -12,7 +12,7 @@ another field.
 import pytest
 
 from ffstick import carlitz, groupring, heckelat, lseries
-from ffstick.fieldcore import Poly, field_context, monic_enum
+from ffstick.fieldcore import Poly, field_context
 from ffstick.heckelat import (
     InvariantType,
     LatticeSum,
@@ -100,7 +100,6 @@ _ENTRY_POINTS = {
     "AlgElem.scale_poly": lambda f: _algebra().one().scale_poly(f),
     "partial_fractions": lambda f: carlitz.partial_fractions(C3, f),
     "split_tensor_element": lambda f: carlitz.split_tensor_element(C3, f),
-    "monic_enum": lambda f: list(monic_enum(C3, 1, coprime_to=f)),
 }
 
 

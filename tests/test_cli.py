@@ -16,11 +16,12 @@ import pytest
 from ffstick.report import load_schema
 
 
-def run_cli(*args, check=False):
+def run_cli(*args, check=False, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "ffstick.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
@@ -67,6 +68,18 @@ def test_validation_error_exits_two_with_empty_stdout():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "prime" in proc.stderr
+
+
+@pytest.mark.parametrize("field", [
+    ("--p", "2305843009213693951"),  # a Mersenne prime: trial division to sqrt(p)
+    ("--p", "3", "--m", "200000000"),  # 3^(2*10^8) is a 40 MB integer
+])
+def test_oversized_field_is_refused_at_once(field):
+    # the timeout turns a limit checked too late into a failure, not a hang
+    proc = run_cli("hecke", "phi", *field, "--g", "0,1", "--n", "2", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "exceeds the table based limit 4096" in proc.stderr
 
 
 def test_nonmonic_ideal_rejected():

@@ -4,13 +4,7 @@ import random
 
 import pytest
 
-from ffstick.fieldcore import (
-    NEG_INF,
-    field_context,
-    monic_enum,
-    poly_factor,
-    poly_gcd,
-)
+from ffstick.fieldcore import NEG_INF, Poly, field_context
 
 
 def brute_modulus(p, m):
@@ -150,12 +144,12 @@ def test_gf4096_builds_and_factors():
     rng = random.Random(4096)
     a = ctx.poly([rng.randrange(4096) for _ in range(6)] + [rng.randrange(1, 4096)])
     assert a.degree == 6
-    unit, fs = poly_factor(a)
+    unit, fs = ctx.pfactor(a.coeffs)
     prod = ctx.poly([unit])
     for f, mult in fs:
-        assert f.is_monic
-        assert ctx.is_irreducible(f.coeffs)
-        prod = prod * f ** mult
+        assert f[-1] == 1
+        assert ctx.is_irreducible(f)
+        prod = prod * ctx.poly(f) ** mult
     assert prod == a
 
 
@@ -213,38 +207,52 @@ def test_divmod_frozen_example():
 
 def test_gcd_frozen_example():
     ctx = field_context(2)
-    g = poly_gcd(ctx.poly([0, 1, 1]), ctx.poly([1, 0, 1]))
-    assert g.coeffs == (1, 1)
-    zero = ctx.poly([])
-    assert poly_gcd(zero, zero).is_zero
-    assert poly_gcd(zero, ctx.poly([0, 2 % 2, 1])).is_monic
+    g = ctx.pgcd((0, 1, 1), (1, 0, 1))
+    assert g == (1, 1)
+    assert ctx.pgcd((), ()) == ()
+    assert ctx.pgcd((), (0, 0, 1))[-1] == 1
 
 
 def test_factor_frozen_examples():
     c2 = field_context(2)
-    unit, fs = poly_factor(c2.poly([0, 1, 0, 0, 1]))
+    unit, fs = c2.pfactor((0, 1, 0, 0, 1))
     assert unit == 1
-    assert [(f.coeffs, m) for f, m in fs] == [((0, 1), 1), ((1, 1), 1), ((1, 1, 1), 1)]
+    assert fs == [((0, 1), 1), ((1, 1), 1), ((1, 1, 1), 1)]
     c3 = field_context(3)
-    unit, fs = poly_factor(c3.poly([0, 2, 1]))
-    assert [(f.coeffs, m) for f, m in fs] == [((0, 1), 1), ((2, 1), 1)]
+    unit, fs = c3.pfactor((0, 2, 1))
+    assert fs == [((0, 1), 1), ((2, 1), 1)]
     # non monic input keeps the unit out front
-    unit, fs = poly_factor(c3.poly([0, 1, 2]))
+    unit, fs = c3.pfactor((0, 1, 2))
     assert unit == 2
     prod = c3.poly([unit])
     for f, m in fs:
-        prod = prod * f ** m
+        prod = prod * c3.poly(f) ** m
     assert prod == c3.poly([0, 1, 2])
 
 
 def test_monic_enum_order_and_coprimality():
     c2 = field_context(2)
-    assert [f.coeffs for f in monic_enum(c2, 2)] == [
+    assert list(c2.monic_tuples(2)) == [
         (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-    assert [str(f) for f in monic_enum(c2, 2, coprime_to=c2.poly([0, 1]))] == [
+    assert [str(c2.poly(f)) for f in c2.monic_tuples(2, coprime_to=(0, 1))] == [
         "t^2 + 1", "t^2 + t + 1"]
-    assert [f.coeffs for f in monic_enum(c2, 0)] == [(1,)]
-    assert list(monic_enum(c2, -1)) == []
+    assert list(c2.monic_tuples(0)) == [(1,)]
+    assert list(c2.monic_tuples(-1)) == []
+
+
+def test_field_limits_come_before_primality():
+    with pytest.raises(ValueError, match="exceeds the table based limit"):
+        field_context(4099)
+    with pytest.raises(ValueError, match="exceeds the table based limit"):
+        field_context(2, 13)
+    with pytest.raises(ValueError, match="p must be prime"):
+        field_context(4095)
+
+
+@pytest.mark.parametrize("coeffs", [[0, True], [True]])
+def test_bool_coefficient_is_refused(coeffs):
+    with pytest.raises(ValueError, match="not an encoded element"):
+        Poly(field_context(3), coeffs)
 
 
 def test_zero_degree_sentinel():
@@ -287,12 +295,12 @@ def test_factor_reconstruction_randomized():
             a = ctx.poly([rng.randrange(ctx.q) for _ in range(rng.randrange(1, 8))])
             if a.is_zero:
                 continue
-            unit, fs = poly_factor(a)
+            unit, fs = ctx.pfactor(a.coeffs)
             prod = ctx.poly([unit])
             for f, mult in fs:
-                assert f.is_monic
-                assert ctx.is_irreducible(f.coeffs)
-                prod = prod * f ** mult
+                assert f[-1] == 1
+                assert ctx.is_irreducible(f)
+                prod = prod * ctx.poly(f) ** mult
             assert prod == a
 
 
@@ -300,9 +308,9 @@ def test_factor_deterministic_under_seed():
     for seed in (0, 1, 12345):
         a1 = field_context(3, 2, seed=seed)
         a2 = field_context(3, 2, seed=seed)
-        f1 = poly_factor(a1.poly([2, 7, 0, 4, 1, 1]))
-        f2 = poly_factor(a2.poly([2, 7, 0, 4, 1, 1]))
-        assert [(f.coeffs, m) for f, m in f1[1]] == [(f.coeffs, m) for f, m in f2[1]]
+        f1 = a1.pfactor((2, 7, 0, 4, 1, 1))
+        f2 = a2.pfactor((2, 7, 0, 4, 1, 1))
+        assert f1[1] == f2[1]
 
 
 def test_poly_pow_and_eval():

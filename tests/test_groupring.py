@@ -1,4 +1,4 @@
-"""Unit groups, group ring arithmetic, characters with exact cyclotomic values."""
+"""Unit groups and group ring arithmetic."""
 
 import random
 
@@ -6,12 +6,8 @@ import pytest
 
 from ffstick.fieldcore import field_context
 from ffstick.groupring import (
-    Character,
-    CycloInt,
     FrobPoly,
     GroupRingElem,
-    characters,
-    cyclotomic_poly,
     norm_element,
     norm_residue,
     unit_group,
@@ -149,72 +145,3 @@ def test_frobpoly_degree_additive_when_augmentation_nonzero():
         a, b = rand_poly(), rand_poly()
         if a.coeffs and b.coeffs and a.coeffs[-1].augmentation() != 0 and b.coeffs[-1].augmentation() != 0:
             assert (a * b).degree == a.degree + b.degree
-
-
-def test_cyclotomic_polynomials():
-    assert cyclotomic_poly(1) == (-1, 1)
-    assert cyclotomic_poly(2) == (1, 1)
-    assert cyclotomic_poly(3) == (1, 1, 1)
-    assert cyclotomic_poly(4) == (1, 0, 1)
-    assert cyclotomic_poly(6) == (1, -1, 1)
-    assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
-
-
-def test_cycloint_ring():
-    z = CycloInt.from_power(3, 1)
-    assert z * z == CycloInt.from_power(3, 2)
-    assert z * z * z == CycloInt.from_int(3, 1)
-    # 1 + z + z^2 = 0 in Z[zeta_3]
-    s = CycloInt.from_int(3, 1) + z + z * z
-    assert s.is_zero
-    assert z.conj() == CycloInt.from_power(3, 2)
-    assert (z + z.conj()) == CycloInt.from_int(3, -1)
-
-
-@pytest.mark.parametrize(
-    "p,I",
-    [
-        (2, [1, 1, 1]),     # cyclic of order 3
-        (3, [1, 0, 1]),     # cyclic of order 8
-        (3, [0, 2, 0, 1]),  # t(t-1)(t+1): (Z/2)^3
-        (3, [0, 2, 1]),     # t(t-1): (Z/2)^2
-        (2, [0, 1, 1]),     # trivial group
-        (2, [0, 0, 0, 1]),  # t^3 over F_2: cyclic of order 4
-    ],
-)
-def test_character_table(p, I):
-    G = unit_group(field_context(p), I)
-    chs = characters(G)
-    assert len(chs) == G.order
-    assert chs[0].is_trivial
-    e = G.exponent
-    # multiplicativity
-    for ch in chs:
-        for i in range(G.order):
-            for j in range(G.order):
-                assert ch.value(G.mul(i, j)) == ch.value(i) * ch.value(j)
-    # orthogonality, exact in Z[x]/(Phi_e)
-    for ci in chs:
-        for cj in chs:
-            s = CycloInt.from_int(e, 0)
-            for g in range(G.order):
-                s = s + ci.value(g) * cj.value(g).conj()
-            assert s == CycloInt.from_int(e, G.order if ci == cj else 0)
-    # distinctness
-    assert len({ch.exps for ch in chs}) == G.order
-
-
-def test_char_apply_accumulates_exactly():
-    ctx = field_context(2)
-    G = unit_group(ctx, [1, 1, 1])
-    chs = characters(G)
-    N = norm_element(G)
-    for ch in chs:
-        v = ch.apply(N)
-        assert v == CycloInt.from_int(ch.e, G.order if ch.is_trivial else 0)
-    a = GroupRingElem(G, {0: 2, 1: -1, 2: 3})
-    for ch in chs:
-        expect = CycloInt.from_int(ch.e, 0)
-        for i, c in a.items():
-            expect = expect + c * ch.value(i)
-        assert ch.apply(a) == expect

@@ -6,16 +6,13 @@ import pytest
 
 from ffstick.fieldcore import field_context
 from ffstick.groupring import (
-    CycloInt,
     FrobPoly,
     GroupRingElem,
-    characters,
     norm_element,
 )
 from ffstick.heckelat import phi_count
 from ffstick.lseries import (
     GrSeries,
-    char_l_poly,
     euler_series,
     phi_series,
     stick_context,
@@ -211,39 +208,6 @@ def test_noinf_weight_pattern():
     for i in range(nd + 1):
         expected = expected + c.coeffs[nd - i] * (i + 1)
     assert theta_noinf(S, 2).eval_at_one() == expected
-
-
-def test_char_l_poly_values():
-    S = stick_context(C2, (1, 1, 1))
-    for chi in characters(S.G):
-        vals = char_l_poly(S, chi)
-        assert len(vals) == S.d + 1
-        if chi.is_trivial:
-            # augmentations count the monic coprime polynomials per degree
-            assert vals[0] == CycloInt.from_int(chi.e, 1)
-            assert vals[1] == CycloInt.from_int(chi.e, 2)
-        else:
-            assert chi.order == 3
-            assert vals[0] == CycloInt.from_int(chi.e, 1)
-            assert vals[1] == CycloInt.from_int(chi.e, -1)  # L(z) = 1 - z
-
-
-def test_char_kills_tail():
-    S = stick_context(C3, (0, 2, 1))
-    E = euler_series(S, S.d + 3)
-    for chi in characters(S.G):
-        if chi.is_trivial:
-            continue
-        for m in range(S.d + 1, S.d + 4):
-            assert chi.apply(E.coeffs[m]).is_zero
-
-
-def test_char_l_poly_group_mismatch():
-    S = stick_context(C2, (1, 1, 1))
-    other = stick_context(C2, (0, 1, 1))
-    chi = characters(other.G)[0]
-    with pytest.raises(ValueError):
-        char_l_poly(S, chi)
 
 
 def test_verify_identities_batteries_pass():
