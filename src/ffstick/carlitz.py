@@ -212,16 +212,8 @@ def psi_cyclotomic(ctx: FieldCtx, I) -> list[Poly]:
     remainder would signal an implementation bug and raises.  Returns the
     dense X-coefficient list, leading coefficient the constant 1.
     """
-    dense = psi_dense(ctx, _modulus(ctx, I))
+    dense = psi_dense(ctx, ctx.pmodulus(I))
     return [Poly(ctx, c) for c in dense]
-
-
-def _modulus(ctx: FieldCtx, I) -> tuple:
-    """I validated as a monic modulus of degree at least 1."""
-    I = ctx.pvalidate(I)
-    if len(I) < 2 or I[-1] != 1:
-        raise ValueError("modulus must be monic of degree at least 1")
-    return I
 
 
 def psi_dense(ctx: FieldCtx, I: tuple) -> list:
@@ -477,7 +469,7 @@ class TorsionAlgebra:
     """F_q(t)[X] / Psi_I with exact rational function coefficients."""
 
     def __init__(self, ctx: FieldCtx, I):
-        I = _modulus(ctx, I)
+        I = ctx.pmodulus(I)
         psi = psi_dense(ctx, I)
         self.ctx = ctx
         self.I = I
@@ -545,9 +537,7 @@ def partial_fractions(ctx: FieldCtx, p) -> list[tuple[int, int]]:
     by root encoding.  The exact reconstruction sum_j m_j p(t)/(t - a_j) = 1
     is verified before returning.
     """
-    p = ctx.pvalidate(p)
-    if len(p) < 2 or p[-1] != 1:
-        raise ValueError("p must be monic of degree at least 1")
+    p = ctx.pmodulus(p)
     _, factors = ctx.pfactor(p)
     roots = []
     for f, mult in factors:

@@ -341,6 +341,13 @@ class FieldCtx:
             out.pop()
         return tuple(out)
 
+    def pmodulus(self, I) -> tuple[int, ...]:
+        """``pvalidate`` for a modulus, which must be monic of degree at least 1."""
+        I = self.pvalidate(I)
+        if len(I) < 2 or I[-1] != 1:
+            raise ValueError("modulus must be monic of degree at least 1")
+        return I
+
     def padd(self, a, b):
         if len(a) < len(b):
             a, b = b, a

@@ -5,7 +5,8 @@ abelian group.  This module provides:
 
 * :class:`UnitGroup`: the group itself, with canonical representatives the
   reduced residues of degree < deg I listed in encoding order, so the
-  identity class [1] always sits at index 0;
+  identity class [1] always sits at index 0, and classes looked up by
+  residue key through a step table for t*r mod I, with no division;
 * :class:`GroupRingElem`: elements of Z[G_I] with arbitrary precision
   integer coefficients;
 * :class:`FrobPoly`: polynomials in a central variable F over Z[G_I], the
@@ -47,24 +48,23 @@ def _gpow(mul: Callable[[int, int], int], x: int, k: int) -> int:
 class UnitGroup:
     """(F_q[t]/I)^* with canonical residue representatives."""
 
-    __slots__ = ("ctx", "I", "elements", "order", "_index", "_rows")
+    __slots__ = ("ctx", "I", "elements", "order", "_unit", "_steps", "_rows")
 
     def __init__(self, ctx: FieldCtx, I):
-        I = ctx.pvalidate(I)
-        if len(I) < 2:
-            raise ValueError("modulus must have degree >= 1")
-        if I[-1] != 1:
-            raise ValueError("modulus must be monic")
+        I = ctx.pmodulus(I)
         self.ctx = ctx
         self.I = I
         elems = []
-        for key in range(ctx.q ** (len(I) - 1)):
+        unit = [-1] * ctx.q ** (len(I) - 1)  # residue key -> unit index
+        for key in range(len(unit)):
             f = ctx.pfrom_key(key)
             if ctx.pgcd(f, I) == (1,):
+                unit[key] = len(elems)
                 elems.append(f)
         self.elements = tuple(elems)
         self.order = len(elems)
-        self._index = {e: i for i, e in enumerate(elems)}
+        self._unit = unit
+        self._steps = None
         self._rows: list = [None] * self.order
         assert self.elements[0] == (1,), "identity residue must come first"
 
@@ -76,22 +76,37 @@ class UnitGroup:
     def class_index(self, g) -> int:
         """Index of [g mod I]; raises if g is not coprime to the modulus.
 
-        A tuple g is read as it is, unvalidated: the Euler product makes
-        one call per prime, with tuples from the sieve."""
+        g of any degree is reduced on residue keys, with no division.  A
+        tuple is read as it is, unvalidated: the Euler product makes one
+        call per prime, with tuples from the sieve."""
         if isinstance(g, Poly):
             g = self.ctx.pvalidate(g)
-        r = self.ctx.pmod(g, self.I)
-        idx = self._index.get(r)
-        if idx is None:
-            raise ValueError(f"residue {r} is not a unit modulo the context ideal")
+        r = self._residue_key(g)
+        idx = self._unit[r]
+        if idx < 0:
+            raise ValueError(f"residue {self.ctx.pfrom_key(r)} is not a unit modulo the context ideal")
         return idx
+
+    def _residue_key(self, g) -> int:
+        """Key of g mod I by Horner's rule: the step entry of residue key r is
+        t*r mod I without digit 0 and the add-table row of that digit."""
+        steps = self._steps
+        if steps is None:
+            ctx, q, at = self.ctx, self.ctx.q, self.ctx.add_table
+            tr = (ctx.pkey(ctx.pmod(ctx.pmul((0, 1), ctx.pfrom_key(r)), self.I))
+                  for r in range(len(self._unit)))
+            steps = self._steps = [(s - s % q, at[s % q]) for s in tr]
+        r = 0
+        for c in reversed(g):
+            base, row = steps[r]
+            r = base + row[c]
+        return r
 
     def _row(self, i: int):
         row = self._rows[i]
         if row is None:
-            ctx, I, a = self.ctx, self.I, self.elements[i]
-            row = [self._index[ctx.pmod(ctx.pmul(a, b), I)] for b in self.elements]
-            self._rows[i] = row
+            ctx, unit, key, a = self.ctx, self._unit, self._residue_key, self.elements[i]
+            row = self._rows[i] = [unit[key(ctx.pmul(a, b))] for b in self.elements]
         return row
 
     def mul(self, i: int, j: int) -> int:

@@ -75,13 +75,10 @@ class StickCtx:
     __slots__ = ("ctx", "I", "G", "d", "_cache")
 
     def __init__(self, ctx: FieldCtx, I):
-        I = ctx.pvalidate(I)
-        if len(I) < 2 or I[-1] != 1:
-            raise ValueError("modulus must be monic of degree at least 1")
         self.ctx = ctx
-        self.I = I
         self.G = unit_group(ctx, I)
-        self.d = len(I) - 2
+        self.I = self.G.I
+        self.d = len(self.I) - 2
         self._cache = {}
 
     @property
@@ -171,23 +168,20 @@ def _monic_classes(S: StickCtx, M: int):
     the monic of key c + q*k is c + t*g for the monic g of key k, so its
     residue is c + t*(g mod I) mod I.  On residue keys r < q^deg I, t*r mod I
     is one table entry per residue and adding c only changes digit 0, so
-    each degree is one pass over the residues of the last; one table from
-    residue keys to unit indices then gives coprimality and the class.  The
-    tables are built once per StickCtx and only the current degree is held.
+    each degree is one pass over the residues of the last; the group's list
+    from residue keys to unit indices gives coprimality and the class.  This
+    step table, not ``class_index``'s, keeps the Euler dual's two routes
+    apart; it is built once per StickCtx and only one degree is held.
     """
-    tables = S._cache.get("residues")
-    if tables is None:
+    steps = S._cache.get("residues")
+    if steps is None:
         ctx, I = S.ctx, S.I
         q, at = ctx.q, ctx.add_table
-        steps = []
+        steps = S._cache["residues"] = []
         for r in range(q ** (len(I) - 1)):
             s = ctx.pkey(ctx.pmod(ctx.pmul((0, 1), ctx.pfrom_key(r)), I))
             steps.append((s - s % q, at[s % q]))
-        unit = [-1] * len(steps)
-        for i, e in enumerate(S.G.elements):
-            unit[ctx.pkey(e)] = i
-        tables = S._cache["residues"] = (steps, unit)
-    steps, unit = tables
+    unit = S.G._unit
     residues = [1]  # the residue of t^0, as deg I >= 1
     for m in range(M + 1):
         yield [unit[r] for r in residues]
@@ -263,12 +257,12 @@ def euler_series(S: StickCtx, M: int, method: str = "direct") -> GrSeries:
     ``_monic_classes``.  ``euler_product`` expands the product of
     (1 - [P] z^deg P)^(-1) over monic irreducibles P coprime to the modulus
     of degree at most M, from the sieve of ``monic_irreducibles`` and one
-    ``class_index`` per P, so it shares no step with the direct side.  The
-    primes are grouped by (degree d, class g): n of them contribute
-    (1 - [g] z^d)^(-n) = sum_k C(n+k-1, k) [g^k] z^(dk), multiplied into
-    plain coefficient dicts by the permutation row of g^k, with m
-    descending so that each pass reads the lower coefficients it has not yet
-    updated.  The two must agree coefficient for coefficient.
+    ``class_index`` per P, which walks the group's own step table, so it
+    shares no step with the direct side.  The primes are grouped by (degree
+    d, class g): n of them contribute (1 - [g] z^d)^(-n) = sum_k C(n+k-1, k)
+    [g^k] z^(dk), multiplied into plain coefficient dicts by the permutation
+    row of g^k, m descending so that each pass reads lower coefficients not
+    yet updated.  The two must agree coefficient for coefficient.
     """
     if M < 0:
         raise ValueError("order must be nonnegative")

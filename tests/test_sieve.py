@@ -5,7 +5,9 @@
 references are Gauss's count of monic irreducibles, Rabin's test
 (``is_irreducible``) and ``pfactor``.  The direct and lattice series find the
 class of each monic polynomial by a residue recursion; the reference is
-``UnitGroup.class_index`` with ``pgcd`` for coprimality.  The last tests
+``UnitGroup.class_index``, which walks the group's own step table (checked
+against dividing by the modulus in ``test_class_lookup.py``), with ``pgcd``
+for coprimality.  The last tests
 count calls, so the per-polynomial routes cannot come back unnoticed.
 """
 
