@@ -7,7 +7,8 @@ recurrence (``hecke newton``), coprime multiplicativity (``hecke mult``), the
 chain partition of the sublattice count (``hecke dcount``), the rank-2
 product formula (``stick verify``) and the psi degree (``carlitz psi``).  The
 tail law and the rank-2 product formula are records of
-``lseries.verify_identities`` too, so their anchors live in ``lseries``.
+``lseries.verify_identities`` too, so ``lseries`` builds both records
+(``tail_law_record``, ``theta2_product_record``) and this module tags them.
 
 ``verify_all`` runs the default grid in eight sections, each timed on stderr
 by a ``Stopwatch``, over field contexts built once per run.
@@ -15,6 +16,7 @@ by a ``Stopwatch``, over field contexts built once per run.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .fieldcore import FieldCtx, field_context, _mix
@@ -34,13 +36,12 @@ from .heckelat import (
     _monic,
 )
 from .lseries import (
-    TAIL_LAW_ANCHOR,
-    THETA2_PRODUCT_ANCHOR,
     StickCtx,
     stick_context,
     stickelberger_q,
     t_times_t_minus_one,
-    theta2_product_diff,
+    tail_law_record,
+    theta2_product_record,
     verify_identities,
 )
 from . import carlitz
@@ -89,14 +90,9 @@ def _first_failure(ctx: FieldCtx, max_deg: int, check) -> tuple[int, dict | None
 
 
 def tail_law(S: StickCtx, tail, **details) -> dict:
-    """Tail-law record of modulus S from its ``TailReport``; ``details`` adds
-    entries to the checked window and its violations."""
-    return check_record(
-        "lseries.tail_law" + _tag(S.ctx.q, S.I),
-        TAIL_LAW_ANCHOR,
-        tail.passed,
-        {"window": list(tail.window), "violations": tail.violations, **details},
-    )
+    """Tail-law record of modulus S from its ``TailReport``, tagged with q
+    and I; ``details`` adds entries to the checked window and its violations."""
+    return tail_law_record(tail, _tag(S.ctx.q, S.I), **details)
 
 
 def _test_lattices(ctx: FieldCtx, n: int, count: int, *key) -> list:
@@ -146,7 +142,7 @@ def mult(ctx: FieldCtx, chain_a: InvariantType, chain_b: InvariantType,
         "chain": chain_a.to_json(), "chain2": chain_b.to_json(),
         "test_lattices": len(test), "cases": rep.cases,
     }
-    dets = f"{fmt(chain_a.det().coeffs)}*{fmt(chain_b.det().coeffs)}"
+    dets = f"{fmt(chain_a.det())}*{fmt(chain_b.det())}"
     return check_record(f"hecke.mult[q={ctx.q},det={dets},n={n}]", MULT_ANCHOR,
                         rep.ok, _with_witness(details, rep.witness))
 
@@ -216,7 +212,7 @@ def _chain_total(ctx: FieldCtx, g: tuple, n: int) -> int:
 def dcount(ctx: FieldCtx, chain: InvariantType) -> dict:
     """d_count of one chain; when the full count is small, also the partition
     of phi_count(det, n) by the chains of equal determinant."""
-    det, n = chain.det().coeffs, len(chain)
+    det, n = chain.det(), len(chain)
     details: dict = {"chain": chain.to_json(), "value": d_count(ctx, chain), "det": list(det)}
     passed = True
     total_expected = phi_count(ctx, det, n)
@@ -252,9 +248,7 @@ def _chain_partition(ctx: FieldCtx, n: int) -> dict:
 
 def _theta2_product(ctx: FieldCtx) -> dict:
     """verify-all's record of the rank-2 product formula over ctx."""
-    diff = theta2_product_diff(stick_context(ctx, t_times_t_minus_one(ctx)))
-    return check_record(f"lseries.theta2_product[q={ctx.q}]", THETA2_PRODUCT_ANCHOR,
-                        diff is None, _with_witness({"q": ctx.q}, diff))
+    return theta2_product_record(stick_context(ctx, t_times_t_minus_one(ctx)), f"[q={ctx.q}]")
 
 
 def _psi_and_units(ctx: FieldCtx, I) -> tuple:
@@ -319,8 +313,7 @@ def _galois_action(ctx: FieldCtx, I: tuple) -> dict:
     G = unit_group(ctx, I)
     act = carlitz.galois_act
     ok = True
-    for a, b in ((G.rep(i).coeffs, G.rep(j).coeffs)
-                 for i in range(G.order) for j in range(G.order)):
+    for a, b in itertools.product(G.elements, repeat=2):
         if act(alg, a, act(alg, b, x)) != act(alg, ctx.pmod(ctx.pmul(a, b), I), x):
             ok = False
             break

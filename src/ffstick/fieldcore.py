@@ -24,10 +24,12 @@ Conventions used throughout the package:
   cached in the context's ``memo``; Rabin's test (``is_irreducible``) and
   ``pfactor`` stay as the routes for single polynomials.
 
-The low level tuple functions live on :class:`FieldCtx` so hot loops can work
-on plain tuples; :class:`Poly` is a thin immutable wrapper that provides the
-operator interface.  ``FieldCtx.pvalidate`` is the one entry for a
-polynomial argument: it takes a coefficient sequence or a ``Poly``, and
+Polynomial arithmetic is on tuples, through the methods of
+:class:`FieldCtx`; there is no second interface.  :class:`Poly` is the value
+type at the boundary: a caller may pass one for a polynomial argument, some
+public functions return one, and every repr in the package prints a
+polynomial through its ``str``.  ``FieldCtx.pvalidate`` is the one entry for
+a polynomial argument: it takes a coefficient sequence or a ``Poly``, and
 refuses a ``Poly`` over another field.
 
 The modules above this one multiply and divide dense polynomials over
@@ -484,20 +486,16 @@ class FieldCtx:
             key //= q
         return tuple(out)
 
-    def monic_tuples(self, d: int, coprime_to=None) -> Iterator[tuple[int, ...]]:
+    def monic_tuples(self, d: int) -> Iterator[tuple[int, ...]]:
         """Monic degree d tuples in canonical (integer encoding) order."""
         if d < 0:
             return
-        q = self.q
         if d == 0:
-            if coprime_to is None or len(coprime_to) >= 1:
-                yield (1,)
+            yield (1,)
             return
-        for key in range(q ** d):
+        for key in range(self.q ** d):
             f = self.pfrom_key(key)
-            f = f + (0,) * (d - len(f)) + (1,)
-            if coprime_to is None or self.pgcd(f, coprime_to) == (1,):
-                yield f
+            yield f + (0,) * (d - len(f)) + (1,)
 
     def is_irreducible(self, f) -> bool:
         """Rabin test: t^(q^d) = t mod f and no splitting at proper prime indices."""
@@ -726,9 +724,6 @@ class FieldCtx:
 
     # -- dunder -------------------------------------------------------------
 
-    def poly(self, coeffs: Iterable[int]) -> "Poly":
-        return Poly(self, coeffs)
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -748,7 +743,13 @@ class FieldCtx:
 
 
 class Poly:
-    """Immutable dense polynomial over a fixed FieldCtx."""
+    """A polynomial of F_q[t] as a value: its field and its stripped
+    coefficient tuple, validated on construction and immutable.
+
+    It has no arithmetic; that is on tuples through :class:`FieldCtx`.  Two
+    are equal when their fields and coefficients are, and ``str`` writes
+    one as ``2*t^2 + 1``.
+    """
 
     __slots__ = ("ctx", "coeffs")
 
@@ -758,83 +759,6 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-    @classmethod
-    def _wrap(cls, ctx: FieldCtx, coeffs: tuple[int, ...]) -> "Poly":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "ctx", ctx)
-        object.__setattr__(obj, "coeffs", coeffs)
-        return obj
-
-    # -- basic queries -------------------------------------------------------
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def key(self) -> int:
-        return self.ctx.pkey(self.coeffs)
-
-    def monic(self) -> "Poly":
-        return Poly._wrap(self.ctx, self.ctx.pmonic(self.coeffs))
-
-    def evaluate(self, x: int) -> int:
-        return self.ctx.peval(self.coeffs, x)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if other.ctx != self.ctx:
-            raise ValueError("polynomials live over different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return Poly._wrap(self.ctx, self.ctx.padd(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return Poly._wrap(self.ctx, self.ctx.psub(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return Poly._wrap(self.ctx, self.ctx.pneg(self.coeffs))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return Poly._wrap(self.ctx, self.ctx.pmul(self.coeffs, other.coeffs))
-
-    def __divmod__(self, other):
-        other = self._check(other)
-        q, r = self.ctx.pdivmod(self.coeffs, other.coeffs)
-        return Poly._wrap(self.ctx, q), Poly._wrap(self.ctx, r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        out = Poly._wrap(self.ctx, (1,))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def __eq__(self, other):
         return (
@@ -863,9 +787,6 @@ class Poly:
                 tpow = "t" if i == 1 else f"t^{i}"
                 parts.append(tpow if c == 1 else f"{c}*{tpow}")
         return " + ".join(parts)
-
-    def to_json(self) -> list[int]:
-        return list(self.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -111,12 +111,12 @@ class Lattice:
             for j in range(self.n)
         )
 
-    def det(self) -> Poly:
+    def det(self) -> tuple:
         """Product of the diagonal entries, the monic determinant ideal generator."""
         d = (1,)
         for i in range(self.n):
             d = self.ctx.pmul(d, self.rows[i][i])
-        return Poly(self.ctx, d)
+        return d
 
     def det_degree(self) -> int:
         return sum(len(self.rows[i][i]) - 1 for i in range(self.n))
@@ -286,14 +286,12 @@ class InvariantType:
     def __len__(self):
         return len(self.chain)
 
-    def polys(self) -> tuple[Poly, ...]:
-        return tuple(Poly(self.ctx, f) for f in self.chain)
-
-    def det(self) -> Poly:
+    def det(self) -> tuple:
+        """Product of the chain entries."""
         d = (1,)
         for f in self.chain:
             d = self.ctx.pmul(d, f)
-        return Poly(self.ctx, d)
+        return d
 
     def codim(self) -> int:
         """Total F_q-dimension of the attached quotient."""
@@ -318,7 +316,7 @@ class InvariantType:
         return hash((self.ctx.q, self.chain))
 
     def __repr__(self):
-        return "InvariantType(" + ", ".join(str(p) for p in self.polys()) + ")"
+        return "InvariantType(" + ", ".join(str(Poly(self.ctx, f)) for f in self.chain) + ")"
 
     def to_json(self) -> list:
         return [list(f) for f in self.chain]
@@ -585,7 +583,7 @@ def _chain_plan(ctx: FieldCtx, chain: InvariantType) -> dict[tuple, list | None]
     classified by ``_triangles_by_type`` only when the plan is not yet
     memoized: a real trie per diagonal, never None in rank 2 or more."""
     return _plan(ctx, chain.chain, lambda: _triangles_by_type(
-        ctx, chain.det().coeffs, len(chain)).get(chain.chain, ()))
+        ctx, chain.det(), len(chain)).get(chain.chain, ()))
 
 
 def _sigma_matrices(ctx: FieldCtx, x: tuple, n: int, j: int):
@@ -618,7 +616,7 @@ def d_count(ctx: FieldCtx, chain) -> int:
         chain = InvariantType(ctx, chain)
     elif chain.ctx != ctx:
         raise ValueError("chain is over a different field")
-    g, n = chain.det().coeffs, len(chain)
+    g, n = chain.det(), len(chain)
     if _forced(ctx, g, n):
         return sum(ctx.q ** sum(j * (len(d) - 1) for j, d in enumerate(diags))
                    for diags in _diag_tuples(ctx, g, n))
@@ -1280,7 +1278,7 @@ def t_chain(chain: InvariantType, s: LatticeSum) -> LatticeSum:
         raise ValueError("chain length must equal the rank")
     if chain.ctx != s.ctx:
         raise ValueError("chain and lattice sum are over different fields")
-    g = chain.det().coeffs
+    g = chain.det()
     if _forced(s.ctx, g, s.n):
         return t_det(g, s)
     return _plan_sum(s, _chain_plan(s.ctx, chain))
@@ -1425,8 +1423,7 @@ def hecke_mult_verify(
         raise ValueError("chains must have equal length")
     if chain_a.ctx != ctx or chain_b.ctx != ctx:
         raise ValueError("chains are over a different field")
-    da, db = chain_a.det(), chain_b.det()
-    if ctx.pgcd(da.coeffs, db.coeffs) != (1,):
+    if ctx.pgcd(chain_a.det(), chain_b.det()) != (1,):
         raise ValueError("chain determinants must be coprime")
     n = len(chain_a)
     if test_lattices is None:

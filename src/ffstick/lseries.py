@@ -52,16 +52,21 @@ __all__ = [
     "phi_series",
     "theta_n",
     "theta_noinf",
+    "tail_law_record",
+    "theta2_product_record",
     "verify_identities",
     "t_times_t_minus_one",
-    "theta2_product_diff",
+    "PrimeClassError",
 ]
 
-# Anchors of the identity checks that ``battery`` reports outside this battery.
-TAIL_LAW_ANCHOR = "tail of the coprime-class series: s_m = q^(m-d-1)*N for m > d"
-THETA2_PRODUCT_ANCHOR = (
-    "rank-2 element for I = t(t-1): Theta_2 = theta1(1)*theta1(q) + (q^2+1)*N"
-)
+
+class PrimeClassError(RuntimeError):
+    """The unit group placed a prime coprime to the modulus in no unit class,
+    which only a broken class table does; ``prime`` is its coefficient tuple."""
+
+    def __init__(self, prime: tuple):
+        super().__init__(f"prime {prime} coprime to the modulus has no unit class")
+        self.prime = prime
 
 
 class StickCtx:
@@ -81,10 +86,6 @@ class StickCtx:
         self.d = len(self.I) - 2
         self._cache = {}
 
-    @property
-    def modulus(self) -> Poly:
-        return Poly(self.ctx, self.I)
-
     def norm(self) -> GroupRingElem:
         return norm_element(self.G)
 
@@ -95,7 +96,7 @@ class StickCtx:
         return hash((self.ctx, self.I))
 
     def __repr__(self):
-        return f"StickCtx(q={self.ctx.q}, I={self.modulus})"
+        return f"StickCtx(q={self.ctx.q}, I={Poly(self.ctx, self.I)})"
 
 
 def stick_context(ctx: FieldCtx, I) -> StickCtx:
@@ -262,7 +263,8 @@ def euler_series(S: StickCtx, M: int, method: str = "direct") -> GrSeries:
     d, class g): n of them contribute (1 - [g] z^d)^(-n) = sum_k C(n+k-1, k)
     [g^k] z^(dk), multiplied into plain coefficient dicts by the permutation
     row of g^k, m descending so that each pass reads lower coefficients not
-    yet updated.  The two must agree coefficient for coefficient.
+    yet updated.  The two must agree coefficient for coefficient.  A prime
+    that ``class_index`` finds no unit class for raises ``PrimeClassError``.
     """
     if M < 0:
         raise ValueError("order must be nonnegative")
@@ -282,7 +284,10 @@ def euler_series(S: StickCtx, M: int, method: str = "direct") -> GrSeries:
         for dP in range(1, M + 1):
             for P in ctx.monic_irreducibles(dP):
                 if dP >= len(I) or ctx.pmod(I, P):  # else P divides the modulus
-                    primes[dP, G.class_index(P)] += 1
+                    try:
+                        primes[dP, G.class_index(P)] += 1
+                    except ValueError as exc:
+                        raise PrimeClassError(P) from exc
         out = [{0: 1}] + [{} for _ in range(M)]
         for (dP, g), n in primes.items():
             rows, gk = [], 0
@@ -434,13 +439,31 @@ def _first_coeff_diff(a: FrobPoly, b: FrobPoly) -> dict | None:
     return None
 
 
-def theta2_product_diff(S: StickCtx) -> dict | None:
-    """For I = t(t-1): the first F power at which Theta_2 (lattice route) and
-    theta1(1)*theta1(q) + (q^2+1)*N differ, or None when they agree."""
+def tail_law_record(tail: TailReport, tag: str = "", **details) -> dict:
+    """The tail-law record of a ``TailReport``, its id ending in ``tag``;
+    ``details`` adds entries to the checked window and its violations."""
+    return check_record(
+        "lseries.tail_law" + tag,
+        "tail of the coprime-class series: s_m = q^(m-d-1)*N for m > d",
+        tail.passed,
+        {"window": list(tail.window), "violations": tail.violations, **details},
+    )
+
+
+def theta2_product_record(S: StickCtx, tag: str = "") -> dict:
+    """For I = t(t-1): the record of Theta_2 (lattice route) against
+    theta1(1)*theta1(q) + (q^2+1)*N, its id ending in ``tag``; the witness
+    is the first F power at which they differ."""
     q = S.ctx.q
     lhs = theta_n(S, 2, method="lattice")
     rhs = theta1(S, 1) * theta1(S, q) + FrobPoly.constant(S.norm() * (q * q + 1))
-    return _first_coeff_diff(lhs, rhs)
+    diff = _first_coeff_diff(lhs, rhs)
+    return check_record(
+        "lseries.theta2_product" + tag,
+        "rank-2 element for I = t(t-1): Theta_2 = theta1(1)*theta1(q) + (q^2+1)*N",
+        diff is None,
+        {"q": q, **({"witness": diff} if diff else {})},
+    )
 
 
 def verify_identities(S: StickCtx, n_max: int = 2, fault: str | None = None) -> list[dict]:
@@ -465,30 +488,30 @@ def verify_identities(S: StickCtx, n_max: int = 2, fault: str | None = None) -> 
     records: list[dict] = []
 
     # (a) tail law
-    gammas, tail = stickelberger_q(S)
-    records.append(check_record(
-        "lseries.tail_law",
-        TAIL_LAW_ANCHOR,
-        tail.passed,
-        {"q": q, "I": list(S.I), "window": list(tail.window),
-         "violations": tail.violations},
-    ))
+    records.append(tail_law_record(stickelberger_q(S)[1], q=q, I=list(S.I)))
 
-    # (b) dual methods
+    # (b) dual methods; a prime the group files in no unit class is the
+    # witness of a failure, not an error
     direct = euler_series(S, 6, method="direct")
-    product = euler_series(S, 6, method="euler_product")
-    if fault == "series":
-        bad = product.coeffs[1] + GroupRingElem.integer(G, 1)
-        product = GrSeries(G, product.coeffs[:1] + (bad,) + product.coeffs[2:])
-    mismatch = next(
-        (m for m in range(7) if direct.coeffs[m] != product.coeffs[m]), None
-    )
+    mismatch = unclassed = None
+    try:
+        product = euler_series(S, 6, method="euler_product")
+    except PrimeClassError as exc:
+        unclassed = {"prime": list(exc.prime)}
+    else:
+        if fault == "series":
+            bad = product.coeffs[1] + GroupRingElem.integer(G, 1)
+            product = GrSeries(G, product.coeffs[:1] + (bad,) + product.coeffs[2:])
+        mismatch = next(
+            (m for m in range(7) if direct.coeffs[m] != product.coeffs[m]), None
+        )
     records.append(check_record(
         "lseries.euler_dual",
         "Euler product over primes away from I equals direct enumeration",
-        mismatch is None,
+        mismatch is None and unclassed is None,
         {"q": q, "I": list(S.I), "order": 6,
-         **({"first_mismatch": mismatch} if mismatch is not None else {})},
+         **({"first_mismatch": mismatch} if mismatch is not None else {}),
+         **({"witness": unclassed} if unclassed else {})},
     ))
     phi_ok = True
     phi_detail: dict = {"q": q, "I": list(S.I), "orders": {}}
@@ -514,13 +537,7 @@ def verify_identities(S: StickCtx, n_max: int = 2, fault: str | None = None) -> 
 
     # (c) rank-2 product formula, specific to I = t(t-1)
     if S.I == t_times_t_minus_one(ctx):
-        diff = theta2_product_diff(S)
-        records.append(check_record(
-            "lseries.theta2_product",
-            THETA2_PRODUCT_ANCHOR,
-            diff is None,
-            {"q": q, **({"witness": diff} if diff else {})},
-        ))
+        records.append(theta2_product_record(S))
 
     # (d) factorization modulo the norm ideal; oracle side is the lattice
     # count route, the product side comes from the direct gamma extraction

@@ -32,7 +32,7 @@ def test_t_chain_builds_no_matrix_product_and_no_canonical_form(monkeypatch):
     got = t_chain(chain, LatticeSum.of(N, 2))
     assert calls == Counter()
 
-    cmats = heckelat._triangles_by_type(C3, chain.det().coeffs, 3)[chain.chain]
+    cmats = heckelat._triangles_by_type(C3, chain.det(), 3)[chain.chain]
     ref = Counter(heckelat._apply_basis(C3, C, N.rows) for C in cmats)
     assert len(ref) == len(cmats) > 50
     assert {L.rows: c for L, c in got.items()} == {rows: 2 * c for rows, c in ref.items()}

@@ -164,7 +164,7 @@ def test_mult_check_classifies_each_matrix_once(monkeypatch):
     n = 2
     cha = InvariantType(C3, [(0, 0, 1), (0, 1)])
     chb = InvariantType(C3, [(1, 1), (1,)])
-    dets = [cha.det().coeffs, chb.det().coeffs, cha.pointwise_mul(chb).det().coeffs]
+    dets = [cha.det(), chb.det(), cha.pointwise_mul(chb).det()]
     bound = sum(phi_count(C3, g, n) for g in dets)
 
     def snf_calls(k):

@@ -11,7 +11,8 @@ takes each step entry with each added digit, and seeded g of degree up to 5.
 The Euler product side of ``lseries.euler_dual`` reads the group's step
 table and the direct side ``_monic_classes``' own, so a corrupted entry in
 either must fail the check, and one in the group's must leave the direct
-series as it was.  The last test counts divisions: a cold Euler product
+series as it was; where it sends a prime to a non-unit residue, the failing
+record names the prime.  The last test counts divisions: a cold Euler product
 makes one ``pmod`` per step entry and per prime below deg I, where a
 division per class lookup made 3,678, 885 and 1,053 on its three moduli.
 """
@@ -22,7 +23,7 @@ import random
 import pytest
 
 from ffstick import lseries
-from ffstick.fieldcore import FieldCtx, field_context
+from ffstick.fieldcore import FieldCtx, Poly, field_context
 from ffstick.groupring import unit_group
 from ffstick.lseries import euler_series, stick_context, verify_identities
 
@@ -80,15 +81,15 @@ def test_class_index_and_rows_equal_the_division_route(q, I):
 def test_class_index_reads_polys_and_refuses_other_fields():
     ctx = field_context(5)
     G = unit_group(ctx, (4, 0, 1))
-    g = ctx.poly([3, 1, 4, 1, 2])
+    g = Poly(ctx, [3, 1, 4, 1, 2])
     assert G.class_index(g) == G.class_index(g.coeffs) == G.elements.index(ctx.pmod(g.coeffs, G.I))
-    for zero in ((), ctx.poly([]), (0, 0)):
+    for zero in ((), Poly(ctx, []), (0, 0)):
         with pytest.raises(ValueError, match="is not a unit"):
             G.class_index(zero)
     with pytest.raises(ValueError, match="is not a unit"):
-        G.class_index(ctx.poly([1, 1]))  # t + 1 divides t^2 - 1
+        G.class_index(Poly(ctx, [1, 1]))  # t + 1 divides t^2 - 1
     with pytest.raises(ValueError, match="different field"):
-        G.class_index(field_context(3).poly([1, 1]))
+        G.class_index(Poly(field_context(3), [1, 1]))
 
 
 def _dual(S):
@@ -96,10 +97,17 @@ def _dual(S):
     return rec
 
 
+def _corrupt(ctx, G, r, k):
+    """Make the group's step entry for residue key r add k to digit 0 of t*r mod I."""
+    G._residue_key(())  # builds the step table
+    base, row = G._steps[r]
+    G._steps[r] = (base, ctx.add_table[ctx.add_table[row[0]][k]])
+
+
 # (field, modulus, residue key r, digit k, first mismatch): the entry for r
 # adds k to digit 0 of t*r mod I.  A bad entry may also send a prime to a
-# non-unit, and class_index raises; in these cases every prime lands in a
-# unit class, some of them in the wrong one.
+# non-unit (the next test); in these cases every prime lands in a unit
+# class, some of them in the wrong one.
 GROUP_FAULTS = [
     ((2, 1), (1, 1, 1), 3, 1, 2),
     ((2, 1), (1, 1, 0, 1), 2, 1, 3),
@@ -112,13 +120,41 @@ GROUP_FAULTS = [
 def test_a_bad_group_step_fails_the_euler_dual_only_on_its_side(field, I, r, k, first):
     ctx = field_context(*field)
     S = stick_context(ctx, I)
-    S.G._residue_key(())  # builds the step table
-    base, row = S.G._steps[r]
-    S.G._steps[r] = (base, ctx.add_table[ctx.add_table[row[0]][k]])
+    _corrupt(ctx, S.G, r, k)
     rec = _dual(S)
     assert rec["status"] == "fail"
     assert rec["details"]["first_mismatch"] == first
     assert euler_series(S, 6, "direct") == euler_series(stick_context(ctx, I), 6, "direct")
+
+
+# (field, modulus, how many single-entry corruptions of the group's step
+# table send some prime coprime to the modulus to a non-unit residue)
+UNCLASSED = [((2, 1), (1, 1, 1), 3), ((3, 1), (1, 0, 1), 18), ((3, 1), (2, 0, 1, 1), 34)]
+
+
+@pytest.mark.parametrize("field, I, count", UNCLASSED)
+def test_a_prime_in_no_unit_class_fails_the_euler_dual_with_a_witness(field, I, count):
+    ctx = field_context(*field)
+    seen = 0
+    for r, k in itertools.product(range(ctx.q ** (len(I) - 1)), range(1, ctx.q)):
+        S = stick_context(ctx, I)
+        _corrupt(ctx, S.G, r, k)
+        try:
+            euler_series(S, 6, "euler_product")
+            continue
+        except lseries.PrimeClassError as exc:
+            P = exc.prime
+        seen += 1
+        assert ctx.is_irreducible(P) and ctx.pgcd(P, I) == (1,)
+        with pytest.raises(ValueError, match="is not a unit"):
+            S.G.class_index(P)
+        S = stick_context(ctx, I)
+        _corrupt(ctx, S.G, r, k)
+        rec = _dual(S)
+        assert rec["status"] == "fail"
+        assert rec["details"]["witness"] == {"prime": list(P)}
+        assert "first_mismatch" not in rec["details"]
+    assert seen == count
 
 
 @pytest.mark.parametrize("field, I", [

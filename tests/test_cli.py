@@ -362,6 +362,25 @@ def test_theta_record_fails_when_the_routes_disagree(method, monkeypatch, capsys
     assert rec["check_id"] == "lseries.theta_n[q=3,I=0,2,1,n=2]"
 
 
+def test_a_prime_in_no_unit_class_is_a_failing_record(monkeypatch, capsys):
+    from ffstick import cli
+    from ffstick.groupring import UnitGroup
+
+    real = UnitGroup.class_index
+
+    def broken(self, g):
+        if tuple(g) == (1, 1):
+            raise ValueError("residue () is not a unit modulo the context ideal")
+        return real(self, g)
+
+    monkeypatch.setattr(UnitGroup, "class_index", broken)
+    assert cli.main(["stick", "verify", "--p", "3", "--ideal", "1,0,1"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["check_id"] for c in checks if c["status"] == "fail"] == ["lseries.euler_dual"]
+    (rec,) = [c for c in checks if c["check_id"] == "lseries.euler_dual"]
+    assert rec["details"]["witness"] == {"prime": [1, 1]}
+
+
 def test_subcommand_records_match_verify_all():
     battery = report_of(run_cli(*REDUCED_BATTERY, check=True))["checks"]
 

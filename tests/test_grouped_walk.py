@@ -50,7 +50,7 @@ def _operators(ctx, q, n):
     ]
     if n > 1:
         chain = InvariantType(ctx, [x2] + [(1,)] * (n - 1))
-        assert not heckelat._forced(ctx, chain.det().coeffs, n)
+        assert not heckelat._forced(ctx, chain.det(), n)
         ops.append(("t_chain-unforced", lambda s: t_chain(chain, s), None))
     return ops
 

@@ -39,7 +39,7 @@ T = (0, 1)
 def test_standard_lattice_shape():
     L = standard_lattice(C3, 3)
     assert L.is_standard
-    assert L.det().coeffs == (1,)
+    assert L.det() == (1,)
     assert L.det_degree() == 0
     assert L.n == 3
 
@@ -48,7 +48,7 @@ def test_hnf_known_example():
     # rows t*e1 and e1+e2 span the same lattice as e1+e2 and t*e2
     L = hnf_reduce(C2, [[(0, 1), ()], [(1,), (1,)]])
     assert L.rows == (((1,), (1,)), ((), (0, 1)))
-    assert L.det().coeffs == (0, 1)
+    assert L.det() == (0, 1)
 
 
 def test_hnf_invariant_under_row_operations():
@@ -107,7 +107,7 @@ def test_coords_and_containment():
 def test_det_multiplies_along_scaling():
     L = random_sublattice(C3, 2, 77, max_deg=1)
     g = Poly(C3, (1, 1))
-    assert L.scale(g).det() == g * g * L.det()
+    assert L.scale(g).det() == C3.pmul(C3.pmul(g.coeffs, g.coeffs), L.det())
 
 
 def test_sublattice_enum_index_t_count():
@@ -122,7 +122,7 @@ def test_sublattice_enum_det_tsquare_f2():
     subs = sublattice_enum(standard_lattice(C2, 2), (0, 0, 1))
     assert len(subs) == 7
     for N in subs:
-        assert N.det().coeffs == (0, 0, 1)
+        assert N.det() == (0, 0, 1)
 
 
 def test_sublattice_enum_matches_closed_count_nonstandard():
@@ -195,6 +195,14 @@ def test_invariant_chain_validation():
         InvariantType(C2, [(0, 1), (0, 0, 1)])  # wrong order
     with pytest.raises(ValueError):
         InvariantType(C2, [(0, 1), ()])
+
+
+def test_invariant_type_det_is_the_product_tuple():
+    # (t + 1)^2 (t + 2), t + 1, 1 over F_3: the product (t^3 + 1)(t + 2)
+    f = C3.pmul(C3.pmul((1, 1), (1, 1)), (2, 1))
+    chain = InvariantType(C3, [f, (1, 1), (1,)])
+    assert chain.det() == C3.pmul(f, (1, 1)) == (2, 1, 0, 2, 1)
+    assert InvariantType(C3, [(1,), (1,)]).det() == (1,)
 
 
 def test_invariants_sum_to_det_degree():

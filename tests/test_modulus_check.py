@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from ffstick.carlitz import TorsionAlgebra, partial_fractions, psi_cyclotomic
-from ffstick.fieldcore import field_context
+from ffstick.fieldcore import Poly, field_context
 from ffstick.groupring import unit_group
 from ffstick.lseries import stick_context
 
@@ -35,7 +35,7 @@ def test_every_entry_refuses_a_bad_modulus_with_one_message(entry, I):
 
 def test_pmodulus_returns_the_validated_tuple():
     assert C3.pmodulus([2, 0, 1, 0]) == (2, 0, 1)
-    assert C3.pmodulus(C3.poly([0, 1])) == (0, 1)
+    assert C3.pmodulus(Poly(C3, [0, 1])) == (0, 1)
 
 
 @pytest.mark.parametrize("command", [("stick", "verify"), ("carlitz", "psi")])

@@ -121,7 +121,7 @@ def test_operators_leave_no_closure_cycles():
     s = LatticeSum.of(random_sublattice(C3, 3, 1, max_deg=1))
     s2 = LatticeSum.of(random_sublattice(C3, 2, 1, max_deg=1))
     chain = InvariantType(C3, [(0, 0, 1), (1,)])  # t^2 leaves a choice in rank 2
-    assert not heckelat._forced(C3, chain.det().coeffs, 2)
+    assert not heckelat._forced(C3, chain.det(), 2)
     mat = [[(0, 1), (1,), (2, 1)], [(), (0, 0, 1), (1,)], [(), (), (1, 1)]]
     gc.collect()
     flags = gc.get_debug()
