@@ -12,9 +12,15 @@ along the way being exact, and deg Psi_I equals the order of the unit group
 mod I.
 
 Torsion points are handled symbolically inside F_q(t)[X] / Psi_I, never
-through root finding in a completion: the algebra carries exact rational
-function coefficients (reduced, monic denominator) and inverts elements by
-the extended Euclidean algorithm.  On top of that sits the tensor square
+through root finding in a completion.  Psi_I is monic with coefficients in
+F_q[t], so an element of the algebra is held as F_q[t] numerators over one
+monic common denominator, and an element with polynomial coefficients, like
+every image of X, costs no gcd.  Since the characteristic is p, e -> e^q is
+the Frobenius map on the coefficients, and the algebra keeps X^(q^i) for
+i < deg I so that X -> phi_a(X) is a linear combination.  Elements are
+inverted by the extended Euclidean algorithm with pseudo-division, which
+stays in F_q[t][X]; ``RatFunc`` appears only where coefficients are read or
+written one by one.  On top of that sits the tensor square
 F_q(t)[X, Y] / (Psi(X), Psi(Y)) and the split element
 
     u = sum_j m_j (delta_j x 1)(1 x delta_j)^(-1)  -  1
@@ -27,7 +33,6 @@ phi_(t-a_j)(delta_j) = 0, and the diagonal specialization of u.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 from .fieldcore import FieldCtx, Poly, dense_divmod, dense_mul, dense_strip
@@ -155,34 +160,50 @@ class SkewPoly:
         return out
 
     def eval_elem(self, e: "AlgElem") -> "AlgElem":
-        """Evaluate at an element of a torsion algebra (or any AlgElem)."""
+        """Evaluate at an element of a torsion algebra over the same field;
+        each power e^(q^i) is the Frobenius map of the one before."""
         alg = e.algebra
-        q = alg.ctx.q
+        if alg.ctx != self.ctx:
+            raise ValueError("algebra element is over a different field")
         acc = alg.zero()
         power = e
         for i, c in enumerate(self.coeffs):
             if c:
                 acc = acc + power.scale_poly(c)
             if i + 1 < len(self.coeffs):
-                power = power.pow_int(q)
+                power = power._frob()
         return acc
 
     def to_json(self) -> list:
         return [[i, list(c)] for i, c in enumerate(self.coeffs) if c]
 
 
+def _phi_t_power(ctx: FieldCtx, i: int) -> tuple:
+    """The coefficients of phi_(t^i) = (tau + t)^i, memoized on ctx per i.
+
+    Coefficient j of (tau + t) * P is t * P_j + P_(j-1)^q.
+    """
+    hit = ctx.memo.get(("phi", i))
+    if hit is None:
+        if i == 0:
+            hit = ((1,),)
+        else:
+            prev = _phi_t_power(ctx, i - 1)
+            hit = tuple(ctx.padd(ctx.pmul((0, 1), c), ctx.pfrob(b))
+                        for c, b in zip(prev + ((),), ((),) + prev))
+        ctx.memo["phi", i] = hit
+    return hit
+
+
 def carlitz_map(ctx: FieldCtx, a) -> SkewPoly:
-    """phi_a, built from phi_t = tau + t by F_q-linearity in the powers of t."""
+    """phi_a = sum_i a_i phi_(t^i), by F_q-linearity in the powers of t."""
     a = ctx.pvalidate(a)
-    phi_t = SkewPoly(ctx, [(0, 1), (1,)])
-    acc = SkewPoly.zero(ctx)
-    power = SkewPoly.constant(ctx, (1,))
+    out = [()] * len(a)  # phi_a has degree deg a in tau
     for i, c in enumerate(a):
         if c:
-            acc = acc + power.scale(c)
-        if i + 1 < len(a):
-            power = phi_t * power
-    return acc
+            for j, b in enumerate(_phi_t_power(ctx, i)):
+                out[j] = ctx.padd(out[j], ctx.pscale(b, c))
+    return SkewPoly(ctx, out)
 
 
 def torsion_poly(ctx: FieldCtx, a) -> SkewPoly:
@@ -366,47 +387,127 @@ def _reduced(ctx: FieldCtx, num: tuple, den: tuple) -> tuple:
 # the torsion algebra and its tensor square
 
 
-class AlgElem:
-    """Residue class in F_q(t)[X] / Psi, held as coefficients below deg Psi."""
+def _lcm(ctx: FieldCtx, a: tuple, b: tuple) -> tuple:
+    """The monic lcm of monic a and b."""
+    if a == (1,) or a == b:
+        return b
+    return ctx.pmul(a, ctx.pdivmod(b, ctx.pgcd(a, b))[0])
 
-    __slots__ = ("algebra", "coeffs")
+
+def _content(ctx: FieldCtx, polys, g: tuple = ()) -> tuple:
+    """The monic gcd of g and polys, which stops early at 1."""
+    for x in polys:
+        if x:
+            g = ctx.pgcd(g, x)
+            if g == (1,):
+                break
+    return g
+
+
+def _sub_shifted(ctx: FieldCtx, a: tuple, u: list, c: tuple, k: int, v: list) -> list:
+    """a * u - c * X^k * v for dense lists in X over F_q[t], stripped."""
+    out = [ctx.pmul(a, x) for x in u]
+    out += [()] * (k + len(v) - len(out))
+    for j, y in enumerate(v):
+        if y:
+            out[k + j] = ctx.psub(out[k + j], ctx.pmul(c, y))
+    return dense_strip(out)
+
+
+class AlgElem:
+    """Residue class in F_q(t)[X] / Psi, held as coefficients below deg Psi:
+    F_q[t] numerators ``nums`` over one monic denominator ``den``.
+
+    The denominator shares no factor with the gcd of the numerators, so each
+    element has one form, and a polynomial element has ``den == (1,)``.  The
+    constructor takes ``RatFunc`` coefficients over the algebra's field, and
+    ``coeffs`` gives them back.
+    """
+
+    __slots__ = ("algebra", "nums", "den")
 
     def __init__(self, algebra: "TorsionAlgebra", coeffs):
-        D = algebra.dim
         cs = list(coeffs)
-        if len(cs) > D:
+        if len(cs) > algebra.dim:
             raise ValueError("coefficient list exceeds the algebra dimension")
-        cs.extend([algebra._zero] * (D - len(cs)))
+        ctx = algebra.ctx
+        den = (1,)
+        for c in cs:
+            algebra._check_coeff(c)
+            den = _lcm(ctx, den, c.den)
+        # reduced fractions over the lcm of their denominators: no factor of
+        # the lcm divides every numerator
+        nums = [c.num if c.den == den else ctx.pmul(c.num, ctx.pdivmod(den, c.den)[0])
+                for c in cs]
         self.algebra = algebra
-        self.coeffs = tuple(cs)
+        self.nums = tuple(nums) + ((),) * (algebra.dim - len(nums))
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        ctx, den = self.algebra.ctx, self.den
+        return tuple(RatFunc._of(ctx, n, den) for n in self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not any(self.nums)
+
+    def _plus(self, other, op) -> "AlgElem":
+        alg = self.algebra
+        alg._match(other)
+        ctx = alg.ctx
+        a, b = self.den, other.den
+        if a == b:
+            return alg._elem([op(x, y) for x, y in zip(self.nums, other.nums)], a)
+        den = _lcm(ctx, a, b)
+        ca, cb = ctx.pdivmod(den, a)[0], ctx.pdivmod(den, b)[0]
+        pmul = ctx.pmul
+        return alg._elem([op(pmul(x, ca), pmul(y, cb)) for x, y in zip(self.nums, other.nums)],
+                         den)
 
     def __add__(self, other):
-        self.algebra._match(other)
-        return AlgElem(self.algebra, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, self.algebra.ctx.padd)
 
     def __sub__(self, other):
-        self.algebra._match(other)
-        return AlgElem(self.algebra, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, self.algebra.ctx.psub)
 
     def __mul__(self, other):
-        self.algebra._match(other)
         alg = self.algebra
-        raw = dense_mul(self.coeffs, other.coeffs, alg._zero, operator.add, operator.mul)
-        return alg._from_raw(raw)
+        alg._match(other)
+        ctx = alg.ctx
+        raw = dense_mul(self.nums, other.nums, (), ctx.padd, ctx.pmul)
+        return alg._elem(raw, ctx.pmul(self.den, other.den))
 
     def scale(self, f: RatFunc) -> "AlgElem":
-        return AlgElem(self.algebra, [c * f for c in self.coeffs])
+        alg = self.algebra
+        alg._check_coeff(f)
+        return alg._elem([alg.ctx.pmul(n, f.num) for n in self.nums],
+                         alg.ctx.pmul(self.den, f.den))
 
     def scale_poly(self, p) -> "AlgElem":
-        return self.scale(RatFunc(self.algebra.ctx, p))
+        ctx = self.algebra.ctx
+        p = ctx.pvalidate(p)
+        return self.algebra._elem([ctx.pmul(n, p) for n in self.nums], self.den)
+
+    def _frob(self) -> "AlgElem":
+        """self^q: in characteristic p, (sum_j c_j X^j)^q = sum_j c_j(t^q) X^(jq),
+        so each numerator and the denominator go through ``pfrob``, exponent j
+        moves to jq, and the result is reduced mod Psi once."""
+        alg = self.algebra
+        ctx, q = alg.ctx, alg.ctx.q
+        raw = [()] * ((len(self.nums) - 1) * q + 1)
+        for j, n in enumerate(self.nums):
+            if n:
+                raw[j * q] = ctx.pfrob(n)
+        return alg._elem(raw, ctx.pfrob(self.den))
 
     def pow_int(self, k: int) -> "AlgElem":
+        """self^k; each factor q of k is one Frobenius map, the rest squarings."""
         if k < 0:
             return self.inv().pow_int(-k)
+        q = self.algebra.ctx.q
+        if k and k % q == 0:
+            return self.pow_int(k // q)._frob()
         out = self.algebra.one()
         base = self
         while k:
@@ -418,43 +519,51 @@ class AlgElem:
         return out
 
     def inv(self) -> "AlgElem":
-        """Inverse by the extended Euclidean algorithm; raises if the element
-        shares a factor with Psi."""
+        """Inverse by the extended Euclidean algorithm on the numerators, with
+        pseudo-division so that everything stays in F_q[t]: each remainder r
+        comes with an s such that s * nums = r mod Psi, the pair divided by
+        its content, until r is a nonzero c of F_q[t]; then the inverse is
+        den * s / c.  Raises if the element shares a factor with Psi."""
         alg = self.algebra
-        zero = alg._zero
-        r0, r1 = list(alg._psi), dense_strip(list(self.coeffs))
+        ctx = alg.ctx
+        r0, s0 = list(alg._psi), []
+        r1, s1 = dense_strip(list(self.nums)), [(1,)]
         if not r1:
             raise ZeroDivisionError("zero element has no inverse")
-        s0, s1 = [], [RatFunc(alg.ctx, (1,))]
-        while r1:
-            q, r = dense_divmod(r0, r1, zero, operator.sub, operator.mul, r1[-1].inv())
-            r0, r1 = r1, r
-            qs1 = dense_mul(q, s1, zero, operator.add, operator.mul)
-            new_s = list(s0)
-            for i, c in enumerate(qs1):
-                if i < len(new_s):
-                    new_s[i] = new_s[i] - c
-                else:
-                    new_s.append(zero - c)
-            s0, s1 = s1, dense_strip(new_s)
-        if len(r0) != 1:
-            raise ZeroDivisionError(
-                "element is a zero divisor: gcd with Psi has positive degree"
-            )
-        unit_inv = r0[0].inv()
-        return alg._from_raw([c * unit_inv for c in s0])
+        while len(r1) > 1:
+            r, s = r0, s0
+            while len(r) >= len(r1):
+                # lead(r1) * r - r[-1] * X^k * r1 drops r's top coefficient
+                c, k = r[-1], len(r) - len(r1)
+                r = _sub_shifted(ctx, r1[-1], r, c, k, r1)
+                s = _sub_shifted(ctx, r1[-1], s, c, k, s1)
+            if not r:
+                raise ZeroDivisionError(
+                    "element is a zero divisor: gcd with Psi has positive degree"
+                )
+            g = _content(ctx, r + s)
+            if g != (1,):
+                r = [ctx.pdivmod(x, g)[0] for x in r]
+                s = [ctx.pdivmod(x, g)[0] for x in s]
+            r0, s0, r1, s1 = r1, s1, r, s
+        c = r1[0]
+        unit = ctx.inv_table[c[-1]]
+        return alg._elem([ctx.pscale(ctx.pmul(x, self.den), unit) for x in s1],
+                         ctx.pscale(c, unit))
 
     def __eq__(self, other):
         return (
             isinstance(other, AlgElem)
             and self.algebra is other.algebra
-            and self.coeffs == other.coeffs
+            and self.nums == other.nums
+            and self.den == other.den
         )
 
     def __repr__(self):
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        coeffs = self.coeffs
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if c.is_zero:
                 continue
             mono = "" if i == 0 else ("*X" if i == 1 else f"*X^{i}")
@@ -466,26 +575,32 @@ class AlgElem:
 
 
 class TorsionAlgebra:
-    """F_q(t)[X] / Psi_I with exact rational function coefficients."""
+    """F_q(t)[X] / Psi_I, its elements F_q[t] numerators over one denominator.
+
+    It keeps X^(q^i) mod Psi for i < deg I, each the Frobenius map of the one
+    before, so the action of a unit class, X -> phi_a(X), is a linear
+    combination of them.
+    """
 
     def __init__(self, ctx: FieldCtx, I):
         I = ctx.pmodulus(I)
-        psi = psi_dense(ctx, I)
+        self._psi = psi_dense(ctx, I)  # monic in X
         self.ctx = ctx
         self.I = I
-        self._zero = RatFunc(ctx, ())
-        self._psi = [RatFunc(ctx, c) for c in psi]
-        self.dim = len(psi) - 1
+        self.dim = len(self._psi) - 1
+        self._x_qpowers = [self.x_gen()]
+        for _ in range(len(I) - 2):
+            self._x_qpowers.append(self._x_qpowers[-1]._frob())
 
     def zero(self) -> AlgElem:
-        return AlgElem(self, [])
+        return self._elem([])
 
     def one(self) -> AlgElem:
-        return AlgElem(self, [RatFunc(self.ctx, (1,))])
+        return self._elem([(1,)])
 
     def x_gen(self) -> AlgElem:
         # X reduces to a constant when Psi is linear in X
-        return self._from_raw([self._zero, RatFunc(self.ctx, (1,))])
+        return self._elem([(), (1,)])
 
     def constant(self, f: RatFunc) -> AlgElem:
         return AlgElem(self, [f])
@@ -494,11 +609,29 @@ class TorsionAlgebra:
         if not isinstance(other, AlgElem) or other.algebra is not self:
             raise ValueError("elements belong to different algebras")
 
-    def _from_raw(self, raw: list) -> AlgElem:
+    def _check_coeff(self, c):
+        if not isinstance(c, RatFunc):
+            raise TypeError(f"expected a RatFunc coefficient, got {type(c).__name__}")
+        if c.ctx != self.ctx:
+            raise ValueError("coefficient is over a different field")
+
+    def _elem(self, raw: list, den: tuple = (1,)) -> AlgElem:
+        """The element raw / den for F_q[t] numerators raw, of any length,
+        and a monic den: raw reduced mod Psi, then numerators and den divided
+        by their gcd when den is not 1."""
+        ctx = self.ctx
         if len(raw) > self.dim:
-            # Psi is monic
-            raw = dense_divmod(raw, self._psi, self._zero, operator.sub, operator.mul, None)[1]
-        return AlgElem(self, raw)
+            raw = dense_divmod(raw, self._psi, (), ctx.psub, ctx.pmul, None)[1]
+        if den != (1,):
+            g = _content(ctx, raw, den)
+            if g != (1,):  # g == den when raw is zero
+                raw = [ctx.pdivmod(n, g)[0] for n in raw]
+                den = ctx.pdivmod(den, g)[0]
+        e = object.__new__(AlgElem)
+        e.algebra = self
+        e.nums = tuple(raw) + ((),) * (self.dim - len(raw))
+        e.den = den
+        return e
 
     def __repr__(self):
         return f"TorsionAlgebra(q={self.ctx.q}, I={Poly(self.ctx, self.I)}, dim={self.dim})"
@@ -507,9 +640,10 @@ class TorsionAlgebra:
 def galois_act(alg: TorsionAlgebra, a, e: AlgElem) -> AlgElem:
     """Action of a unit class a on torsion: X -> phi_a(X), extended to e.
 
-    The action factors through a mod I and requires gcd(a, I) = 1.  The
-    powers of phi_a(X) are taken only up to the last nonzero coefficient of
-    e, so e = X costs no product beyond evaluating phi_a at X.
+    The action factors through a mod I and requires gcd(a, I) = 1.  phi_a(X)
+    is sum_i c_i X^(q^i) with the powers from the algebra's table, since
+    deg a < deg I; its powers are taken only up to the last nonzero
+    coefficient of e, so e = X costs no product.
     """
     ctx = alg.ctx
     a = ctx.pvalidate(a)
@@ -517,17 +651,22 @@ def galois_act(alg: TorsionAlgebra, a, e: AlgElem) -> AlgElem:
         raise ValueError("the acting polynomial must be coprime to the modulus")
     a = ctx.pmod(a, alg.I)
     alg._match(e)
-    image_x = torsion_poly(ctx, a).eval_elem(alg.x_gen())
-    # substitute X -> image_x in the coefficient expansion of e
-    top = max((i for i, c in enumerate(e.coeffs) if not c.is_zero), default=-1)
-    acc = alg.zero()
+    padd, pmul = ctx.padd, ctx.pmul
+    image = [()] * alg.dim
+    for c, xq in zip(torsion_poly(ctx, a).coeffs, alg._x_qpowers):
+        if c:
+            image = [padd(s, pmul(c, n)) for s, n in zip(image, xq.nums)]
+    image_x = alg._elem(image)
+    # substitute X -> image_x in the numerators of e, over e's denominator
+    top = max((i for i, n in enumerate(e.nums) if n), default=-1)
+    acc = [()] * alg.dim
     power = alg.one()
-    for i, c in enumerate(e.coeffs[: top + 1]):
+    for i, n in enumerate(e.nums[: top + 1]):
         if i:
             power = power * image_x if i > 1 else image_x
-        if not c.is_zero:
-            acc = acc + power.scale(c)
-    return acc
+        if n:
+            acc = [padd(s, pmul(n, m)) for s, m in zip(acc, power.nums)]
+    return alg._elem(acc, e.den)
 
 
 def partial_fractions(ctx: FieldCtx, p) -> list[tuple[int, int]]:
@@ -644,34 +783,35 @@ def split_tensor_element(ctx: FieldCtx, p) -> SplitElementReport:
     tensor = None
     diag_const = None
     if all(v is not None for v in invs):
-        # u[i][k] multiplies X^i Y^k
-        u = [[alg._zero for _ in range(D)] for _ in range(D)]
-        for (a, m), delta, invd in zip(pf, deltas, invs):
-            mf = RatFunc.from_elem(ctx, m)
-            for i, ci in enumerate(delta.coeffs):
-                if ci.is_zero:
-                    continue
-                row = u[i]
-                for k, ck in enumerate(invd.coeffs):
-                    if not ck.is_zero:
-                        row[k] = row[k] + mf * ci * ck
-        one = RatFunc(ctx, (1,))
-        u[0][0] = u[0][0] - one
+        # u[i][k] multiplies X^i Y^k; its numerators sit over the lcm L of
+        # the denominators of the terms
+        dens = [ctx.pmul(delta.den, invd.den) for delta, invd in zip(deltas, invs)]
+        L = (1,)
+        for d in dens:
+            L = _lcm(ctx, L, d)
+        padd, pmul = ctx.padd, ctx.pmul
+        u = [[()] * D for _ in range(D)]
+        for (_, m), delta, invd, d in zip(pf, deltas, invs, dens):
+            cof = ctx.pscale(ctx.pdivmod(L, d)[0], m)
+            ys = [pmul(ck, cof) for ck in invd.nums]
+            for row, ci in zip(u, delta.nums):
+                if ci:
+                    for k, ck in enumerate(ys):
+                        if ck:
+                            row[k] = padd(row[k], pmul(ci, ck))
+        u[0][0] = ctx.psub(u[0][0], L)
 
         # diagonal specialization X = Y
-        diag_raw = [alg._zero] * (2 * D - 1 if D else 1)
-        for i in range(D):
-            for k in range(D):
-                c = u[i][k]
-                if not c.is_zero:
-                    diag_raw[i + k] = diag_raw[i + k] + c
-        diag = alg._from_raw(dense_strip(diag_raw))
+        diag_raw = [()] * (2 * D - 1)
+        for i, row in enumerate(u):
+            for k, c in enumerate(row):
+                if c:
+                    diag_raw[i + k] = padd(diag_raw[i + k], c)
+        diag = alg._elem(diag_raw, L)
         msum = 0
         for _, m in pf:
             msum = ctx.add_table[msum][m]
-        expected = alg.constant(
-            RatFunc.from_elem(ctx, msum) - one
-        )
+        expected = alg.constant(RatFunc.from_elem(ctx, ctx.sub_table[msum][1]))
         good = diag == expected
         ok = ok and good
         diag_const = expected.coeffs[0]
@@ -680,7 +820,7 @@ def split_tensor_element(ctx: FieldCtx, p) -> SplitElementReport:
             "status": "pass" if good else "fail",
             "expected_constant": diag_const.to_json(),
         })
-        tensor = [[c.to_json() for c in row] for row in u]
+        tensor = [[RatFunc._of(ctx, c, L).to_json() for c in row] for row in u]
 
     return SplitElementReport(
         ok=ok,

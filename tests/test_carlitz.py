@@ -3,6 +3,7 @@ square construction."""
 
 import hashlib
 import json
+import operator
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from ffstick.carlitz import (
     torsion_poly,
     xmul,
 )
-from ffstick.fieldcore import field_context
+from ffstick.fieldcore import dense_divmod, dense_mul, dense_strip, field_context
 from ffstick.groupring import unit_group
 
 C2 = field_context(2)
@@ -77,6 +78,39 @@ def test_skew_multiplication_twist_and_associativity():
         h = SkewPoly(C3, [rand_poly(C3, rng, 2) for _ in range(rng.randrange(1, 4))])
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+
+
+def _carlitz_map_by_products(ctx, a):
+    """phi_a as sum_i a_i (tau + t)^i, each power one SkewPoly product from the last."""
+    phi_t = SkewPoly(ctx, [(0, 1), (1,)])
+    acc = SkewPoly.zero(ctx)
+    power = SkewPoly.constant(ctx, (1,))
+    for i, c in enumerate(a):
+        if c:
+            acc = acc + power.scale(c)
+        if i + 1 < len(a):
+            power = phi_t * power
+    return acc
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2)], ids=["q2", "q3", "q4"])
+def test_carlitz_map_equals_the_product_route(p, m):
+    ctx = field_context(p, m)  # a fresh memo
+    for key in range(ctx.q ** 5):  # every a with deg a <= 4
+        a = ctx.pfrom_key(key)
+        assert carlitz_map(ctx, a) == _carlitz_map_by_products(ctx, a)
+    assert sorted(key[1] for key in ctx.memo if key[0] == "phi") == [0, 1, 2, 3, 4]
+
+
+def test_torsion_poly_makes_no_skew_product(monkeypatch):
+    ctx = field_context(3)
+    calls = []
+    real = SkewPoly.__mul__
+    monkeypatch.setattr(SkewPoly, "__mul__", lambda f, g: calls.append(1) or real(f, g))
+    first = [torsion_poly(ctx, a) for a in ((1, 2, 0, 1), (0, 2, 1), (2, 1))]
+    assert [torsion_poly(ctx, a) for a in ((1, 2, 0, 1), (0, 2, 1), (2, 1))] == first
+    assert calls == []
+    assert sorted(key[1] for key in ctx.memo if key[0] == "phi") == [0, 1, 2, 3]
 
 
 def test_torsion_poly_shape():
@@ -244,6 +278,114 @@ def test_algebra_ring_and_inverse():
         alg.zero().inv()
 
 
+def _pow_by_products(e, k):
+    """e^k as k - 1 products."""
+    out = e
+    for _ in range(k - 1):
+        out = out * e
+    return out
+
+
+def _rand_alg_elem(alg, rng):
+    """Coefficients (a + b t) / (c + t), some of them zero."""
+    ctx = alg.ctx
+    cs = []
+    for _ in range(alg.dim):
+        num = (rng.randrange(ctx.q), rng.randrange(ctx.q)) if rng.random() < 0.8 else ()
+        cs.append(RatFunc(ctx, num, (rng.randrange(ctx.q), 1)))
+    return AlgElem(alg, cs)
+
+
+# (q, I, dim): Psi_I of degree up to 26, both irreducible and split moduli
+FROBENIUS_ALGEBRAS = [
+    ((2, 1), (1, 1, 0, 0, 1), 15),
+    ((2, 1), (0, 0, 0, 1), 4),
+    ((3, 1), (1, 2, 0, 1), 26),
+    ((3, 1), (0, 2, 1), 4),
+    ((2, 2), (0, 1, 1), 9),
+    ((5, 1), (4, 0, 1), 16),
+]
+
+
+@pytest.mark.parametrize("field, I, dim", FROBENIUS_ALGEBRAS,
+                         ids=["q2-quartic", "q2-cube", "q3-cubic", "q3-split", "q4-split",
+                              "q5-split"])
+def test_frobenius_route_equals_products(field, I, dim):
+    ctx = field_context(*field)
+    q = ctx.q
+    alg = TorsionAlgebra(ctx, I)
+    assert alg.dim == dim
+    rng = random.Random(q * 100 + dim)
+    phi = torsion_poly(ctx, (rng.randrange(q), rng.randrange(q), 1))
+    rational = [_rand_alg_elem(alg, rng) for _ in range(3)]
+    assert any(e.den != (1,) for e in rational)
+    for e in [alg.x_gen(), alg.one(), alg.zero()] + rational:
+        powers = [e]  # e^(q^i) by products
+        for _ in range(phi.degree):
+            powers.append(_pow_by_products(powers[-1], q))
+        assert e.pow_int(q) == powers[1]
+        assert e.pow_int(2 * q) == powers[1] * powers[1]
+        acc = alg.zero()
+        for c, power in zip(phi.coeffs, powers):
+            acc = acc + power.scale_poly(c)
+        assert phi.eval_elem(e) == acc
+
+
+def _inverse_over_ratfunc(e):
+    """The coefficients of e^(-1) by the extended Euclidean algorithm over
+    F_q(t), every coefficient a RatFunc."""
+    alg = e.algebra
+    ctx = alg.ctx
+    zero = RatFunc(ctx, ())
+    r0 = [RatFunc(ctx, c) for c in psi_dense(ctx, alg.I)]
+    r1 = dense_strip(list(e.coeffs))
+    s0, s1 = [], [RatFunc(ctx, (1,))]
+    while r1:
+        q, r = dense_divmod(r0, r1, zero, operator.sub, operator.mul, r1[-1].inv())
+        r0, r1 = r1, r
+        qs1 = dense_mul(q, s1, zero, operator.add, operator.mul)
+        new_s = s0 + [zero] * (len(qs1) - len(s0))
+        s0, s1 = s1, dense_strip([a - b for a, b in zip(new_s, qs1 + [zero] * len(new_s))])
+    assert len(r0) == 1
+    return [c * r0[0].inv() for c in s0] + [zero] * (alg.dim - len(s0))
+
+
+@pytest.mark.parametrize("ctx, I, rational", [
+    (C2, (0, 0, 0, 1), True), (C3, (0, 2, 1), True), (C4, (0, 1, 1), False),
+], ids=["q2-cube", "q3-split", "q4-split"])
+def test_inverse_equals_the_ratfunc_euclid(ctx, I, rational):
+    alg = TorsionAlgebra(ctx, I)
+    rng = random.Random(ctx.q)
+    for _ in range(4):
+        e = _rand_alg_elem(alg, rng)
+        if not rational:
+            e = AlgElem(alg, [RatFunc(ctx, c.num) for c in e.coeffs])
+        if not e.is_zero:
+            assert list(e.inv().coeffs) == _inverse_over_ratfunc(e)
+
+
+@pytest.mark.parametrize("field, I, dim", [a for a in FROBENIUS_ALGEBRAS if a[2] <= 16],
+                         ids=["q2-quartic", "q2-cube", "q3-split", "q4-split", "q5-split"])
+def test_inverse_of_rational_elements(field, I, dim):
+    ctx = field_context(*field)
+    alg = TorsionAlgebra(ctx, I)
+    rng = random.Random(ctx.q + dim)
+    for _ in range(2):
+        e = _rand_alg_elem(alg, rng)
+        inv = e.inv()  # Psi_I is irreducible, so every nonzero element is a unit
+        assert e * inv == inv * e == alg.one()
+        assert e.pow_int(-ctx.q) == inv._frob()
+
+
+def test_a_zero_divisor_has_no_inverse():
+    alg = TorsionAlgebra(C3, (0, 1))  # Psi = X^2 + t
+    x, t = alg.x_gen(), alg.constant(RatFunc(C3, (0, 1)))
+    assert x.inv() * x == alg.one()
+    alg._psi = [C3.pneg((0, 0, 1)), (), (1,)]  # X^2 - t^2 = (X - t)(X + t)
+    with pytest.raises(ZeroDivisionError, match="zero divisor"):
+        (x - t).inv()
+
+
 def test_additive_polynomial_is_linear_on_algebra():
     alg = TorsionAlgebra(C2, (1, 1, 1))
     rng = random.Random(9)
@@ -287,15 +429,15 @@ def test_galois_action_is_group_action():
 def test_galois_action_roots_stay_roots():
     alg = TorsionAlgebra(C3, (0, 2, 1))
     x = alg.x_gen()
-    psi = alg._psi
+    psi = psi_dense(C3, alg.I)
     for a in ((1,), (2,), (1, 1), (2, 2)):
         img = galois_act(alg, a, x)
         # evaluate Psi at the image inside the algebra; must vanish
         acc = alg.zero()
         power = alg.one()
         for i, c in enumerate(psi):
-            if not c.is_zero:
-                acc = acc + power.scale(c)
+            if c:
+                acc = acc + power.scale_poly(c)
             if i + 1 < len(psi):
                 power = power * img
         assert acc.is_zero

@@ -34,7 +34,7 @@ def test_caches_do_not_keep_contexts_alive():
     for _ in range(2):
         ctx = field_context(3, 2)
         _exercise(ctx)
-        assert _tags(ctx) == {"diag", "types", "plan", "frames", "packing", "prime", "psi"}
+        assert _tags(ctx) == {"diag", "types", "plan", "frames", "packing", "prime", "psi", "phi"}
         refs.append(weakref.ref(ctx))
         del ctx
     gc.collect()
