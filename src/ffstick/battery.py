@@ -289,12 +289,19 @@ def _psi_degree(ctx: FieldCtx) -> dict:
 
 def _divisor_product(ctx: FieldCtx) -> dict:
     """Over the moduli f of degree up to 3: the Psi_g of the monic divisors g
-    of f multiply to the f-torsion polynomial."""
+    of f multiply to the f-torsion polynomial.  ``psi_dense`` makes each
+    Psi_g by exact division and raises where a division leaves a remainder;
+    that fails the record at f with the error as its witness."""
 
     def mismatch(f):
+        divisors = ctx.monic_divisors(f)
+        try:
+            psis = [carlitz.psi_dense(ctx, g) for g in divisors]
+        except ArithmeticError as exc:
+            return {"f": list(f), "inexact_division": str(exc)}
         prod = [(1,)]
-        for g in ctx.monic_divisors(f):
-            prod = carlitz.xmul(ctx, prod, carlitz.psi_dense(ctx, g))
+        for psi in psis:
+            prod = carlitz.xmul(ctx, prod, psi)
         return None if prod == carlitz.torsion_poly(ctx, f).to_dense() else {"f": list(f)}
 
     count, bad = _first_failure(ctx, 3, mismatch)

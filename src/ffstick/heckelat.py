@@ -49,6 +49,7 @@ import functools
 import itertools
 import operator
 import random
+from collections import _count_elements
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -1061,7 +1062,13 @@ def _plan_sum(s: LatticeSum, plan: dict) -> LatticeSum:
     added to its span and ORed onto the keys below.  On a group's first
     miss it makes the rows c N_i by (i, c) and the generators t^a N_j for 0
     < j < n and a < deg det C, which no diagonal entry exceeds, once; row
-    n - 1 is shifted only for real tries, as no other path reads it."""
+    n - 1 is shifted only for real tries, as no other path reads it.
+
+    The keys of one term and diagonal are distinct, so a bucket the sum
+    lacks is made by ``dict.fromkeys``; into one it has, a term of
+    coefficient 1, as every term of ``newton_verify``'s sums is, is counted
+    by ``collections._count_elements`` in C, and any other coefficient is
+    added key by key."""
     ctx, n = s.ctx, s.n
     pk = _packing(ctx)
     pmul, pack, radd = ctx.pmul, pk.pack, _row_adder(ctx)
@@ -1129,6 +1136,8 @@ def _plan_sum(s: LatticeSum, plan: dict) -> LatticeSum:
                 # other diagonal of the same N reaches this bucket
                 if bucket is None:
                     acc[out_diag] = dict.fromkeys(prods, mult)
+                elif mult == 1:
+                    _count_elements(bucket, prods)
                 else:
                     get = bucket.get
                     for k in prods:
@@ -1354,15 +1363,18 @@ def newton_verify(
     """Check the Newton recurrence P = 0 on each test lattice.
 
     P applies sum_j (-1)^j q_x^(j(j-1)/2) t_local(x, r-j) sigma_j(x) and the
-    result must vanish identically as a lattice sum.  Each term is
-    ``t_local(x, r-j, sigma_apply(x, j, N) * coeff)``, so it arrives scaled,
-    and is merged into the residue in place; the witness is the residue's
-    first term in canonical order, whatever the merge order.  The companion
-    alternating Gaussian binomial identity is checked alongside for
-    1 <= h <= n.  At r = 0 the sum is sigma_0 = t_local(x, 0), the
-    identity, which never vanishes, so r must be at least 1.  ``fault``
-    deliberately flips the sign of the j = 1 term so harness plumbing can
-    observe a failure.
+    result must vanish identically as a lattice sum.  Each term
+    ``t_local(x, r-j, sigma_apply(x, j, N))`` has positive coefficients, so
+    the terms of even j and of odd j are summed apart, the j >= 2 ones
+    scaled by q_x^(j(j-1)/2) as they are merged in, and P = 0 exactly when
+    the two sides are equal as dicts, as neither holds a zero or an empty
+    bucket.  Only on failure is the residue, even minus odd, built; the
+    witness is its first term in canonical order, whatever the merge
+    order.  The companion alternating Gaussian binomial identity is checked
+    alongside for 1 <= h <= n.  At r = 0 the sum is sigma_0 = t_local(x, 0),
+    the identity, which never vanishes, so r must be at least 1.  ``fault``
+    deliberately puts the j = 1 term on the even side, flipping its sign,
+    so harness plumbing can observe a failure.
     """
     x = _validate_prime(ctx, x)
     if n < 1:
@@ -1380,20 +1392,24 @@ def newton_verify(
             raise ValueError("test lattice rank mismatch")
         if N.ctx != ctx:
             raise ValueError("test lattice is over a different field")
-        acc: dict = {}
+        # rebound first, so the last lattice's sides are freed before this one's are built
+        even, odd = sides = {}, {}
         base = LatticeSum.of(N)
         for j in range(min(n, r) + 1):
-            coeff = (-1) ** j * Q ** (j * (j - 1) // 2)
+            term = t_local(x, r - j, sigma_apply(x, j, base))
+            if j > 1:
+                term = term * Q ** (j * (j - 1) // 2)
+            side = j % 2
             if fault == "newton" and j == 1:
-                coeff = -coeff
-            # t_local returns a fresh sum, whose buckets _merge_into may adopt
-            _merge_into(acc, t_local(x, r - j, sigma_apply(x, j, base) * coeff).by_diag)
+                side = 0
+            # t_local's sum is fresh, so _merge_into may adopt its buckets
+            _merge_into(sides[side], term.by_diag)
         cases += 1
-        residue = LatticeSum._of_keys(ctx, n, acc)
-        if not residue.is_zero:
+        if even != odd:
             ok = False
             if witness is None:
-                witness = _residue_witness(N, residue)
+                witness = _residue_witness(
+                    N, LatticeSum._wrap(ctx, n, even) - LatticeSum._wrap(ctx, n, odd))
     identity_ok = all(alternating_qbinom_sum(h, Q) == 0 for h in range(1, n + 1))
     return NewtonReport(ok=ok and identity_ok, identity_ok=identity_ok,
                         witness=witness, cases=cases)

@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffstick import battery, carlitz
 from ffstick.carlitz import (
     AlgElem,
     RatFunc,
@@ -188,6 +189,30 @@ def test_psi_divisor_product_reassembles_torsion():
                 for g in ctx.monic_divisors(f):
                     prod = xmul(ctx, prod, psi_dense(ctx, g))
                 assert prod == torsion_poly(ctx, f).to_dense()
+
+
+def test_divisor_product_record_names_an_inexact_division(monkeypatch):
+    # psi_dense divides phi_f(X) by every Psi_g, g a proper divisor of f; a
+    # Psi_(t+1) over F_2 off by one coefficient where it is divided by
+    # leaves a remainder at f = (t+1)^2, which must fail the record with a
+    # witness instead of raising out of verify-all
+    ctx = field_context(2)
+    good = [(1, 1), (1,)]  # X + t + 1
+    assert psi_dense(ctx, (1, 1)) == good
+    divide = carlitz.dense_divmod
+
+    def corrupted(num, den, *rest):
+        return divide(num, [(0, 1), (1,)] if den == good else den, *rest)
+
+    monkeypatch.setattr(carlitz, "dense_divmod", corrupted)
+    rec = battery._divisor_product(ctx)
+    assert rec["check_id"] == "carlitz.divisor_product[q=2]"
+    assert rec["status"] == "fail"
+    assert rec["details"] == {"moduli_tested": 4, "witness": {
+        "f": [1, 0, 1], "inexact_division": "primitive torsion factor does not divide exactly"}}
+    monkeypatch.undo()
+    rec = battery._divisor_product(field_context(2))
+    assert rec["status"] == "pass" and rec["details"] == {"moduli_tested": 14}
 
 
 def test_psi_rejects_bad_modulus():

@@ -180,6 +180,14 @@ def test_verify_all_benchmark_report_bytes_are_pinned():
         "e097b7aadffbc34bdd3966cf9960d16d1ecf9e7d53b18c1e650fa065fa5e6c7b")
 
 
+def test_verify_all_ten_pair_report_bytes_are_pinned():
+    # the one report that reaches non-squarefree classification and
+    # multiplicativity over sums whose coefficient 1 terms collide
+    proc = run_cli("verify-all", "--seed", "7", "--pairs", "10", check=True)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "c184a60ce6bf08eac2c4c4e23c9a3d5b5a0d8f4b7d79cf6af21721dbd164be5d")
+
+
 @pytest.mark.parametrize("args, digest", [
     (("stick", "theta", "--p", "3", "--ideal", "0,2,1,1", "--n", "3"),
      "a9f33dacaa38a3a0a8e829d182e5d10926f3cb94cf3dafee8c50ba900d297935"),

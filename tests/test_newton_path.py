@@ -17,6 +17,7 @@ import pytest
 from ffstick import heckelat
 from ffstick.fieldcore import FieldCtx, field_context
 from ffstick.heckelat import (
+    InvariantType,
     LatticeSum,
     gauss_binom,
     newton_verify,
@@ -26,6 +27,7 @@ from ffstick.heckelat import (
     sigma_apply,
     standard_lattice,
     sublattice_enum,
+    t_chain,
     t_local,
 )
 
@@ -158,12 +160,26 @@ def _snapshot(s):
     return {diag: dict(keys) for diag, keys in s.by_diag.items()}
 
 
+def _oracle_residue(x, N, r, Q, flip):
+    """sum_j c_j t_local(x, r - j, sigma_j N) with LatticeSum + and *, the
+    sign of c_1 flipped when ``flip`` is set."""
+    base = LatticeSum.of(N)
+    total = LatticeSum(N.ctx, N.n)
+    for j in range(min(N.n, r) + 1):
+        coeff = (-1) ** j * Q ** (j * (j - 1) // 2) * (-1 if flip and j == 1 else 1)
+        total = total + heckelat.t_local(x, r - j, sigma_apply(x, j, base)) * coeff
+    return total
+
+
 @pytest.mark.parametrize("ctx", [C2, C3], ids=["q2", "q3"])
-def test_merged_residue_equals_public_arithmetic(ctx, monkeypatch):
-    # newton_verify scales each sigma_j N before t_local and merges the
-    # terms in place; here the residue is summed with LatticeSum + and *
-    # instead.  Only q = 3, x = t^2 + 1, n = 3, r = 3 (1,292,566
-    # productions) is over the budget.
+def test_two_sided_verdict_equals_public_arithmetic(ctx, monkeypatch):
+    # newton_verify sums the even-j and odd-j terms apart, adopting
+    # t_local's buckets, and compares the two sides; here the residue is
+    # summed with LatticeSum + and * instead, and the verdict must hold
+    # exactly when it is zero.  Besides the j = 1 sign flip, a t_local that
+    # doubles the j = 0 term breaks the relation without changing which
+    # lattices either side holds.  Only q = 3, x = t^2 + 1, n = 3, r = 3
+    # (1,292,566 productions) is over the budget.
     seen = []
 
     def spy(op):
@@ -176,40 +192,61 @@ def test_merged_residue_equals_public_arithmetic(ctx, monkeypatch):
             return out
         return run
 
+    real = heckelat.t_local
+    monkeypatch.setattr(heckelat, "sigma_apply", spy(heckelat.sigma_apply))
     cells = 0
     for x in _places(ctx):
         Q = ctx.q ** (len(x) - 1)
-        for n in (2, 3):
-            for N in (standard_lattice(ctx, n), _proper_sublattice(ctx, n, 1)):
-                for r in (1, 2, 3):
-                    if predict_newton_cost(ctx, x, n, r) > 20000:
-                        continue
-                    base = LatticeSum.of(N)
-                    before = _snapshot(base)
-                    sums = {}
-                    for fault in (None, "newton"):
-                        total = LatticeSum(ctx, n)
-                        for j in range(min(n, r) + 1):
-                            coeff = (-1) ** j * Q ** (j * (j - 1) // 2)
-                            if fault and j == 1:
-                                coeff = -coeff
-                            total = total + t_local(x, r - j, sigma_apply(x, j, base)) * coeff
-                        sums[fault] = total
-                    assert sums[None].is_zero, (ctx, x, n, r, N)
-                    assert _snapshot(base) == before
-                    with monkeypatch.context() as m:
-                        m.setattr(heckelat, "t_local", spy(heckelat.t_local))
-                        m.setattr(heckelat, "sigma_apply", spy(heckelat.sigma_apply))
-                        assert newton_verify(ctx, x, n, r, test_lattices=[N]).ok
-                        rep = newton_verify(ctx, x, n, r, test_lattices=[N], fault="newton")
-                    # no input to either operator was merged into, or adopted
-                    assert all(_snapshot(s) == snap for s, snap in seen)
-                    seen.clear()
-                    L, c = sums["newton"].items()[0]
-                    assert rep.witness == {"lattice": N.to_json(),
-                                           "residue_term": L.to_json(), "residue_mult": c}
+        for n in (1, 2, 3):
+            lattices = [standard_lattice(ctx, n), _proper_sublattice(ctx, n, 1),
+                        random_sublattice(ctx, n, 12, max_deg=1)]
+            for r in (1, 2, 3):
+                if predict_newton_cost(ctx, x, n, r) > 20000:
+                    continue
+
+                def doubled(x, m, s, r=r):
+                    return real(x, m, s) * (2 if m == r else 1)
+
+                for N in lattices:
+                    for fault, t_local_ in ((None, real), ("newton", real), (None, doubled)):
+                        monkeypatch.setattr(heckelat, "t_local", spy(t_local_))
+                        residue = _oracle_residue(x, N, r, Q, fault is not None)
+                        rep = newton_verify(ctx, x, n, r, test_lattices=[N], fault=fault)
+                        assert rep.ok == residue.is_zero, (ctx, x, n, r, N, fault)
+                        assert rep.ok == (fault is None and t_local_ is real)
+                        expect = None if rep.ok else heckelat._residue_witness(N, residue)
+                        assert rep.witness == expect, (ctx, x, n, r, N, fault)
+                        # no input to either operator was merged into, or adopted
+                        assert all(_snapshot(s) == snap for s, snap in seen)
+                        seen.clear()
                     cells += 1
-    assert cells == (22 if ctx is C3 else 24)
+    assert cells == (51 if ctx is C3 else 54)
+
+
+@pytest.mark.parametrize("ctx", [C2, C3], ids=["p2", "p3"])
+def test_unit_coefficients_count_like_any_other(ctx):
+    # a term of coefficient 1 meeting an existing bucket is counted in C,
+    # any other coefficient key by key; the two must agree, and the public
+    # + and * are the reference.  The terms of sigma_1 N share many
+    # sublattices, and B1 + 3 B2 and 3 B1 + B2 let a coefficient 1 term
+    # meet a bucket made by either kind of term first.
+    x, y = _places(ctx)
+    s = sigma_apply(x, 1, LatticeSum.of(_proper_sublattice(ctx, 2, 1)))
+    B1, B2 = (LatticeSum.of(B) for B in list(s.terms)[:2])
+    forced = InvariantType(ctx, [ctx.pmul(x, y), (1,)])  # squarefree det
+    classified = InvariantType(ctx, [_power(ctx, x, 2), x])
+    ops = {
+        "local": lambda s: t_local(x, 2, s),
+        "forced": lambda s: t_chain(forced, s),
+        "classified": lambda s: t_chain(classified, s),
+    }
+    for name, op in ops.items():
+        once = op(s)
+        assert once.total_mass() > once.support_size(), name  # productions collide
+        assert op(3 * s) == 3 * once, name
+        for s1, s2 in ((B1, B2), (B2, B1)):
+            assert op(s1 + 3 * s2) == op(s1) + 3 * op(s2), name
+            assert op(s1 + s2) == op(s1) + op(s2), name
 
 
 def _compositions(m, n):
