@@ -4,12 +4,14 @@ The Carlitz module is the F_q-algebra map a -> phi_a from A = F_q[t] into
 skew polynomials in the q-power Frobenius tau, pinned down by phi_t = tau + t
 and the twist rule tau * b = b^q * tau.  Substituting tau^i -> X^(q^i) turns
 phi_a into the additive torsion polynomial of a, whose roots are the
-a-torsion of the module; phi_a is one ``SkewPoly``, which ``to_dense`` and
-``eval_elem`` read as that additive polynomial.  The primitive part Psi_I of
-the torsion polynomial of I plays the role of a cyclotomic polynomial:
-phi_I(X) is the product of Psi_g over the monic divisors g, every division
-along the way being exact, and deg Psi_I equals the order of the unit group
-mod I.
+a-torsion of the module.  No skew product is taken: phi_a is the sum of
+a_i phi_(t^i), each power of phi_t one step of a coefficient recurrence
+from the last, and the result is one ``SkewPoly``, a value type that
+``to_dense`` and ``eval_elem`` read as that additive polynomial.  The
+primitive part Psi_I of the torsion polynomial of I plays the role of a
+cyclotomic polynomial: phi_I(X) is the product of Psi_g over the monic
+divisors g, every division along the way being exact, and deg Psi_I equals
+the order of the unit group mod I.
 
 Torsion points are handled symbolically inside F_q(t)[X] / Psi_I, never
 through root finding in a completion.  Psi_I is monic with coefficients in
@@ -19,9 +21,10 @@ every image of X, costs no gcd.  Since the characteristic is p, e -> e^q is
 the Frobenius map on the coefficients, and the algebra keeps X^(q^i) for
 i < deg I so that X -> phi_a(X) is a linear combination.  Elements are
 inverted by the extended Euclidean algorithm with pseudo-division, which
-stays in F_q[t][X]; ``RatFunc`` appears only where coefficients are read or
-written one by one.  On top of that sits the tensor square
-F_q(t)[X, Y] / (Psi(X), Psi(Y)) and the split element
+stays in F_q[t][X]; ``RatFunc``, a value type with no arithmetic, appears
+only where coefficients are read or written one by one.  On top of that
+sits the tensor square F_q(t)[X, Y] / (Psi(X), Psi(Y)) and the split
+element
 
     u = sum_j m_j (delta_j x 1)(1 x delta_j)^(-1)  -  1
 
@@ -55,11 +58,11 @@ __all__ = [
 
 
 class SkewPoly:
-    """Polynomial in the Frobenius symbol tau with coefficients in F_q[t].
+    """Polynomial in the Frobenius symbol tau with coefficients in F_q[t],
+    a value with no arithmetic: its coefficient tuples, little endian in tau.
 
-    Multiplication uses tau * b = b^q * tau, so these compose as additive
-    operators rather than commute.  Read with tau^i as X^(q^i), the same
-    coefficients are the additive polynomial sum_i c_i X^(q^i).
+    Read with tau^i as X^(q^i), the same coefficients are the additive
+    polynomial sum_i c_i X^(q^i) (``to_dense``, ``eval_elem``).
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -68,58 +71,9 @@ class SkewPoly:
         self.ctx = ctx
         self.coeffs = tuple(dense_strip([ctx.pvalidate(c) for c in coeffs]))
 
-    @classmethod
-    def zero(cls, ctx: FieldCtx) -> "SkewPoly":
-        return cls(ctx, [])
-
-    @classmethod
-    def constant(cls, ctx: FieldCtx, c) -> "SkewPoly":
-        return cls(ctx, [c])
-
-    @classmethod
-    def tau(cls, ctx: FieldCtx) -> "SkewPoly":
-        return cls(ctx, [(), (1,)])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def coeff(self, i: int) -> tuple:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else ()
-
-    def __add__(self, other):
-        if not isinstance(other, SkewPoly) or other.ctx != self.ctx:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        padd = self.ctx.padd
-        return SkewPoly(self.ctx, [padd(self.coeff(i), other.coeff(i)) for i in range(n)])
-
-    def __sub__(self, other):
-        if not isinstance(other, SkewPoly) or other.ctx != self.ctx:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        psub = self.ctx.psub
-        return SkewPoly(self.ctx, [psub(self.coeff(i), other.coeff(i)) for i in range(n)])
-
-    def scale(self, c: int) -> "SkewPoly":
-        pscale = self.ctx.pscale
-        return SkewPoly(self.ctx, [pscale(a, c) for a in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, SkewPoly) or other.ctx != self.ctx:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return SkewPoly.zero(self.ctx)
-        ctx = self.ctx
-        out = [()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                out[i + j] = ctx.padd(out[i + j], ctx.pmul(a, ctx.pfrob(b, i)))
-        return SkewPoly(ctx, out)
 
     def __eq__(self, other):
         return (
@@ -173,9 +127,6 @@ class SkewPoly:
             if i + 1 < len(self.coeffs):
                 power = power._frob()
         return acc
-
-    def to_json(self) -> list:
-        return [[i, list(c)] for i, c in enumerate(self.coeffs) if c]
 
 
 def _phi_t_power(ctx: FieldCtx, i: int) -> tuple:
@@ -254,7 +205,7 @@ def psi_dense(ctx: FieldCtx, I: tuple) -> list:
             if g == I:
                 continue
             # Psi_g is monic in X
-            quot, rem = dense_divmod(num, psi_dense(ctx, g), (), ctx.psub, ctx.pmul, None)
+            quot, rem = dense_divmod(num, psi_dense(ctx, g), (), ctx.psub, ctx.pmul)
             if rem:
                 raise ArithmeticError(
                     "primitive torsion factor does not divide exactly"
@@ -270,7 +221,8 @@ def psi_dense(ctx: FieldCtx, I: tuple) -> list:
 
 
 class RatFunc:
-    """Reduced fraction of polynomials over F_q, denominator monic."""
+    """Reduced fraction of polynomials over F_q, denominator monic: the value
+    type of an algebra coefficient at the boundary, with no arithmetic."""
 
     __slots__ = ("ctx", "num", "den")
 
@@ -285,7 +237,7 @@ class RatFunc:
     @classmethod
     def _of(cls, ctx: FieldCtx, num: tuple, den: tuple) -> "RatFunc":
         """The fraction num / den of valid, stripped tuples with den nonzero,
-        as the arithmetic makes them, without ``pvalidate``."""
+        as the algebra makes them, without ``pvalidate``."""
         obj = object.__new__(cls)
         obj.ctx = ctx
         obj.num, obj.den = _reduced(ctx, num, den)
@@ -298,50 +250,6 @@ class RatFunc:
     @property
     def is_zero(self) -> bool:
         return not self.num
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __add__(self, other):
-        if not isinstance(other, RatFunc) or other.ctx != self.ctx:
-            return NotImplemented
-        ctx = self.ctx
-        if self.den == other.den == (1,):
-            return RatFunc._of(ctx, ctx.padd(self.num, other.num), (1,))
-        num = ctx.padd(ctx.pmul(self.num, other.den), ctx.pmul(other.num, self.den))
-        return RatFunc._of(ctx, num, ctx.pmul(self.den, other.den))
-
-    def __sub__(self, other):
-        if not isinstance(other, RatFunc) or other.ctx != self.ctx:
-            return NotImplemented
-        ctx = self.ctx
-        if self.den == other.den == (1,):
-            return RatFunc._of(ctx, ctx.psub(self.num, other.num), (1,))
-        num = ctx.psub(ctx.pmul(self.num, other.den), ctx.pmul(other.num, self.den))
-        return RatFunc._of(ctx, num, ctx.pmul(self.den, other.den))
-
-    def __neg__(self):
-        return RatFunc._of(self.ctx, self.ctx.pneg(self.num), self.den)
-
-    def __mul__(self, other):
-        if not isinstance(other, RatFunc) or other.ctx != self.ctx:
-            return NotImplemented
-        ctx = self.ctx
-        den = self.den if other.den == (1,) else ctx.pmul(self.den, other.den)
-        return RatFunc._of(ctx, ctx.pmul(self.num, other.num), den)
-
-    def __truediv__(self, other):
-        if not isinstance(other, RatFunc) or other.ctx != self.ctx:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        ctx = self.ctx
-        return RatFunc._of(ctx, ctx.pmul(self.num, other.den), ctx.pmul(self.den, other.num))
-
-    def inv(self) -> "RatFunc":
-        if self.is_zero:
-            raise ZeroDivisionError("zero has no inverse")
-        return RatFunc._of(self.ctx, self.den, self.num)
 
     def __eq__(self, other):
         return (
@@ -477,12 +385,6 @@ class AlgElem:
         ctx = alg.ctx
         raw = dense_mul(self.nums, other.nums, (), ctx.padd, ctx.pmul)
         return alg._elem(raw, ctx.pmul(self.den, other.den))
-
-    def scale(self, f: RatFunc) -> "AlgElem":
-        alg = self.algebra
-        alg._check_coeff(f)
-        return alg._elem([alg.ctx.pmul(n, f.num) for n in self.nums],
-                         alg.ctx.pmul(self.den, f.den))
 
     def scale_poly(self, p) -> "AlgElem":
         ctx = self.algebra.ctx
@@ -621,7 +523,7 @@ class TorsionAlgebra:
         by their gcd when den is not 1."""
         ctx = self.ctx
         if len(raw) > self.dim:
-            raw = dense_divmod(raw, self._psi, (), ctx.psub, ctx.pmul, None)[1]
+            raw = dense_divmod(raw, self._psi, (), ctx.psub, ctx.pmul)[1]
         if den != (1,):
             g = _content(ctx, raw, den)
             if g != (1,):  # g == den when raw is zero

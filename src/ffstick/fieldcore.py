@@ -32,12 +32,12 @@ polynomial through its ``str``.  ``FieldCtx.pvalidate`` is the one entry for
 a polynomial argument: it takes a coefficient sequence or a ``Poly``, and
 refuses a ``Poly`` over another field.
 
-The modules above this one multiply and divide dense polynomials over
-other coefficient rings too: F_q[t] in X, F_q(t) in X, and Z[G_I] in F
-or z.  They share one schoolbook kernel, ``dense_mul``,
-``dense_divmod`` and ``dense_strip``, which takes the ring as arguments:
-its zero, its operations as callables, and a coefficient is zero when it
-is falsy.
+The modules above this one multiply dense polynomials over other
+coefficient rings too: F_q[t] in X, and Z[G_I] in F or z; they divide
+only by the monic Psi_g, over F_q[t] in X.  They share one schoolbook
+kernel, ``dense_mul``, ``dense_divmod`` and ``dense_strip``, which takes
+the ring as arguments: its zero, its operations as callables, and a
+coefficient is zero when it is falsy.
 """
 
 from __future__ import annotations
@@ -111,10 +111,9 @@ def dense_mul(a: Sequence, b: Sequence, zero, add, mul, size: int | None = None)
     return out
 
 
-def dense_divmod(a: Sequence, b: Sequence, zero, sub, mul, lead_inv) -> tuple[list, list]:
-    """Quotient and remainder of a by a stripped nonzero b, both stripped;
-    ``lead_inv`` is the inverse of b's leading coefficient, or None when b
-    is monic, which spares a product per quotient coefficient."""
+def dense_divmod(a: Sequence, b: Sequence, zero, sub, mul) -> tuple[list, list]:
+    """Quotient and remainder of a by b, both stripped; b must be stripped
+    and monic, its leading coefficient the ring's one."""
     rem = list(a)
     db = len(b) - 1
     quot = [zero] * max(len(rem) - db, 0)
@@ -122,8 +121,6 @@ def dense_divmod(a: Sequence, b: Sequence, zero, sub, mul, lead_inv) -> tuple[li
         c = rem[i]
         if not c:
             continue
-        if lead_inv is not None:
-            c = mul(c, lead_inv)
         quot[i - db] = c
         for j, y in enumerate(b):
             if y:

@@ -193,10 +193,13 @@ def test_verify_all_ten_pair_report_bytes_are_pinned():
      "a9f33dacaa38a3a0a8e829d182e5d10926f3cb94cf3dafee8c50ba900d297935"),
     (("carlitz", "example39", "--p", "5", "--ideal", "0,4,0,1"),
      "4bef90fcc77c81023e277d6f58d57523d3ca745973ad22bbe9329cb6e7b75fd0"),
-], ids=["stick-theta", "carlitz-example39"])
+    (("carlitz", "psi", "--p", "3", "--ideal", "0,2,1"),
+     "ceb97cdb0760df1edd4d5811f84e871e95471659f72ae5e657cb15eaa74de2de"),
+], ids=["stick-theta", "carlitz-example39", "carlitz-psi"])
 def test_polynomial_product_report_bytes_are_pinned(args, digest):
     # Theta_3 multiplies FrobPoly and GrSeries elements, example39 divides and
-    # inverts in F_5(t)[X]/Psi; no verify-all section reaches these values
+    # inverts in F_5(t)[X]/Psi, psi divides phi_I(X) by each Psi_g; no
+    # verify-all section reaches these values
     proc = run_cli(*args, check=True)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 

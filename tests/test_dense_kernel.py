@@ -1,42 +1,33 @@
 """The dense polynomial kernel of fieldcore over each coefficient ring it serves.
 
 ``dense_mul``, ``dense_divmod`` and ``dense_strip`` take the ring as
-arguments and read a coefficient as zero when it is falsy, so ``RatFunc`` and
-``GroupRingElem`` are falsy exactly when they are zero.  The products and
-divisions are checked over Z, over F_q[t] as coefficient tuples, and over
-F_q(t).
+arguments and read a coefficient as zero when it is falsy, so
+``GroupRingElem`` is falsy exactly when it is zero.  Division is by a monic
+divisor, checked over Z and over F_q[t] as coefficient tuples, the ring of
+the Psi_g divisions.  The product is checked over Z, over F_q[t] and over
+Z[G_I], where a truncated product (``size``) multiplies ``GrSeries``.
 """
 
 import operator
 
 from hypothesis import given, settings, strategies as st
 
-from ffstick.carlitz import RatFunc, split_tensor_element
+from ffstick.carlitz import split_tensor_element
 from ffstick.fieldcore import dense_divmod, dense_mul, dense_strip, field_context
 from ffstick.groupring import GroupRingElem, unit_group
 
 FIELDS = {2: field_context(2), 3: field_context(3), 4: field_context(2, 2)}
+# Z[G_I] for I = t^2 + t + 1 over F_2 (order 3) and I = t^2 over F_3 (order 6)
+GROUPS = [unit_group(FIELDS[2], (1, 1, 1)), unit_group(FIELDS[3], (0, 0, 1))]
 
 
-def _rings(ctx):
-    """(zero, add, sub, mul) of F_q[t] and of F_q(t) over ctx."""
-    zero = RatFunc(ctx, ())
-    return {
-        "poly": ((), ctx.padd, ctx.psub, ctx.pmul),
-        "ratfunc": (zero, operator.add, operator.sub, operator.mul),
-    }
+def _fq_coeff(ctx):
+    return st.lists(st.integers(0, ctx.q - 1), max_size=3).map(ctx.pvalidate)
 
 
-@st.composite
-def _fq_coeff(draw, ctx, kind, nonzero=False):
-    poly = st.lists(st.integers(0, ctx.q - 1), max_size=3).map(ctx.pvalidate)
-    if nonzero:
-        poly = poly.filter(bool)
-    num = draw(poly)
-    if kind == "poly":
-        return num
-    den = draw(st.lists(st.integers(0, ctx.q - 1), max_size=3).map(ctx.pvalidate).filter(bool))
-    return RatFunc(ctx, num, den)
+def _group_ring_coeff(G):
+    coeffs = st.dictionaries(st.integers(0, G.order - 1), st.integers(-3, 3), max_size=3)
+    return coeffs.map(lambda cs: GroupRingElem(G, cs))
 
 
 def _rebuild(quot, b, rem, zero, add, mul):
@@ -48,14 +39,11 @@ def _rebuild(quot, b, rem, zero, add, mul):
     return dense_strip(out)
 
 
-@given(st.lists(st.integers(-9, 9), max_size=8),
-       st.lists(st.integers(-9, 9), max_size=5), st.sampled_from([1, -1]))
+@given(st.lists(st.integers(-9, 9), max_size=8), st.lists(st.integers(-9, 9), max_size=5))
 @settings(max_examples=200, deadline=None)
-def test_divmod_over_z_rebuilds_the_dividend(a, b, lead):
-    # over Z the divisor's leading coefficient must be a unit; a monic
-    # divisor goes as lead_inv None
-    b = b + [lead]
-    quot, rem = dense_divmod(a, b, 0, operator.sub, operator.mul, None if lead == 1 else lead)
+def test_divmod_over_z_rebuilds_the_dividend(a, b):
+    b = b + [1]  # a monic divisor
+    quot, rem = dense_divmod(a, b, 0, operator.sub, operator.mul)
     assert len(rem) < len(b)
     assert _rebuild(quot, b, rem, 0, operator.add, operator.mul) == dense_strip(list(a))
     assert (not quot or quot[-1]) and (not rem or rem[-1])
@@ -64,42 +52,32 @@ def test_divmod_over_z_rebuilds_the_dividend(a, b, lead):
 @st.composite
 def _fq_division(draw):
     ctx = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
-    kind = draw(st.sampled_from(["poly", "ratfunc"]))
-    a = draw(st.lists(_fq_coeff(ctx, kind), max_size=6))
-    b = draw(st.lists(_fq_coeff(ctx, kind), max_size=3))
-    if kind == "poly":
-        # a unit of F_q[t] leads, a nonzero constant
-        b.append((draw(st.integers(1, ctx.q - 1)),))
-    else:
-        b.append(draw(_fq_coeff(ctx, kind, nonzero=True)))
-    return ctx, kind, a, b
+    a = draw(st.lists(_fq_coeff(ctx), max_size=6))
+    b = draw(st.lists(_fq_coeff(ctx), max_size=3)) + [(1,)]  # monic, as Psi_g is
+    return ctx, a, b
 
 
 @given(_fq_division())
 @settings(max_examples=300, deadline=None)
-def test_divmod_over_fq_t_and_fq_of_t_rebuilds_the_dividend(case):
-    ctx, kind, a, b = case
-    zero, add, sub, mul = _rings(ctx)[kind]
-    one = (1,) if kind == "poly" else RatFunc(ctx, (1,))
-    if b[-1] == one:  # a monic divisor goes as lead_inv None
-        lead_inv = None
-    else:
-        lead_inv = (ctx.inv_table[b[-1][0]],) if kind == "poly" else b[-1].inv()
-    quot, rem = dense_divmod(a, b, zero, sub, mul, lead_inv)
+def test_divmod_over_fq_t_rebuilds_the_dividend(case):
+    ctx, a, b = case
+    quot, rem = dense_divmod(a, b, (), ctx.psub, ctx.pmul)
     assert len(rem) < len(b)
     assert (not quot or quot[-1]) and (not rem or rem[-1])
-    assert _rebuild(quot, b, rem, zero, add, mul) == dense_strip(list(a))
+    assert _rebuild(quot, b, rem, (), ctx.padd, ctx.pmul) == dense_strip(list(a))
 
 
 @st.composite
 def _truncations(draw):
-    ring = draw(st.sampled_from(["z", "poly", "ratfunc"]))
+    ring = draw(st.sampled_from(["z", "poly", "group_ring"]))
     if ring == "z":
         coeff, ops = st.integers(-5, 5), (0, operator.add, operator.mul)
-    else:
+    elif ring == "poly":
         ctx = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
-        zero, add, _, mul = _rings(ctx)[ring]
-        coeff, ops = _fq_coeff(ctx, ring), (zero, add, mul)
+        coeff, ops = _fq_coeff(ctx), ((), ctx.padd, ctx.pmul)
+    else:
+        G = draw(st.sampled_from(GROUPS))
+        coeff, ops = _group_ring_coeff(G), (GroupRingElem.zero(G), operator.add, operator.mul)
     a = draw(st.lists(coeff, max_size=5))
     b = draw(st.lists(coeff, max_size=5))
     return a, b, ops, draw(st.integers(0, 11))
@@ -116,10 +94,6 @@ def test_truncated_product_is_the_head_of_the_full_product(case):
 
 def test_truthiness_agrees_with_is_zero():
     for ctx in FIELDS.values():
-        for num, den in [((), (1,)), ((), (0, 1)), ((1,), (1,)), ((0, 1), (1, 1))]:
-            f = RatFunc(ctx, num, den)
-            assert bool(f) == (not f.is_zero)
-        assert not RatFunc(ctx, ()) and RatFunc(ctx, (1,))
         G = unit_group(ctx, (0, 0, 1))
         for elem in (GroupRingElem.zero(G), GroupRingElem.integer(G, 0),
                      GroupRingElem.integer(G, 3), GroupRingElem(G, {1: -1, 0: 0})):

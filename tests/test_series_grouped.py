@@ -101,7 +101,7 @@ def _substituted(alg, a, e):
     acc, power = alg.zero(), alg.one()
     for i, c in enumerate(e.coeffs):
         if not c.is_zero:
-            acc = acc + power.scale(c)
+            acc = acc + alg.constant(c) * power
         if i + 1 < len(e.coeffs):
             power = power * image_x
     return acc
