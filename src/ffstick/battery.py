@@ -10,8 +10,8 @@ tail law and the rank-2 product formula are records of
 ``lseries.verify_identities`` too, so ``lseries`` builds both records
 (``tail_law_record``, ``theta2_product_record``) and this module tags them.
 
-``verify_all`` runs the default grid in eight sections, each timed on stderr
-by a ``Stopwatch``, over field contexts built once per run.
+``verify_all`` runs the sections of ``FAMILIES`` in order, each timed on
+stderr, and hands an injected fault to the family that owns it only.
 """
 
 from __future__ import annotations
@@ -49,17 +49,15 @@ from .report import Stopwatch, check_record
 
 __all__ = [
     "fmt", "tail_law", "newton_lattices", "newton_case", "newton_record", "mult",
-    "random_prime_chain", "chains_with_det", "dcount", "psi", "field_contexts",
-    "verify_all",
+    "random_prime_chain", "chains_with_det", "dcount", "psi", "NEWTON_FAULTS",
+    "FAMILIES", "FAULTS", "verify_all",
 ]
 
 NEWTON_ANCHOR = ("Newton recurrence: alternating sum of t_local(r-j) sigma_j with "
                  "Gaussian binomial power coefficients vanishes")
+NEWTON_FAULTS = ("newton",)  # ``hecke newton`` takes these too
 MULT_ANCHOR = ("chain operators with coprime determinants compose to the "
                "pointwise product chain operator")
-
-# verify-all's fields, q -> (p, m)
-FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
 
 
 def fmt(coeffs) -> str:
@@ -229,28 +227,6 @@ def dcount(ctx: FieldCtx, chain: InvariantType) -> dict:
     )
 
 
-def _chain_partition(ctx: FieldCtx, n: int) -> dict:
-    """verify-all's rank n record, over the determinants of degree up to 2."""
-
-    def mismatch(g):
-        total, closed = _chain_total(ctx, g, n), phi_count(ctx, g, n)
-        return None if total == closed else {"g": list(g), "chain_total": total,
-                                             "phi_closed": closed}
-
-    tested, bad = _first_failure(ctx, 2, mismatch)
-    return check_record(
-        f"hecke.bridge[q={ctx.q},n={n}]",
-        "invariant chains of equal determinant partition the sublattice count",
-        bad is None,
-        _with_witness({"determinants_tested": tested, "max_deg": 2}, bad),
-    )
-
-
-def _theta2_product(ctx: FieldCtx) -> dict:
-    """verify-all's record of the rank-2 product formula over ctx."""
-    return theta2_product_record(stick_context(ctx, t_times_t_minus_one(ctx)), f"[q={ctx.q}]")
-
-
 def _psi_and_units(ctx: FieldCtx, I) -> tuple:
     """Psi_I and the order of the unit group of A/I, which deg Psi_I equals."""
     return carlitz.psi_cyclotomic(ctx, I), unit_group(ctx, ctx.pvalidate(I)).order
@@ -335,102 +311,134 @@ def _galois_action(ctx: FieldCtx, I: tuple) -> dict:
 # the verify-all grid
 
 
-def field_contexts(seed: int) -> dict:
-    """verify-all's field contexts by q, shared by every section of a run."""
-    return {q: field_context(p, m, seed=seed) for q, (p, m) in FIELDS.items()}
+def _series_batteries(ctxs: dict, args, fault: str | None):
+    moduli = [(q, I) for q in (2, 3) for d in (1, 2) for I in ctxs[q].monic_tuples(d)]
+    for k, (q, I) in enumerate(moduli):
+        # an injected series or phi fault corrupts the first modulus only
+        for rec in verify_identities(stick_context(ctxs[q], I), n_max=args.n_max,
+                                     fault=fault if k == 0 else None):
+            rec["check_id"] += _tag(q, I)
+            yield rec
 
 
-def verify_all(ctxs: dict, seed: int, n_max: int, newton_budget: int,
-               pairs: int, fault: str | None) -> list[dict]:
-    """Every check family over the default grid; the records, unsorted."""
-    if pairs < 1:
+def _tail_law_sampling(ctxs: dict, args, fault: str | None):
+    for q in (2, 3, 4):
+        ctx = ctxs[q]
+        rng = random.Random(_mix(args.seed, q, 0x7A11))
+        for d in (1, 2, 3):
+            pool = list(ctx.monic_tuples(d))
+            for I in pool if len(pool) <= 4 else rng.sample(pool, 4):
+                S = stick_context(ctx, I)
+                yield tail_law(S, stickelberger_q(S, window=4)[1])
+
+
+def _phi_table(ctxs: dict, args, fault: str | None):
+    for q in (2, 3, 4, 5):
+        ctx = ctxs[q]
+        expected = {
+            "linear": ((0, 1), q + 1),
+            "square": ((0, 0, 1), q * q + q + 1),
+            "split_product": (t_times_t_minus_one(ctx), q * q + 2 * q + 1),
+            "irreducible_quadratic": (next(iter(ctx.monic_irreducibles(2))), q * q + 1),
+        }
+        for label, (g, want) in expected.items():
+            got = len(sublattice_enum(standard_lattice(ctx, 2), g))
+            yield check_record(
+                f"hecke.phi_table[q={q},case={label}]",
+                "rank-2 sublattice counts: q+1, q^2+q+1, (q+1)^2, q^2+1 "
+                "by determinant shape",
+                got == want,
+                {"g": list(g), "expected": want, "enumerated": got},
+            )
+
+
+def _theta2_products(ctxs: dict, args, fault: str | None):
+    for q in (3, 4, 5):
+        S = stick_context(ctxs[q], t_times_t_minus_one(ctxs[q]))
+        yield theta2_product_record(S, f"[q={q}]")
+
+
+def _newton_grid(ctxs: dict, args, fault: str | None):
+    capped = []
+    for q in (2, 3):
+        ctx = ctxs[q]
+        for x in ((0, 1), next(iter(ctx.monic_irreducibles(2)))):
+            for n, r in itertools.product((2, 3), (1, 2, 3, 4)):
+                cost = predict_newton_cost(ctx, x, n, r)
+                if cost > args.newton_budget:
+                    capped.append({"q": q, "x": list(x), "n": n, "r": r, "predicted": cost})
+                    continue
+                rep, details = newton_case(ctx, x, n, r, args.seed, fault)
+                yield newton_record(ctx, x, n, r, rep.ok, details)
+    yield check_record(
+        "hecke.newton_qbinom_identity",
+        "alternating Gaussian binomial sum vanishes for h >= 1",
+        all(alternating_qbinom_sum(h, Q) == 0 for Q in (2, 3, 4, 8, 9) for h in range(1, 7)),
+        {"h_max": 6, "Q": [2, 3, 4, 8, 9], "skipped_over_budget": capped},
+    )
+
+
+def _multiplicativity(ctxs: dict, args, fault: str | None):
+    for q, n in itertools.product((2, 3), (1, 2, 3)):
+        yield _mult_pairs(ctxs[q], n, args.seed, args.pairs, fault)
+
+
+def _chain_partitions(ctxs: dict, args, fault: str | None):
+    for q, n in itertools.product((2, 3), (1, 2, 3)):
+        ctx = ctxs[q]
+
+        def mismatch(g):
+            total, closed = _chain_total(ctx, g, n), phi_count(ctx, g, n)
+            return None if total == closed else {"g": list(g), "chain_total": total,
+                                                 "phi_closed": closed}
+        tested, bad = _first_failure(ctx, 2, mismatch)
+        yield check_record(
+            f"hecke.bridge[q={q},n={n}]",
+            "invariant chains of equal determinant partition the sublattice count",
+            bad is None,
+            _with_witness({"determinants_tested": tested, "max_deg": 2}, bad),
+        )
+
+
+def _carlitz_suite(ctxs: dict, args, fault: str | None):
+    yield from (build(ctxs[q]) for q in (2, 3) for build in (_divisor_product, _psi_degree))
+    yield from (_galois_action(ctxs[q], I) for q, I in ((2, (1, 1, 1)), (3, (0, 2, 1))))
+    for q in (3, 4):
+        p = t_times_t_minus_one(ctxs[q])
+        rep = carlitz.split_tensor_element(ctxs[q], p)
+        yield check_record(
+            f"carlitz.split_element{_tag(q, p)}",
+            "tensor square split element: invertibility, torsion relations, "
+            "and diagonal specialization",
+            rep.ok,
+            {"dim": rep.dim, "weights": rep.weights, "checks": rep.checks})
+
+
+# verify-all's sections in run order: (Stopwatch label, builder, faults it owns).
+# perfbench's battery workload reads the labels' [time] lines in this order.
+FAMILIES = (
+    ("series identity batteries", _series_batteries, ("series", "phi")),
+    ("tail law sampling", _tail_law_sampling, ()),
+    ("sublattice count table", _phi_table, ()),
+    ("rank-2 product identity", _theta2_products, ()),
+    ("Newton recurrence grid", _newton_grid, NEWTON_FAULTS),
+    ("coprime multiplicativity", _multiplicativity, ("mult",)),
+    ("chain partition of counts", _chain_partitions, ()),
+    ("Carlitz torsion suite", _carlitz_suite, ()),
+)
+FAULTS = {fault: label for label, _, faults in FAMILIES for fault in faults}  # fault -> owner
+
+
+def verify_all(args) -> list[dict]:
+    """The records of every family of ``FAMILIES`` in order, unsorted."""
+    if args.pairs < 1:
         raise ValueError("the multiplicativity section needs at least one chain pair")
+    if args.n_max < 1:
+        raise ValueError("n_max must be positive")
+    ctxs = {p ** m: field_context(p, m, seed=args.seed)
+            for p, m in ((2, 1), (3, 1), (2, 2), (5, 1))}
     checks: list[dict] = []
-
-    with Stopwatch("series identity batteries"):
-        moduli = [(q, I) for q in (2, 3) for d in (1, 2) for I in ctxs[q].monic_tuples(d)]
-        for k, (q, I) in enumerate(moduli):
-            # an injected series or phi fault corrupts the first modulus only
-            records = verify_identities(stick_context(ctxs[q], I), n_max=n_max,
-                                        fault=fault if k == 0 else None)
-            for rec in records:
-                rec["check_id"] += _tag(q, I)
-                checks.append(rec)
-
-    with Stopwatch("tail law sampling"):
-        for q in (2, 3, 4):
-            ctx = ctxs[q]
-            rng = random.Random(_mix(seed, q, 0x7A11))
-            for d in (1, 2, 3):
-                pool = list(ctx.monic_tuples(d))
-                picked = pool if len(pool) <= 4 else rng.sample(pool, 4)
-                for I in picked:
-                    S = stick_context(ctx, I)
-                    checks.append(tail_law(S, stickelberger_q(S, window=4)[1]))
-
-    with Stopwatch("sublattice count table"):
-        for q in (2, 3, 4, 5):
-            ctx = ctxs[q]
-            expected = {
-                "linear": ((0, 1), q + 1),
-                "square": ((0, 0, 1), q * q + q + 1),
-                "split_product": (t_times_t_minus_one(ctx), q * q + 2 * q + 1),
-                "irreducible_quadratic": (next(iter(ctx.monic_irreducibles(2))), q * q + 1),
-            }
-            for label, (g, want) in expected.items():
-                got = len(sublattice_enum(standard_lattice(ctx, 2), g))
-                checks.append(check_record(
-                    f"hecke.phi_table[q={q},case={label}]",
-                    "rank-2 sublattice counts: q+1, q^2+q+1, (q+1)^2, q^2+1 "
-                    "by determinant shape",
-                    got == want,
-                    {"g": list(g), "expected": want, "enumerated": got},
-                ))
-
-    with Stopwatch("rank-2 product identity"):
-        checks += [_theta2_product(ctxs[q]) for q in (3, 4, 5)]
-
-    with Stopwatch("Newton recurrence grid"):
-        capped = []
-        for q in (2, 3):
-            ctx = ctxs[q]
-            for x in ((0, 1), next(iter(ctx.monic_irreducibles(2)))):
-                for n in (2, 3):
-                    for r in (1, 2, 3, 4):
-                        cost = predict_newton_cost(ctx, x, n, r)
-                        if cost > newton_budget:
-                            capped.append({"q": q, "x": list(x), "n": n, "r": r,
-                                           "predicted": cost})
-                            continue
-                        rep, details = newton_case(ctx, x, n, r, seed, fault)
-                        checks.append(newton_record(ctx, x, n, r, rep.ok, details))
-        checks.append(check_record(
-            "hecke.newton_qbinom_identity",
-            "alternating Gaussian binomial sum vanishes for h >= 1",
-            all(alternating_qbinom_sum(h, Q) == 0
-                for Q in (2, 3, 4, 8, 9) for h in range(1, 7)),
-            {"h_max": 6, "Q": [2, 3, 4, 8, 9], "skipped_over_budget": capped},
-        ))
-
-    with Stopwatch("coprime multiplicativity"):
-        checks += [_mult_pairs(ctxs[q], n, seed, pairs, fault)
-                   for q in (2, 3) for n in (1, 2, 3)]
-
-    with Stopwatch("chain partition of counts"):
-        checks += [_chain_partition(ctxs[q], n) for q in (2, 3) for n in (1, 2, 3)]
-
-    with Stopwatch("Carlitz torsion suite"):
-        for q in (2, 3):
-            checks += [_divisor_product(ctxs[q]), _psi_degree(ctxs[q])]
-        checks += [_galois_action(ctxs[2], (1, 1, 1)), _galois_action(ctxs[3], (0, 2, 1))]
-        for q in (3, 4):
-            p = t_times_t_minus_one(ctxs[q])
-            rep = carlitz.split_tensor_element(ctxs[q], p)
-            checks.append(check_record(
-                f"carlitz.split_element{_tag(q, p)}",
-                "tensor square split element: invertibility, torsion relations, "
-                "and diagonal specialization",
-                rep.ok,
-                {"dim": rep.dim, "weights": rep.weights, "checks": rep.checks}))
-
+    for label, build, faults in FAMILIES:
+        with Stopwatch(label):
+            checks += build(ctxs, args, args.inject_fault if args.inject_fault in faults else None)
     return checks

@@ -12,7 +12,7 @@ Subcommands:
 
 This module only parses arguments, echoes the configuration and calls one
 thin handler per subcommand.  Every check family that ``verify-all`` also
-runs, and the grid itself, are defined in ``battery``.
+runs, its sections and the ``--inject-fault`` choices are in ``battery``.
 
 Polynomials are comma separated little endian coefficient lists in the
 integer encoding of the field context ("0,1" is t); chains of polynomials
@@ -144,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     hn.add_argument("--r", type=int, required=True, help="colength, at least 1")
     hn.add_argument("--lattices", type=int, default=4,
                     help="test lattices: the standard one plus seeded random ones")
-    hn.add_argument("--inject-fault", choices=["newton"], default=None, dest="inject_fault")
 
     hm = hecke_sub.add_parser(parents=[field], name="mult", help="multiplicativity for coprime chains")
     hm.add_argument("--chain", type=_chain_arg, required=True)
@@ -168,10 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cap on predicted sublattice productions per Newton case")
     va.add_argument("--pairs", type=int, default=DEFAULT_MULT_PAIRS,
                     help="coprime chain pairs per (rank, field) cell")
-    va.add_argument("--inject-fault", choices=["newton", "mult", "series", "phi"], default=None,
-                    dest="inject_fault",
-                    help="corrupt one side of the Newton, the multiplicativity, or the "
-                         "first modulus's Euler product or phi series check")
+    for parser, faults in ((hn, battery.NEWTON_FAULTS), (va, battery.FAULTS)):
+        parser.add_argument("--inject-fault", choices=faults, dest="inject_fault",
+                            help="test hook that fails a check of the fault's section: "
+                            + ", ".join(f"{f} ({battery.FAULTS[f]})" for f in faults))
 
     return top
 
@@ -301,9 +300,7 @@ def _run_verify_all(args):
         "inject_fault": args.inject_fault,
         "workbench_threads": _threads_echo(),
     }
-    checks = battery.verify_all(battery.field_contexts(args.seed), args.seed, args.n_max,
-                                args.newton_budget, args.pairs, args.inject_fault)
-    return config, checks
+    return config, battery.verify_all(args)
 
 
 _HANDLERS = {

@@ -369,10 +369,6 @@ class FieldCtx:
             out.pop()
         return tuple(out)
 
-    def pneg(self, a):
-        nt = self.neg_table
-        return tuple(nt[c] for c in a)
-
     def pscale(self, a, c: int):
         if c == 0:
             return ()
@@ -734,9 +730,6 @@ class FieldCtx:
 
     def __repr__(self):
         return f"FieldCtx(GF({self.q}))"
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
 
 class Poly:

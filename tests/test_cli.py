@@ -6,13 +6,17 @@ split are exercised exactly as a user sees them.
 """
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from ffstick import battery, cli
+from ffstick.fieldcore import field_context
 from ffstick.report import load_schema
 
 
@@ -290,6 +294,14 @@ def test_verify_all_without_chain_pairs_is_usage_error():
     assert "series identity batteries" not in proc.stderr  # no section ran
 
 
+def test_verify_all_without_series_rank_is_usage_error():
+    proc = run_cli("verify-all", "--n-max", "0", "--pairs", "1", "--newton-budget", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "n_max must be positive" in proc.stderr
+    assert not any(label in proc.stderr for label, _, _ in battery.FAMILIES)  # no section ran
+
+
 REDUCED_BATTERY = ("verify-all", "--seed", "123", "--pairs", "1", "--newton-budget", "200")
 
 
@@ -353,6 +365,55 @@ def test_verify_all_phi_fault_fails_only_the_first_phi_dual():
     assert failing[0]["details"]["first_mismatch"] == {"n": 1, "m": 1}
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
         "1518520d41fc7ef7fdc88858c17e0c35fc2fccf4eaed2ffcfdec17e073fb856c")
+
+
+def test_verify_all_sections_are_the_perfbench_sections():
+    # perfbench's battery workload marks a run incorrect unless its [time]
+    # labels are tracing.SECTIONS in order; tracing.py needs only the
+    # standard library to load
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert [label for label, _, _ in battery.FAMILIES] == tracing.SECTIONS
+    stderr = run_cli(*REDUCED_BATTERY, check=True).stderr
+    timed = [line[len("[time] "):line.rindex(": ")] for line in stderr.splitlines()
+             if line.startswith("[time] ")]
+    assert timed == tracing.SECTIONS + ["verify-all total"]
+
+
+def _family_ids(label):
+    """The check ids the family emits when it runs alone on the reduced
+    battery's arguments, with no fault."""
+    (build,) = [b for name, b, _ in battery.FAMILIES if name == label]
+    args = cli.build_parser().parse_args(REDUCED_BATTERY)
+    ctxs = {p ** m: field_context(p, m, seed=args.seed) for p, m in ((2, 1), (3, 1), (2, 2), (5, 1))}
+    return {rec["check_id"] for rec in build(ctxs, args, None)}
+
+
+@pytest.mark.parametrize("fault", sorted(battery.FAULTS))
+def test_each_fault_fails_only_records_of_its_family(fault):
+    proc = run_cli(*REDUCED_BATTERY, "--inject-fault", fault)
+    assert proc.returncode == 1
+    failing = {c["check_id"] for c in report_of(proc)["checks"] if c["status"] == "fail"}
+    assert failing
+    assert failing <= _family_ids(battery.FAULTS[fault])
+
+
+def test_inject_fault_choices_come_from_the_family_table():
+    (newton_faults,) = [f for label, _, f in battery.FAMILIES if label == "Newton recurrence grid"]
+    assert newton_faults
+    parser = cli.build_parser()
+    newton = ["hecke", "newton", "--p", "2", "--x", "0,1", "--n", "2", "--r", "2"]
+    for fault in battery.FAULTS:
+        assert parser.parse_args(["verify-all", "--inject-fault", fault]).inject_fault == fault
+        if fault in newton_faults:
+            assert parser.parse_args([*newton, "--inject-fault", fault]).inject_fault == fault
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args([*newton, "--inject-fault", fault])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["verify-all", "--inject-fault", "no-such-fault"])
 
 
 @pytest.mark.parametrize("method", ["generating", "lattice"])
