@@ -16,13 +16,15 @@ Conventions used throughout the package:
 * Field arithmetic is table lookup: ``mul_table[a][b]``, ``add_table[a][b]``
   and so on, q x q lists of rows.  They are built from the exp/log tables of
   a primitive element (mul, inv) and by recursion on the base-p digits (add,
-  neg, sub), with O(q) products in F_p[u] in all; every entry is one of q
-  shared int objects.
+  neg, sub); the exp table takes F_p-linear steps through the add table, with
+  no product in F_p[u].  Every entry is one of q shared int objects.
 * The monic irreducibles of degree d, and the smallest irreducible factor
   of every monic polynomial of degree d with the key offset of its
   cofactor, come from one sieve per degree (``FieldCtx.first_factors``),
   cached in the context's ``memo``; Rabin's test (``is_irreducible``) and
-  ``pfactor`` stay as the routes for single polynomials.
+  ``pfactor`` stay as the routes for single polynomials.  Rabin's test
+  applies the q-power map of F_q[t]/f as a matrix; ``pfactor`` raises to
+  the q-th power by square-and-multiply (``ppow_mod``).
 
 Polynomial arithmetic is on tuples, through the methods of
 :class:`FieldCtx`; there is no second interface.  :class:`Poly` is the value
@@ -132,20 +134,6 @@ def dense_divmod(a: Sequence, b: Sequence, zero, sub, mul) -> tuple[list, list]:
 # F_p[u] helpers used only while building a context (integer coefficients
 # reduced mod p, little endian lists, no tables required).
 
-def _digits(e: int, p: int, m: int) -> list[int]:
-    """Base-p digits of an encoded element, stripped of high zeros."""
-    return dense_strip([e // p ** i % p for i in range(m)])
-
-def _fp_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return dense_strip(out)
-
 def _fp_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     r = list(a)
     db = len(b) - 1
@@ -217,12 +205,12 @@ class FieldCtx:
     field is fixed; it lives and dies with this instance, and an equal
     instance starts with its own.
 
-    Building the tables takes about 0.01 s at q = 256.  The limit q <= 4096
-    is real: measured in a fresh CPython 3.11 process on a 2-core x86-64
-    machine, GF(2^12) builds in about 1.8 s with a peak RSS of 274 MB (add
-    and sub share their rows when p = 2), and GF(4093) in about 1.9 s with
-    402 MB.  Larger q is refused, and p > 4096 or m > 12 before the
-    primality test and p ** m, whose costs grow with p and m.
+    The limit q <= 4096 is real.  Measured in a fresh CPython 3.11.7 process
+    on a 2-core x86-64 Intel Xeon: GF(256) builds in about 0.004 s, GF(2^12)
+    in about 1.0 s with a peak RSS of 274 MB (add and sub share their rows
+    when p = 2), and GF(4093) in about 1.1 s with 403 MB.  Larger q is
+    refused, and p > 4096 or m > 12 before the primality test and p ** m,
+    whose costs grow with p and m.
     """
 
     __slots__ = (
@@ -269,27 +257,37 @@ class FieldCtx:
         # a - b = a + (-b); for p = 2 negation is the identity
         sub = add if p == 2 else [list(_picker(neg)(row)) for row in add]
 
-        # mul and inv from exp[i] = g^i for a primitive element g, found
-        # with O(q) products in F_p[u]; log inverts exp on the units.
-        mod = list(self.modulus)
-
-        def times(e: int, f: int) -> int:
-            prod = _fp_mod(_fp_mul(_digits(e, p, m), _digits(f, p, m), p), mod, p)
-            return sum(c * p ** i for i, c in enumerate(prod))
-
-        def power(e: int, k: int) -> int:
-            out = 1
-            for bit in bin(k)[2:]:
-                out = times(out, out)
-                if bit == "1":
-                    out = times(out, e)
+        # mul and inv from exp[i] = g^i for the first primitive element g;
+        # log inverts exp on the units.  x*g is F_p-linear in the base-p
+        # digits c_k of x: the sum of c_k*(u^k*g) through the add table, and
+        # u*y shifts the digits of y up one place, its top digit folding back
+        # as that digit times -(the modulus below u^m).
+        def multiples(y: int) -> list[int]:
+            out = [zero]
+            for _ in range(p - 1):
+                out.append(add[out[-1]][y])
             return out
 
-        cofactors = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and _is_prime(r)]
-        g = next(e for e in range(1, q) if all(power(e, k) != 1 for k in cofactors))
-        exp = [elems[1]]
-        for _ in range(q - 2):
-            exp.append(elems[times(exp[-1], g)])
+        top = q // p
+        wrap = multiples(sum((-c) % p * p ** i for i, c in enumerate(self.modulus[:m])))
+
+        def powers(g: int) -> list[int]:
+            """g^i for 0 <= i < the order of g."""
+            cols = [multiples(g)]  # cols[k][c] = c*u^k*g
+            for _ in range(m - 1):
+                hi, lo = divmod(cols[-1][1], top)
+                cols.append(multiples(add[lo * p][wrap[hi]]))
+            out, x = [elems[1]], g
+            while x != 1:
+                out.append(x)
+                acc, rest = zero, x
+                for col in cols:
+                    rest, c = divmod(rest, p)
+                    acc = add[acc][col[c]]
+                x = acc
+            return out
+
+        exp = next(e for e in map(powers, elems[1:]) if len(e) == q - 1)
         log = [0] * q
         for i, e in enumerate(exp):
             log[e] = i
@@ -430,7 +428,9 @@ class FieldCtx:
         return self.pmonic(a)
 
     def ppow_mod(self, a, e: int, mod):
-        out = (1,)
+        if e < 0:
+            raise ValueError(f"exponent must be >= 0, got {e}")
+        out = (1,) if len(mod) > 1 else ()
         base = self.pmod(a, mod)
         while e:
             if e & 1:
@@ -490,18 +490,38 @@ class FieldCtx:
             f = self.pfrom_key(key)
             yield f + (0,) * (d - len(f)) + (1,)
 
+    def _qpow_map(self, f):
+        """The q-power map h -> h^q of F_q[t]/f on residues h of degree
+        below d = deg f, as a d x d matrix: the map is F_q-linear because
+        a^q = a on F_q, so h^q is the sum of h_i * t^(q*i) mod f."""
+        rows = [(1,), self.ppow_mod((0, 1), self.q, f)][:len(f) - 1]
+        for _ in range(len(f) - 3):
+            rows.append(self.pmod(self.pmul(rows[-1], rows[1]), f))
+
+        def image(h):
+            out = ()
+            for c, row in zip(h, rows):
+                if c:
+                    out = self.padd(out, self.pscale(row, c))
+            return out
+
+        return image
+
     def is_irreducible(self, f) -> bool:
-        """Rabin test: t^(q^d) = t mod f and no splitting at proper prime indices."""
+        """Rabin test: t^(q^d) = t mod f and no splitting at proper prime
+        indices, the powers t^(q^k) mod f read off the q-power matrix."""
         d = len(f) - 1
         if d <= 0:
             return False
-        t = (0, 1)
-        h = self.ppow_mod(t, self.q ** d, f)
-        if h != self.pmod(t, f):
+        qpow = self._qpow_map(f)
+        powers = [self.pmod((0, 1), f)]
+        for _ in range(d):
+            powers.append(qpow(powers[-1]))
+        t = powers[0]
+        if powers[d] != t:
             return False
         for ell in {e for e in range(2, d + 1) if d % e == 0 and _is_prime(e)}:
-            h = self.ppow_mod(t, self.q ** (d // ell), f)
-            if self.pgcd(self.psub(h, t), f) != (1,):
+            if self.pgcd(self.psub(powers[d // ell], t), f) != (1,):
                 return False
         return True
 

@@ -158,6 +158,87 @@ def test_gf4096_builds_and_factors():
         assert f[-1] == 1
         assert ctx.is_irreducible(f)
     assert _expand(ctx, unit, fs) == a
+    for d in (1, 3, 5):
+        f = ctx.pvalidate([rng.randrange(4096) for _ in range(d)] + [rng.randrange(1, 4096)])
+        h = ctx.pvalidate([rng.randrange(4096) for _ in range(d)])
+        assert ctx._qpow_map(f)(h) == ctx.ppow_mod(h, 4096, f)
+
+
+@pytest.mark.parametrize("p,m", list(prime_powers(128)) + [(3, 5), (2, 8)])
+def test_exp_table_is_powers_of_the_least_primitive_element(p, m):
+    # ties exp and log, and the mul and inv tables read from them, to one g
+    ctx = field_context(p, m)
+    q = ctx.q
+    mul = reference_field(p, m, ctx.modulus)[2]
+
+    def order(a):
+        k, x = 1, a
+        while x != 1:
+            k, x = k + 1, mul(x, a)
+        return k
+
+    g = next(a for a in range(1, q) if order(a) == q - 1)
+    want, x = [], 1
+    for _ in range(q - 1):
+        want.append(x)
+        x = mul(x, g)
+    assert ctx.exp_table == want
+
+
+QPOW_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (5, 3), (2, 7), (3, 5), (2, 8)]
+
+
+@pytest.mark.parametrize("p,m", QPOW_FIELDS)
+def test_qpow_matrix_image_is_the_q_th_power(p, m):
+    ctx = field_context(p, m)
+    q = ctx.q
+    rng = random.Random(q)
+    for d in range(1, 9):
+        for lead in {1, rng.randrange(1, q)}:  # monic and, for q > 2, not
+            f = tuple(rng.randrange(q) for _ in range(d)) + (lead,)
+            qpow = ctx._qpow_map(f)
+            for _ in range(3):
+                h = ctx.pvalidate([rng.randrange(q) for _ in range(d)])
+                assert qpow(h) == ctx.ppow_mod(h, q, f)
+
+
+@pytest.mark.parametrize("p,m", [(5, 3), (2, 7), (3, 5), (2, 8)])
+def test_irreducibility_of_low_degree_matches_root_search(p, m):
+    # a quadratic or cubic is irreducible exactly when it has no root in F_q
+    ctx = field_context(p, m)
+    q = ctx.q
+    rng = random.Random(q)
+    seen = set()
+    for i in range(200):
+        f = tuple(rng.randrange(q) for _ in range(2 + i % 2)) + (1,)
+        irreducible = all(ctx.peval(f, x) for x in range(q))
+        assert ctx.is_irreducible(f) == irreducible
+        # a unit multiple has the same answer
+        assert ctx.is_irreducible(ctx.pscale(f, rng.randrange(2, q))) == irreducible
+        seen.add(irreducible)
+    assert seen == {True, False}
+
+
+def test_irreducibility_rejects_products_of_irreducibles():
+    # P*Q has degree 5, and t^(q^5) = t fails modulo P; t^(q^6) = t holds
+    # modulo the two products of degree 6, so only the gcd conditions reject
+    # them: P*P'*P'' only at index 3, Q*Q' only at index 2
+    ctx = field_context(2, 8)
+    q = ctx.q
+    rng = random.Random(256)
+
+    def irreducible(d):
+        while True:
+            f = tuple(rng.randrange(q) for _ in range(d)) + (1,)
+            if all(ctx.peval(f, x) for x in range(q)):
+                return f
+
+    for _ in range(5):
+        P, P1, P2, Q, Q1 = (irreducible(d) for d in (2, 2, 2, 3, 3))
+        assert ctx.is_irreducible(P) and ctx.is_irreducible(Q)
+        assert not ctx.is_irreducible(ctx.pmul(P, Q))
+        for f in (ctx.pmul(ctx.pmul(P, P1), P2), ctx.pmul(Q, Q1)):
+            assert len(f) == 7 and not ctx.is_irreducible(f)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -315,6 +396,17 @@ def test_poly_pow_and_eval():
     assert ctx.ppow_mod(f, 3, (0, 0, 0, 0, 1)) == (1, 0, 0, 1) == ctx.pfrob(f)
     assert ctx.peval(f, 2) == 0
     assert ctx.peval((1, 2, 1), 1) == 1
+
+
+def test_ppow_mod_refuses_a_negative_exponent():
+    with pytest.raises(ValueError):
+        field_context(3).ppow_mod((1, 1), -1, (1, 0, 1))
+
+
+def test_ppow_mod_reduces_the_power_zero():
+    ctx = field_context(3)
+    assert ctx.ppow_mod((1, 1), 0, (2,)) == () == ctx.ppow_mod((1, 1), 1, (2,))
+    assert ctx.ppow_mod((1, 1), 0, (1, 0, 1)) == (1,)
 
 
 def test_validation_errors():

@@ -61,3 +61,34 @@ def test_no_unused_import(name):
         tree = ast.parse(f.read())
     unused = [n for n in _unused_imports(tree) if (name, n) not in _UNUSED_IMPORTS_KEPT]
     assert unused == []
+
+
+# A module-level private helper kept with no reference in the package, with
+# the reason.
+_UNREFERENCED_PRIVATE_KEPT: dict = {}
+
+
+def test_no_unreferenced_private_helper():
+    trees = {}
+    for name in MODULES:
+        with open(importlib.util.find_spec(name).origin, encoding="utf-8") as f:
+            trees[name] = ast.parse(f.read())
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unreferenced = [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and node.name not in referenced
+        and (name, node.name) not in _UNREFERENCED_PRIVATE_KEPT
+    ]
+    assert unreferenced == []
