@@ -20,87 +20,22 @@ Layers, from the ground up:
 * ``cli``: the ``ffstick`` command line surface, argument parsing and one
   thin handler per subcommand.
 
+Import the layer module that holds a name (``from ffstick import heckelat``
+or ``from ffstick.heckelat import t_local``); the package re-exports no
+function or class.  ``import ffstick`` binds ``__version__`` and the five
+arithmetic layers.  It imports them bottom up, so that every entry point
+loads the package in one order: the order in which uncached sources are
+compiled moves peak memory by about 1 MB.
+
 Everything computes over Z or F_q exactly; no floats appear anywhere.
 """
 
 __version__ = "0.1.0"  # set first: submodules import ``report``, which reads it
 
-from .fieldcore import (
-    FieldCtx,
-    Poly,
-    field_context,
-)
-from .groupring import (
-    FrobPoly,
-    GroupRingElem,
-    UnitGroup,
-    norm_element,
-    norm_residue,
-    unit_group,
-)
-from .heckelat import (
-    InvariantType,
-    Lattice,
-    LatticeSum,
-    alternating_qbinom_sum,
-    d_count,
-    gauss_binom,
-    hecke_mult_verify,
-    hnf_reduce,
-    newton_verify,
-    phi_count,
-    quotient_invariants,
-    random_sublattice,
-    sigma_apply,
-    standard_lattice,
-    sublattice_enum,
-    t_chain,
-    t_det,
-    t_local,
-)
-from .lseries import (
-    GrSeries,
-    StickCtx,
-    euler_series,
-    phi_series,
-    stick_context,
-    stickelberger_q,
-    theta1,
-    theta_n,
-    theta_noinf,
-    verify_identities,
-)
-from .carlitz import (
-    RatFunc,
-    SkewPoly,
-    TorsionAlgebra,
-    carlitz_map,
-    galois_act,
-    partial_fractions,
-    psi_cyclotomic,
-    split_tensor_element,
-    torsion_poly,
-)
+# Bottom up, whatever an entry point names first: without this import,
+# ``from ffstick import carlitz, cli`` compiles ``carlitz`` before the rest,
+# and where no bytecode is cached that order alone costs about 1 MB more
+# peak RSS.
+from . import fieldcore, groupring, heckelat, lseries, carlitz
 
-__all__ = [
-    "__version__",
-    # fieldcore
-    "FieldCtx", "Poly", "field_context",
-    # groupring
-    "FrobPoly", "GroupRingElem", "UnitGroup", "norm_element", "norm_residue",
-    "unit_group",
-    # heckelat
-    "InvariantType", "Lattice", "LatticeSum", "alternating_qbinom_sum",
-    "d_count", "gauss_binom", "hecke_mult_verify", "hnf_reduce",
-    "newton_verify", "phi_count", "quotient_invariants", "random_sublattice",
-    "sigma_apply", "standard_lattice", "sublattice_enum", "t_chain", "t_det",
-    "t_local",
-    # lseries
-    "GrSeries", "StickCtx", "euler_series", "phi_series",
-    "stick_context", "stickelberger_q", "theta1", "theta_n", "theta_noinf",
-    "verify_identities",
-    # carlitz
-    "RatFunc", "SkewPoly", "TorsionAlgebra", "carlitz_map", "galois_act",
-    "partial_fractions", "psi_cyclotomic", "split_tensor_element",
-    "torsion_poly",
-]
+__all__ = ["__version__", "fieldcore", "groupring", "heckelat", "lseries", "carlitz"]

@@ -435,6 +435,8 @@ def verify_all(args) -> list[dict]:
         raise ValueError("the multiplicativity section needs at least one chain pair")
     if args.n_max < 1:
         raise ValueError("n_max must be positive")
+    if args.newton_budget < 0:
+        raise ValueError("newton_budget must not be negative; 0 skips every Newton cell")
     ctxs = {p ** m: field_context(p, m, seed=args.seed)
             for p, m in ((2, 1), (3, 1), (2, 2), (5, 1))}
     checks: list[dict] = []

@@ -472,9 +472,6 @@ class AlgElem:
             parts.append(f"({c!r}){mono}")
         return "AlgElem(" + (" + ".join(parts) if parts else "0") + ")"
 
-    def to_json(self) -> list:
-        return [c.to_json() for c in self.coeffs]
-
 
 class TorsionAlgebra:
     """F_q(t)[X] / Psi_I, its elements F_q[t] numerators over one denominator.
@@ -612,19 +609,6 @@ class SplitElementReport:
     diagonal_constant: RatFunc | None = None
     tensor: list | None = None
     dim: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": self.checks,
-            "weights": self.weights,
-            "diagonal_constant": (
-                self.diagonal_constant.to_json()
-                if self.diagonal_constant is not None else None
-            ),
-            "dim": self.dim,
-            "tensor": self.tensor,
-        }
 
 
 def split_tensor_element(ctx: FieldCtx, p) -> SplitElementReport:

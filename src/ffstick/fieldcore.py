@@ -305,21 +305,6 @@ class FieldCtx:
         self.neg_table = neg
         self.inv_table = inv
 
-    # -- field element helpers ---------------------------------------------
-
-    def e_pow(self, a: int, k: int) -> int:
-        if k < 0:
-            a = self.inv_table[a]
-            k = -k
-        out, base = 1, a
-        mt = self.mul_table
-        while k:
-            if k & 1:
-                out = mt[out][base]
-            base = mt[base][base]
-            k >>= 1
-        return out
-
     # -- tuple polynomial arithmetic ---------------------------------------
 
     def pvalidate(self, coeffs: "Iterable[int] | Poly") -> tuple[int, ...]:
@@ -616,11 +601,10 @@ class FieldCtx:
     # -- factorization ------------------------------------------------------
 
     def _pth_root(self, a):
-        """Inverse of the p power map on a polynomial in t^p."""
-        e = self.p ** ((self.m - 1) if self.m > 1 else 0)
-        out = []
-        for i in range(0, len(a), self.p):
-            out.append(self.e_pow(a[i], e) if self.m > 1 else a[i])
+        """Inverse of the p power map on a polynomial in t^p: c^(p^(m-1))
+        for each coefficient c, read off the log table."""
+        exp, log, e, n = self.exp_table, self.log_table, self.p ** (self.m - 1), self.q - 1
+        out = [exp[log[c] * e % n] if c else 0 for c in a[::self.p]]
         while out and out[-1] == 0:
             out.pop()
         return tuple(out)

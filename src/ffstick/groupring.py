@@ -19,7 +19,7 @@ pipeline.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .fieldcore import NEG_INF, FieldCtx, Poly, dense_mul
 
@@ -34,17 +34,6 @@ __all__ = [
 
 
 # Group elements are indices into UnitGroup.elements, with 0 the identity.
-
-def _gpow(mul: Callable[[int, int], int], x: int, k: int) -> int:
-    out, base = 0, x
-    while k:
-        if k & 1:
-            out = mul(out, base)
-        base = mul(base, base)
-        k >>= 1
-    return out
-
-
 class UnitGroup:
     """(F_q[t]/I)^* with canonical residue representatives."""
 
@@ -111,14 +100,6 @@ class UnitGroup:
 
     def mul(self, i: int, j: int) -> int:
         return self._row(i)[j]
-
-    def inv(self, i: int) -> int:
-        return self._row(i).index(0)
-
-    def pow(self, i: int, k: int) -> int:
-        if k < 0:
-            return _gpow(self.mul, self.inv(i), -k)
-        return _gpow(self.mul, i, k)
 
     def order_by_formula(self) -> int:
         """Closed form Prod (q^deg P - 1) q^(deg P (e-1)) over P^e dividing I."""

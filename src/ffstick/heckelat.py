@@ -153,10 +153,6 @@ class Lattice:
                         v[k] = ctx.psub(v[k], ctx.pmul(q, self.rows[i][k]))
         return coords
 
-    def contains(self, other: "Lattice") -> bool:
-        return all(other_row_coords is not None
-                   for other_row_coords in (self.coords_of(r) for r in other.rows))
-
     def __eq__(self, other):
         return (
             isinstance(other, Lattice)
@@ -816,8 +812,8 @@ class LatticeSum:
     canonical basis to a dict from its packed key (``_Packing``) to a nonzero
     integer coefficient; no inner dict is empty, and the field and rank are
     stored once on the sum.  Lattices and row tuples are built only at the
-    edges: the constructor and ``of``, the ``terms`` mapping, ``items``,
-    ``to_json`` and the witnesses.
+    edges: the constructor and ``of``, the ``terms`` mapping, ``items`` and
+    the witnesses.
     """
 
     __slots__ = ("ctx", "n", "by_diag")
@@ -929,9 +925,6 @@ class LatticeSum:
     def __repr__(self):
         k = self.support_size()
         return f"LatticeSum({k} lattice{'s' if k != 1 else ''}, mass {self.total_mass()})"
-
-    def to_json(self) -> list:
-        return [[L.to_json(), c] for L, c in self.items()]
 
 
 def _check_coefficient(c) -> None:

@@ -116,11 +116,6 @@ class GrSeries:
         self.M = len(cs) - 1
         self.coeffs = cs
 
-    def coeff(self, m: int) -> GroupRingElem:
-        if m < 0 or m > self.M:
-            raise IndexError("coefficient beyond truncation order")
-        return self.coeffs[m]
-
     def truncate(self, M: int) -> "GrSeries":
         if M > self.M:
             raise ValueError("cannot extend a truncated series")
@@ -156,9 +151,6 @@ class GrSeries:
 
     def __repr__(self):
         return f"GrSeries(order {self.M}, group of order {self.group.order})"
-
-    def to_json(self) -> list:
-        return [s.to_json() for s in self.coeffs]
 
 
 def _monic_classes(S: StickCtx, M: int):

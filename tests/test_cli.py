@@ -294,6 +294,15 @@ def test_verify_all_without_chain_pairs_is_usage_error():
     assert "series identity batteries" not in proc.stderr  # no section ran
 
 
+def test_verify_all_with_a_negative_newton_budget_is_usage_error():
+    # a negative budget would skip every Newton cell, as 0 does, and still pass
+    proc = run_cli("verify-all", "--newton-budget", "-1", "--pairs", "1", "--n-max", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "newton_budget must not be negative" in proc.stderr
+    assert not any(label in proc.stderr for label, _, _ in battery.FAMILIES)  # no section ran
+
+
 def test_verify_all_without_series_rank_is_usage_error():
     proc = run_cli("verify-all", "--n-max", "0", "--pairs", "1", "--newton-budget", "0")
     assert proc.returncode == 2

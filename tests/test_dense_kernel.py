@@ -104,5 +104,5 @@ def test_truthiness_agrees_with_is_zero():
 
 def test_a_zero_diagonal_constant_is_still_reported():
     # t - 2 over F_3: one root, weight 1, so the constant (sum m_j) - 1 is 0
-    doc = split_tensor_element(field_context(3), (2, 1)).to_json()
-    assert doc["diagonal_constant"] == {"num": [], "den": [1]}
+    rep = split_tensor_element(field_context(3), (2, 1))
+    assert rep.diagonal_constant.to_json() == {"num": [], "den": [1]}

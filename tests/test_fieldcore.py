@@ -123,6 +123,21 @@ def test_tables_match_digit_arithmetic(p, m):
         assert getattr(ctx, name) == table, name
 
 
+@pytest.mark.parametrize("p,m", [(p, m) for p, m in prime_powers(256) if m > 1])
+def test_pth_root_inverts_the_p_power(p, m):
+    # g^p = sum c_i^p t^(i p), so the root must take every coefficient, the
+    # zero ones too, back through c -> c^(p^(m-1)); g^p comes from products
+    ctx = field_context(p, m)
+    rng = random.Random(1000 * p + m)
+    for _ in range(5):
+        g = ((0, rng.randrange(1, ctx.q)) + tuple(rng.randrange(ctx.q) for _ in range(3))
+             + (rng.randrange(1, ctx.q),))
+        gp = g
+        for _ in range(p - 1):
+            gp = ctx.pmul(gp, g)
+        assert ctx._pth_root(gp) == g
+
+
 @pytest.mark.parametrize("p,m", [(3, 5), (2, 8), (3, 6), (2, 10)])
 def test_tables_match_digit_arithmetic_on_seeded_pairs(p, m):
     ctx = field_context(p, m)

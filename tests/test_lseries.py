@@ -244,8 +244,6 @@ def test_series_container_operations():
     assert trunc.M == 2 and trunc.coeffs == E.coeffs[:3]
     with pytest.raises(ValueError):
         trunc.truncate(4)
-    with pytest.raises(IndexError):
-        trunc.coeff(3)
     prod = trunc * trunc
     assert prod.coeffs[2] == (
         trunc.coeffs[0] * trunc.coeffs[2] * 2 + trunc.coeffs[1] * trunc.coeffs[1]

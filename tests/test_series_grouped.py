@@ -35,9 +35,10 @@ def _per_prime_product(S, M):
             idx = G.class_index(P)
             new = list(coeffs)
             for m in range(dP, M + 1):
-                acc = coeffs[m]
+                acc, power = coeffs[m], 0
                 for k in range(1, m // dP + 1):
-                    acc = acc + coeffs[m - k * dP] * GroupRingElem(G, {G.pow(idx, k): 1})
+                    power = G.mul(power, idx)  # [P]^k
+                    acc = acc + coeffs[m - k * dP] * GroupRingElem(G, {power: 1})
                 new[m] = acc
             coeffs = new
     return GrSeries(G, coeffs)
