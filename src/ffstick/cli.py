@@ -15,7 +15,8 @@ thin handler per subcommand.  Every check family that ``verify-all`` also
 runs, its sections and the ``--inject-fault`` choices are in ``battery``.
 
 Polynomials are comma separated little endian coefficient lists in the
-integer encoding of the field context ("0,1" is t); chains of polynomials
+integer encoding of the field context ("0,1" is t), and zero coefficients at
+the top are dropped ("0,1,0" is t too); chains of polynomials
 separate entries with semicolons ("0,0,1;0,1" is the chain t^2, t).  Every
 command writes a report document to stdout, or to the path given with
 ``--json``; wall time goes to stderr so the document bytes depend only on
@@ -34,7 +35,7 @@ import argparse
 import os
 import sys
 
-from .fieldcore import field_context
+from .fieldcore import dense_strip, field_context
 from .heckelat import InvariantType, phi_count
 # unused here: perfbench/selftest.py checks that its tracer rebinds this name
 from .heckelat import quotient_invariants  # noqa: F401
@@ -55,11 +56,12 @@ def _poly_arg(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        coeffs = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma separated integer coefficients, got {text!r}"
         )
+    return tuple(dense_strip(coeffs))
 
 
 def _chain_arg(text: str) -> list[tuple[int, ...]]:

@@ -4,8 +4,9 @@ Fix a monic modulus I of degree d + 1 and let G_I be the unit group of
 F_q[t]/I.  The basic object is the series whose z^m coefficient is the sum,
 over monic polynomials of degree m coprime to I, of the class of that
 polynomial in Z[G_I].  Beyond degree d the coefficients collapse onto the
-norm element N: s_m = q^(m-d-1) * N.  The polynomial part gamma_0..gamma_d
-packages into elements of Z[G_I][F],
+norm element N: s_m = q^(m-d-1) * N.  A series truncated at order M is
+the tuple of its M + 1 coefficients s_0..s_M.  The polynomial part
+gamma_0..gamma_d packages into elements of Z[G_I][F],
 
     theta1(c)   = sum_i c^i gamma_i F^(d-i),
     Theta_n     = sum_i F^(nd-i) c_i,       c_i weighted by sublattice counts,
@@ -27,13 +28,11 @@ import operator
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 from .fieldcore import FieldCtx, Poly, dense_mul
 from .groupring import (
     FrobPoly,
     GroupRingElem,
-    UnitGroup,
     norm_element,
     norm_residue,
     unit_group,
@@ -44,7 +43,6 @@ from .report import check_record
 __all__ = [
     "StickCtx",
     "stick_context",
-    "GrSeries",
     "euler_series",
     "stickelberger_q",
     "TailReport",
@@ -101,56 +99,6 @@ class StickCtx:
 
 def stick_context(ctx: FieldCtx, I) -> StickCtx:
     return StickCtx(ctx, I)
-
-
-class GrSeries:
-    """Truncated power series with group ring coefficients."""
-
-    __slots__ = ("group", "M", "coeffs")
-
-    def __init__(self, group: UnitGroup, coeffs: Iterable[GroupRingElem]):
-        cs = tuple(coeffs)
-        if not cs:
-            raise ValueError("a series needs at least the constant coefficient")
-        self.group = group
-        self.M = len(cs) - 1
-        self.coeffs = cs
-
-    def truncate(self, M: int) -> "GrSeries":
-        if M > self.M:
-            raise ValueError("cannot extend a truncated series")
-        return GrSeries(self.group, self.coeffs[: M + 1])
-
-    def scale_variable(self, c: int) -> "GrSeries":
-        """Substitute z -> c*z, multiplying the m-th coefficient by c^m."""
-        out, w = [], 1
-        for s in self.coeffs:
-            out.append(s * w)
-            w *= c
-        return GrSeries(self.group, out)
-
-    def __mul__(self, other: "GrSeries") -> "GrSeries":
-        if not isinstance(other, GrSeries) or other.group != self.group:
-            return NotImplemented
-        out = dense_mul(self.coeffs, other.coeffs, GroupRingElem.zero(self.group),
-                        operator.add, operator.mul, size=min(self.M, other.M) + 1)
-        return GrSeries(self.group, out)
-
-    def coefficient_sum(self) -> GroupRingElem:
-        total = GroupRingElem.zero(self.group)
-        for s in self.coeffs:
-            total = total + s
-        return total
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GrSeries)
-            and self.group == other.group
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"GrSeries(order {self.M}, group of order {self.group.order})"
 
 
 def _monic_classes(S: StickCtx, M: int):
@@ -242,8 +190,8 @@ def _factor_shapes(S: StickCtx, M: int) -> list[dict]:
     return hists[: M + 1]
 
 
-def euler_series(S: StickCtx, M: int, method: str = "direct") -> GrSeries:
-    """The coprime-class series to order M.
+def euler_series(S: StickCtx, M: int, method: str = "direct") -> tuple[GroupRingElem, ...]:
+    """The coprime-class series to order M, as its M + 1 coefficients.
 
     ``direct`` counts the class of every monic polynomial of each degree
     coprime to the modulus; the classes come from the residue recursion of
@@ -294,8 +242,8 @@ def euler_series(S: StickCtx, M: int, method: str = "direct") -> GrSeries:
                         acc[i] = acc.get(i, 0) + b * c
     else:
         raise ValueError(f"unknown method {method!r}")
-    series = GrSeries(G, (GroupRingElem(G, c) for c in out))
-    assert series.coeffs[0].coeffs == {0: 1}
+    series = tuple(GroupRingElem(G, c) for c in out)
+    assert series[0].coeffs == {0: 1}
     S._cache[key] = series
     return series
 
@@ -318,13 +266,13 @@ def stickelberger_q(S: StickCtx, window: int = 4) -> tuple[tuple[GroupRingElem, 
         raise ValueError("window must cover at least one tail coefficient")
     d = S.d
     series = euler_series(S, d + window, method="direct")
-    gammas = tuple(series.coeffs[: d + 1])
+    gammas = series[: d + 1]
     N = S.norm()
     q = S.ctx.q
     violations = []
     for m in range(d + 1, d + window + 1):
         expected = N * (q ** (m - d - 1))
-        got = series.coeffs[m]
+        got = series[m]
         if got != expected:
             violations.append({"m": m, "coefficient": got.to_json(),
                                "expected": expected.to_json()})
@@ -346,9 +294,11 @@ def theta1(S: StickCtx, c: int) -> FrobPoly:
     return FrobPoly(S.G, coeffs)
 
 
-def phi_series(S: StickCtx, n: int, M: int | None = None, method: str = "generating") -> GrSeries:
+def phi_series(S: StickCtx, n: int, M: int | None = None,
+               method: str = "generating") -> tuple[GroupRingElem, ...]:
     """Series whose z^m coefficient weights each coprime class by the number
-    of rank-n sublattice columns with that determinant.
+    of rank-n sublattice columns with that determinant, as its M + 1
+    coefficients.
 
     ``generating`` multiplies the scaled copies of the coprime-class series
     with z -> q^j z for j < n.  ``lattice`` sums, over every monic
@@ -363,6 +313,8 @@ def phi_series(S: StickCtx, n: int, M: int | None = None, method: str = "generat
         raise ValueError("rank must be positive")
     if M is None:
         M = n * S.d + 3
+    if M < 0:
+        raise ValueError("order must be nonnegative")
     key = ("phi", n, M, method)
     cached = S._cache.get(key)
     if cached is not None:
@@ -370,11 +322,11 @@ def phi_series(S: StickCtx, n: int, M: int | None = None, method: str = "generat
     ctx, G = S.ctx, S.G
     q = ctx.q
     if method == "generating":
-        series = euler_series(S, M, method="direct")
-        prod = series
+        series = result = euler_series(S, M, method="direct")
         for j in range(1, n):
-            prod = prod * series.scale_variable(q ** j)
-        result = prod
+            result = dense_mul(result, [s * q ** (j * m) for m, s in enumerate(series)],
+                               GroupRingElem.zero(G), operator.add, operator.mul, size=M + 1)
+        result = tuple(result)
     elif method == "lattice":
         weights: dict[tuple, int] = {}
         out = []
@@ -387,7 +339,7 @@ def phi_series(S: StickCtx, n: int, M: int | None = None, method: str = "generat
                         heckelat._local_count(q ** dP, n, e) for dP, e in shape)
                 counts[idx] = counts.get(idx, 0) + k * w
             out.append(GroupRingElem(G, counts))
-        result = GrSeries(G, out)
+        result = tuple(out)
     else:
         raise ValueError(f"unknown method {method!r}")
     S._cache[key] = result
@@ -398,7 +350,7 @@ def theta_n(S: StickCtx, n: int, method: str = "generating") -> FrobPoly:
     """sum_i F^(nd - i) c_i with c from phi_series."""
     nd = n * S.d
     c = phi_series(S, n, M=nd, method=method)
-    coeffs = [c.coeffs[nd - k] for k in range(nd + 1)]
+    coeffs = [c[nd - k] for k in range(nd + 1)]
     return FrobPoly(S.G, coeffs)
 
 
@@ -409,7 +361,7 @@ def theta_noinf(S: StickCtx, n: int, method: str = "generating") -> FrobPoly:
     c = phi_series(S, n, M=nd, method=method)
     total = FrobPoly.zero(S.G)
     for i in range(nd + 1):
-        block = FrobPoly(S.G, [c.coeffs[nd - i]] * (i + 1))
+        block = FrobPoly(S.G, [c[nd - i]] * (i + 1))
         total = total + block
     return total
 
@@ -492,11 +444,9 @@ def verify_identities(S: StickCtx, n_max: int = 2, fault: str | None = None) -> 
         unclassed = {"prime": list(exc.prime)}
     else:
         if fault == "series":
-            bad = product.coeffs[1] + GroupRingElem.integer(G, 1)
-            product = GrSeries(G, product.coeffs[:1] + (bad,) + product.coeffs[2:])
-        mismatch = next(
-            (m for m in range(7) if direct.coeffs[m] != product.coeffs[m]), None
-        )
+            bad = product[1] + GroupRingElem.integer(G, 1)
+            product = product[:1] + (bad,) + product[2:]
+        mismatch = next((m for m in range(7) if direct[m] != product[m]), None)
     records.append(check_record(
         "lseries.euler_dual",
         "Euler product over primes away from I equals direct enumeration",
@@ -512,9 +462,9 @@ def verify_identities(S: StickCtx, n_max: int = 2, fault: str | None = None) -> 
         a = phi_series(S, n, M=M, method="generating")
         b = phi_series(S, n, M=M, method="lattice")
         if fault == "phi" and n == 1:
-            bad = b.coeffs[1] + GroupRingElem.integer(G, 1)
-            b = GrSeries(G, b.coeffs[:1] + (bad,) + b.coeffs[2:])
-        mm = next((m for m in range(M + 1) if a.coeffs[m] != b.coeffs[m]), None)
+            bad = b[1] + GroupRingElem.integer(G, 1)
+            b = b[:1] + (bad,) + b[2:]
+        mm = next((m for m in range(M + 1) if a[m] != b[m]), None)
         phi_detail["orders"][str(n)] = M
         if mm is not None:
             phi_ok = False
@@ -566,7 +516,8 @@ def verify_identities(S: StickCtx, n_max: int = 2, fault: str | None = None) -> 
         nd = n * S.d
         c = phi_series(S, n, M=nd, method="lattice")
         lhs = (F - one) * theta_noinf(S, n)
-        rhs = F * theta_n(S, n, method="lattice") - FrobPoly.constant(c.coefficient_sum())
+        total = sum(c, GroupRingElem.zero(G))
+        rhs = F * theta_n(S, n, method="lattice") - FrobPoly.constant(total)
         tele_detail["n_checked"].append(n)
         diff = _first_coeff_diff(lhs, rhs)
         if diff is not None:
@@ -587,7 +538,7 @@ def verify_identities(S: StickCtx, n_max: int = 2, fault: str | None = None) -> 
         c = phi_series(S, 2, M=nd, method="lattice")
         expected = GroupRingElem.zero(G)
         for i in range(nd + 1):
-            expected = expected + c.coeffs[nd - i] * (i + 1)
+            expected = expected + c[nd - i] * (i + 1)
         got = theta_noinf(S, 2).eval_at_one()
         records.append(check_record(
             "lseries.coefficient_pattern",

@@ -81,14 +81,14 @@ def test_criterion_02_dual_series_oracles(announce):
                 contexts += 1
                 a = euler_series(S, 6, method="direct")
                 b = euler_series(S, 6, method="euler_product")
-                if a.coeffs != b.coeffs:
+                if a != b:
                     bad.append({"q": q, "I": I, "kind": "euler"})
                     continue
                 for n in (1, 2, 3):
                     M = min(6, n * S.d + 2)
                     g1 = phi_series(S, n, M=M, method="generating")
                     g2 = phi_series(S, n, M=M, method="lattice")
-                    if g1.coeffs != g2.coeffs:
+                    if g1 != g2:
                         bad.append({"q": q, "I": I, "n": n, "kind": "phi"})
     elapsed = time.perf_counter() - t0
     ok = not bad
@@ -290,14 +290,14 @@ def test_criterion_09_telescope_and_pattern(announce):
                 for n in (1, 2, 3):
                     c = phi_series(S, n, M=n * S.d, method="generating")
                     lhs = (F - one) * theta_noinf(S, n)
-                    rhs = F * theta_n(S, n) - FrobPoly.constant(c.coefficient_sum())
+                    rhs = F * theta_n(S, n) - FrobPoly.constant(sum(c, GroupRingElem.zero(G)))
                     if lhs != rhs:
                         bad.append({"q": q, "I": I, "n": n, "kind": "telescope"})
                 nd = 2 * S.d
                 c = phi_series(S, 2, M=nd, method="generating")
                 expected = GroupRingElem.zero(G)
                 for i in range(nd + 1):
-                    expected = expected + c.coeffs[nd - i] * (i + 1)
+                    expected = expected + c[nd - i] * (i + 1)
                 if theta_noinf(S, 2).eval_at_one() != expected:
                     bad.append({"q": q, "I": I, "kind": "pattern"})
     elapsed = time.perf_counter() - t0

@@ -201,11 +201,23 @@ def test_verify_all_ten_pair_report_bytes_are_pinned():
      "ceb97cdb0760df1edd4d5811f84e871e95471659f72ae5e657cb15eaa74de2de"),
 ], ids=["stick-theta", "carlitz-example39", "carlitz-psi"])
 def test_polynomial_product_report_bytes_are_pinned(args, digest):
-    # Theta_3 multiplies FrobPoly and GrSeries elements, example39 divides and
+    # Theta_3 multiplies FrobPoly elements and truncated series, example39 divides and
     # inverts in F_5(t)[X]/Psi, psi divides phi_I(X) by each Psi_g; no
     # verify-all section reaches these values
     proc = run_cli(*args, check=True)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, option", [
+    (("carlitz", "psi", "--p", "3"), ("--ideal", "0,2,1")),
+    (("carlitz", "example39", "--p", "3"), ("--ideal", "0,2,1")),
+    (("hecke", "phi", "--p", "2", "--n", "2"), ("--g", "0,0,1")),
+    (("hecke", "newton", "--p", "2", "--n", "2", "--r", "2"), ("--x", "0,1")),
+], ids=["carlitz-psi", "carlitz-example39", "hecke-phi", "hecke-newton"])
+def test_a_trailing_zero_coefficient_leaves_the_report_unchanged(args, option):
+    flag, poly = option
+    plain = run_cli(*args, flag, poly, check=True).stdout
+    assert run_cli(*args, flag, poly + ",0", check=True).stdout == plain
 
 
 def test_verify_all_seed_changes_sampled_sections():

@@ -5,7 +5,8 @@ arguments and read a coefficient as zero when it is falsy, so
 ``GroupRingElem`` is falsy exactly when it is zero.  Division is by a monic
 divisor, checked over Z and over F_q[t] as coefficient tuples, the ring of
 the Psi_g divisions.  The product is checked over Z, over F_q[t] and over
-Z[G_I], where a truncated product (``size``) multiplies ``GrSeries``.
+Z[G_I], where a truncated product (``size``) multiplies the coefficient
+tuples of ``lseries.phi_series``.
 """
 
 import operator

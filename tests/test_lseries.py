@@ -12,7 +12,6 @@ from ffstick.groupring import (
 )
 from ffstick.heckelat import phi_count
 from ffstick.lseries import (
-    GrSeries,
     euler_series,
     phi_series,
     stick_context,
@@ -39,14 +38,14 @@ def test_constant_term_is_one():
         S = stick_context(ctx, I)
         for method in ("direct", "euler_product"):
             E = euler_series(S, 2, method=method)
-            assert E.coeffs[0] == GroupRingElem.integer(S.G, 1)
+            assert E[0] == GroupRingElem.integer(S.G, 1)
 
 
 def test_degree_one_modulus_over_f2():
     S = stick_context(C2, (0, 1))
     E = euler_series(S, 3)
     # only t+1 is monic linear coprime to t, and t+1 = 1 in the class group
-    assert E.coeffs[1] == GroupRingElem.integer(S.G, 1)
+    assert E[1] == GroupRingElem.integer(S.G, 1)
     gammas, tail = stickelberger_q(S)
     assert gammas == (GroupRingElem.integer(S.G, 1),)
     assert tail.passed
@@ -56,9 +55,9 @@ def test_quadratic_modulus_series_coefficients():
     S = stick_context(C2, (1, 1, 1))
     E = euler_series(S, 4)
     expected = GroupRingElem.basis(S.G, (0, 1)) + GroupRingElem.basis(S.G, (1, 1))
-    assert E.coeffs[1] == expected
+    assert E[1] == expected
     # degree-2 monics coprime to t^2+t+1 hit every class exactly once
-    assert E.coeffs[2] == norm_element(S.G)
+    assert E[2] == norm_element(S.G)
     gammas, tail = stickelberger_q(S)
     assert gammas[0] == GroupRingElem.integer(S.G, 1)
     assert gammas[1] == expected
@@ -83,7 +82,7 @@ def test_tail_matches_closed_form_directly():
     E = euler_series(S, 5)
     N = norm_element(S.G)
     for m in range(2, 6):
-        assert E.coeffs[m] == N * (3 ** (m - 2))
+        assert E[m] == N * (3 ** (m - 2))
 
 
 def test_euler_methods_agree():
@@ -118,7 +117,7 @@ def test_phi_series_linear_coefficient_weight():
     S = stick_context(C3, t_tminus1(C3))
     c = phi_series(S, 2, M=2, method="lattice")
     E = euler_series(S, 2)
-    assert c.coeffs[1] == E.coeffs[1] * (3 + 1)
+    assert c[1] == E[1] * (3 + 1)
 
 
 def test_phi_series_augmentation_matches_lattice_counts():
@@ -129,7 +128,7 @@ def test_phi_series_augmentation_matches_lattice_counts():
             total = sum(
                 phi_count(C2, f, n) for f in C2.monic_tuples(m) if C2.pgcd(f, S.I) == (1,)
             )
-            assert c.coeffs[m].augmentation() == total
+            assert c[m].augmentation() == total
 
 
 def test_theta1_shape_for_split_quadratic():
@@ -137,7 +136,7 @@ def test_theta1_shape_for_split_quadratic():
     for ctx in (C3, C4, C5):
         S = stick_context(ctx, t_tminus1(ctx))
         E = euler_series(S, 1)
-        expected = FrobPoly(S.G, [E.coeffs[1], GroupRingElem.integer(S.G, 1)])
+        expected = FrobPoly(S.G, [E[1], GroupRingElem.integer(S.G, 1)])
         assert theta1(S, 1) == expected
 
 
@@ -196,7 +195,7 @@ def test_telescoping_relation():
             nd = n * S.d
             c = phi_series(S, n, M=nd)
             lhs = (F - one) * theta_noinf(S, n)
-            rhs = F * theta_n(S, n) - FrobPoly.constant(c.coefficient_sum())
+            rhs = F * theta_n(S, n) - FrobPoly.constant(sum(c, GroupRingElem.zero(S.G)))
             assert lhs == rhs
 
 
@@ -206,7 +205,7 @@ def test_noinf_weight_pattern():
     c = phi_series(S, 2, M=nd)
     expected = GroupRingElem.zero(S.G)
     for i in range(nd + 1):
-        expected = expected + c.coeffs[nd - i] * (i + 1)
+        expected = expected + c[nd - i] * (i + 1)
     assert theta_noinf(S, 2).eval_at_one() == expected
 
 
@@ -234,20 +233,18 @@ def test_verify_identities_includes_product_check_only_when_applicable():
     assert "lseries.theta2_product" not in ids_b
 
 
-def test_series_container_operations():
+def test_series_are_coefficient_tuples():
+    # rank 2 at q = 2: phi(z) = E(z) * E(2z)
     S = stick_context(C2, (1, 1, 1))
     E = euler_series(S, 4)
-    scaled = E.scale_variable(2)
+    phi = phi_series(S, 2, M=4, method="generating")
     for m in range(5):
-        assert scaled.coeffs[m] == E.coeffs[m] * (2 ** m)
-    trunc = E.truncate(2)
-    assert trunc.M == 2 and trunc.coeffs == E.coeffs[:3]
-    with pytest.raises(ValueError):
-        trunc.truncate(4)
-    prod = trunc * trunc
-    assert prod.coeffs[2] == (
-        trunc.coeffs[0] * trunc.coeffs[2] * 2 + trunc.coeffs[1] * trunc.coeffs[1]
-    )
+        expected = sum((E[k] * E[m - k] * 2 ** (m - k) for k in range(m + 1)),
+                       GroupRingElem.zero(S.G))
+        assert phi[m] == expected
+    for series in (E, euler_series(S, 4, "euler_product"), phi,
+                   phi_series(S, 2, M=4, method="lattice")):
+        assert isinstance(series, tuple) and len(series) == 4 + 1
 
 
 def test_modulus_validation():
@@ -259,3 +256,6 @@ def test_modulus_validation():
         euler_series(stick_context(C2, (0, 1)), -1)
     with pytest.raises(ValueError):
         euler_series(stick_context(C2, (0, 1)), 2, method="sideways")
+    for method in ("generating", "lattice"):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            phi_series(stick_context(C2, (0, 1)), 1, M=-1, method=method)

@@ -116,7 +116,6 @@ _UNREACHED_PUBLIC_KEPT = {
     "heckelat.Lattice.coords_of": "quotient_invariants reads it",
     "groupring.UnitGroup.order_by_formula": _ORACLE,
     "groupring.GroupRingElem.augmentation": _ORACLE,
-    "lseries.GrSeries.truncate": _ORACLE,
     "heckelat.LatticeSum.support_size": _REPR,
     "heckelat.LatticeSum.total_mass": _REPR,
     "carlitz.RatFunc.is_zero": _REPR,

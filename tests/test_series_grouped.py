@@ -16,7 +16,7 @@ import pytest
 from ffstick.carlitz import AlgElem, RatFunc, TorsionAlgebra, galois_act, torsion_poly
 from ffstick.fieldcore import field_context
 from ffstick.groupring import GroupRingElem, UnitGroup
-from ffstick.lseries import GrSeries, euler_series, phi_series, stick_context, verify_identities
+from ffstick.lseries import euler_series, phi_series, stick_context, verify_identities
 
 C2 = field_context(2)
 C3 = field_context(3)
@@ -41,7 +41,7 @@ def _per_prime_product(S, M):
                     acc = acc + coeffs[m - k * dP] * GroupRingElem(G, {power: 1})
                 new[m] = acc
             coeffs = new
-    return GrSeries(G, coeffs)
+    return tuple(coeffs)
 
 
 def _split(ctx, roots):
@@ -69,7 +69,7 @@ def test_grouped_euler_product_equals_the_per_prime_expansion(ctx, I, M):
     assert grouped == _per_prime_product(stick_context(ctx, I), M)
     assert grouped == euler_series(S, M, method="direct")
     for m in range(M + 1):
-        assert euler_series(stick_context(ctx, I), m, method="euler_product") == grouped.truncate(m)
+        assert euler_series(stick_context(ctx, I), m, method="euler_product") == grouped[: m + 1]
 
 
 @pytest.mark.parametrize("ctx, I, P", [
@@ -153,4 +153,4 @@ def test_phi_lattice_route_keeps_one_histogram_per_degree():
     phi_series(S, 3, 2, method="lattice")
     assert len(S._cache["shapes"]) == 6
     assert sum(sum(h.values()) for h in S._cache["shapes"]) == sum(
-        c.augmentation() for c in euler_series(S, 5).coeffs)
+        c.augmentation() for c in euler_series(S, 5))

@@ -91,7 +91,7 @@ def test_each_coprime_monic_is_factored_once(ctx, I, parent, monkeypatch):
     assert all(r["status"] == "pass" for r in verify_identities(S, n_max=3))
     M = _largest_order(S.d, 3)
     assert counts == {"cofactors": M}  # one read per degree 1..M, nothing else
-    coprime = sum(c.augmentation() for c in euler_series(S, M, method="direct").coeffs)
+    coprime = sum(c.augmentation() for c in euler_series(S, M, method="direct"))
     counted = sum(sum(hist.values()) for hist in real_shapes(S, M))
     assert counted == coprime < parent
 
