@@ -263,11 +263,12 @@ def _psi_degree(ctx: FieldCtx) -> dict:
     )
 
 
-def _divisor_product(ctx: FieldCtx) -> dict:
+def _divisor_product(ctx: FieldCtx, fault: str | None = None) -> dict:
     """Over the moduli f of degree up to 3: the Psi_g of the monic divisors g
     of f multiply to the f-torsion polynomial.  ``psi_dense`` makes each
     Psi_g by exact division and raises where a division leaves a remainder;
-    that fails the record at f with the error as its witness."""
+    that fails the record at f with the error as its witness.  A fault adds
+    1 to the X coefficient of a copy of the product at the first modulus, t."""
 
     def mismatch(f):
         divisors = ctx.monic_divisors(f)
@@ -278,7 +279,13 @@ def _divisor_product(ctx: FieldCtx) -> dict:
         prod = [(1,)]
         for psi in psis:
             prod = carlitz.xmul(ctx, prod, psi)
-        return None if prod == carlitz.torsion_poly(ctx, f).to_dense() else {"f": list(f)}
+        if fault and f == (0, 1):  # prod is xmul's own list, no memo's
+            prod[1] = ctx.padd(prod[1], (1,))
+        want = carlitz.torsion_poly(ctx, f).to_dense()
+        if prod == want:
+            return None
+        return {"f": list(f), "first_mismatch": next(
+            i for i, (a, b) in enumerate(itertools.zip_longest(prod, want)) if a != b)}
 
     count, bad = _first_failure(ctx, 3, mismatch)
     return check_record(
@@ -384,11 +391,13 @@ def _multiplicativity(ctxs: dict, args, fault: str | None):
 
 
 def _chain_partitions(ctxs: dict, args, fault: str | None):
-    for q, n in itertools.product((2, 3), (1, 2, 3)):
+    for k, (q, n) in enumerate(itertools.product((2, 3), (1, 2, 3))):
         ctx = ctxs[q]
 
         def mismatch(g):
             total, closed = _chain_total(ctx, g, n), phi_count(ctx, g, n)
+            if fault and k == 0 and g == (0, 1):
+                total += 1  # a bridge fault: the first record's first determinant
             return None if total == closed else {"g": list(g), "chain_total": total,
                                                  "phi_closed": closed}
         tested, bad = _first_failure(ctx, 2, mismatch)
@@ -401,7 +410,10 @@ def _chain_partitions(ctxs: dict, args, fault: str | None):
 
 
 def _carlitz_suite(ctxs: dict, args, fault: str | None):
-    yield from (build(ctxs[q]) for q in (2, 3) for build in (_divisor_product, _psi_degree))
+    for q in (2, 3):
+        # an injected divisor_product fault corrupts the record at q = 2 only
+        yield _divisor_product(ctxs[q], fault if q == 2 else None)
+        yield _psi_degree(ctxs[q])
     yield from (_galois_action(ctxs[q], I) for q, I in ((2, (1, 1, 1)), (3, (0, 2, 1))))
     for q in (3, 4):
         p = t_times_t_minus_one(ctxs[q])
@@ -423,8 +435,8 @@ FAMILIES = (
     ("rank-2 product identity", _theta2_products, ()),
     ("Newton recurrence grid", _newton_grid, NEWTON_FAULTS),
     ("coprime multiplicativity", _multiplicativity, ("mult",)),
-    ("chain partition of counts", _chain_partitions, ()),
-    ("Carlitz torsion suite", _carlitz_suite, ()),
+    ("chain partition of counts", _chain_partitions, ("bridge",)),
+    ("Carlitz torsion suite", _carlitz_suite, ("divisor_product",)),
 )
 FAULTS = {fault: label for label, _, faults in FAMILIES for fault in faults}  # fault -> owner
 

@@ -476,9 +476,11 @@ class AlgElem:
 class TorsionAlgebra:
     """F_q(t)[X] / Psi_I, its elements F_q[t] numerators over one denominator.
 
-    It keeps X^(q^i) mod Psi for i < deg I, each the Frobenius map of the one
-    before, so the action of a unit class, X -> phi_a(X), is a linear
-    combination of them.
+    It keeps the numerators of X^(q^i) mod Psi for i < deg I, each the
+    Frobenius map of the one before, so the image of X under a unit class,
+    phi_a(X), is a linear combination of them; each image is computed once
+    and kept by residue.  Both tables hold numerator tuples, not elements,
+    so an algebra refers to no element of its own.
     """
 
     def __init__(self, ctx: FieldCtx, I):
@@ -487,9 +489,12 @@ class TorsionAlgebra:
         self.ctx = ctx
         self.I = I
         self.dim = len(self._psi) - 1
-        self._x_qpowers = [self.x_gen()]
+        x = self.x_gen()
+        self._x_qpowers = [x.nums]
         for _ in range(len(I) - 2):
-            self._x_qpowers.append(self._x_qpowers[-1]._frob())
+            x = x._frob()
+            self._x_qpowers.append(x.nums)
+        self._images: dict = {}  # a mod I -> numerators of phi_a(X) mod Psi
 
     def zero(self) -> AlgElem:
         return self._elem([])
@@ -541,20 +546,23 @@ def galois_act(alg: TorsionAlgebra, a, e: AlgElem) -> AlgElem:
 
     The action factors through a mod I and requires gcd(a, I) = 1.  phi_a(X)
     is sum_i c_i X^(q^i) with the powers from the algebra's table, since
-    deg a < deg I; its powers are taken only up to the last nonzero
-    coefficient of e, so e = X costs no product.
+    deg a < deg I, made once per residue a mod I and algebra; its powers are
+    taken only up to the last nonzero coefficient of e, so e = X costs no
+    product.
     """
     ctx = alg.ctx
-    a = ctx.pvalidate(a)
-    if ctx.pgcd(a, alg.I) != (1,):
-        raise ValueError("the acting polynomial must be coprime to the modulus")
-    a = ctx.pmod(a, alg.I)
-    alg._match(e)
+    a = ctx.pmod(ctx.pvalidate(a), alg.I)
     padd, pmul = ctx.padd, ctx.pmul
-    image = [()] * alg.dim
-    for c, xq in zip(torsion_poly(ctx, a).coeffs, alg._x_qpowers):
-        if c:
-            image = [padd(s, pmul(c, n)) for s, n in zip(image, xq.nums)]
+    image = alg._images.get(a)
+    if image is None:
+        if ctx.pgcd(a, alg.I) != (1,):
+            raise ValueError("the acting polynomial must be coprime to the modulus")
+        image = [()] * alg.dim
+        for c, xq in zip(torsion_poly(ctx, a).coeffs, alg._x_qpowers):
+            if c:
+                image = [padd(s, pmul(c, n)) for s, n in zip(image, xq)]
+        image = alg._images[a] = tuple(image)
+    alg._match(e)
     image_x = alg._elem(image)
     # substitute X -> image_x in the numerators of e, over e's denominator
     top = max((i for i, n in enumerate(e.nums) if n), default=-1)

@@ -33,9 +33,27 @@ __all__ = [
 ]
 
 
+def _unit_table(ctx: FieldCtx, I: tuple) -> tuple:
+    """The units of F_q[t]/I in key order, and the tuple from residue key to
+    unit index (-1 for a non-unit), by one gcd per residue: this route does
+    not factor I, so ``order_by_formula`` stays a check on it."""
+    elems = []
+    unit = [-1] * ctx.q ** (len(I) - 1)
+    for key in range(len(unit)):
+        f = ctx.pfrom_key(key)
+        if ctx.pgcd(f, I) == (1,):
+            unit[key] = len(elems)
+            elems.append(f)
+    return tuple(elems), tuple(unit)
+
+
 # Group elements are indices into UnitGroup.elements, with 0 the identity.
 class UnitGroup:
-    """(F_q[t]/I)^* with canonical residue representatives."""
+    """(F_q[t]/I)^* with canonical residue representatives.
+
+    The unit tables of each modulus are built once per field context and
+    kept in its ``memo`` as plain tuples; the step table and product rows
+    belong to the instance."""
 
     __slots__ = ("ctx", "I", "elements", "order", "_unit", "_steps", "_rows")
 
@@ -43,16 +61,11 @@ class UnitGroup:
         I = ctx.pmodulus(I)
         self.ctx = ctx
         self.I = I
-        elems = []
-        unit = [-1] * ctx.q ** (len(I) - 1)  # residue key -> unit index
-        for key in range(len(unit)):
-            f = ctx.pfrom_key(key)
-            if ctx.pgcd(f, I) == (1,):
-                unit[key] = len(elems)
-                elems.append(f)
-        self.elements = tuple(elems)
-        self.order = len(elems)
-        self._unit = unit
+        tables = ctx.memo.get(("units", I))
+        if tables is None:
+            tables = ctx.memo["units", I] = _unit_table(ctx, I)
+        self.elements, self._unit = tables
+        self.order = len(self.elements)
         self._steps = None
         self._rows: list = [None] * self.order
         assert self.elements[0] == (1,), "identity residue must come first"

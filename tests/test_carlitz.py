@@ -426,8 +426,23 @@ def test_galois_action_identity_and_mod_reduction():
 def test_galois_action_coprimality_guard():
     alg = TorsionAlgebra(C2, (0, 1, 1))  # I = t^2 + t = t(t+1)
     x = alg.x_gen()
-    with pytest.raises(ValueError):
-        galois_act(alg, (0, 1), x)
+    for a in ((0, 1), (0, 1), (0, 1, 1), (), (0, 1)):  # a refused class is never kept
+        with pytest.raises(ValueError):
+            galois_act(alg, a, x)
+
+
+def test_each_image_of_x_is_made_once_per_algebra(monkeypatch):
+    calls = []
+    monkeypatch.setattr(carlitz, "torsion_poly",
+                        lambda ctx, a: calls.append(a) or torsion_poly(ctx, a))
+    G = unit_group(C3, (0, 2, 1))
+    assert battery._galois_action(C3, (0, 2, 1))["status"] == "pass"
+    assert sorted(calls) == sorted(G.elements)  # 3 actions on each of 16 pairs
+    alg = TorsionAlgebra(C3, (0, 2, 1))  # a new algebra makes its own
+    x = alg.x_gen()
+    for a in G.elements:
+        assert galois_act(alg, a, x) == torsion_poly(C3, a).eval_elem(x)
+    assert len(calls) == 2 * G.order
 
 
 def test_galois_action_is_group_action():

@@ -15,8 +15,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ffstick import battery, cli
-from ffstick.fieldcore import field_context
+from ffstick import battery, cli, groupring
+from ffstick.fieldcore import FieldCtx, field_context
 from ffstick.report import load_schema
 
 
@@ -388,6 +388,32 @@ def test_verify_all_phi_fault_fails_only_the_first_phi_dual():
         "1518520d41fc7ef7fdc88858c17e0c35fc2fccf4eaed2ffcfdec17e073fb856c")
 
 
+def test_verify_all_divisor_product_fault_fails_only_its_record():
+    # the fault adds 1 to the X coefficient of a copy of the Psi product for
+    # the first modulus, t over F_2, and stops that record there; the memos
+    # it read stay intact (test_a_fault_leaves_the_memos_intact)
+    proc = run_cli(*REDUCED_BATTERY, "--inject-fault", "divisor_product")
+    assert proc.returncode == 1
+    failing = [c for c in report_of(proc)["checks"] if c["status"] == "fail"]
+    assert [c["check_id"] for c in failing] == ["carlitz.divisor_product[q=2]"]
+    assert failing[0]["details"] == {"moduli_tested": 1,
+                                     "witness": {"f": [0, 1], "first_mismatch": 1}}
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "6f28c75e8d5a122073fe4c82a6181e79179c7847132c3d39413177418b37bbc6")
+
+
+def test_verify_all_bridge_fault_fails_only_its_record():
+    # the fault adds 1 to a copy of the chain total of the first determinant,
+    # t, of the first record, q = 2 and n = 1
+    proc = run_cli(*REDUCED_BATTERY, "--inject-fault", "bridge")
+    assert proc.returncode == 1
+    failing = [c for c in report_of(proc)["checks"] if c["status"] == "fail"]
+    assert [c["check_id"] for c in failing] == ["hecke.bridge[q=2,n=1]"]
+    assert failing[0]["details"]["witness"] == {"g": [0, 1], "chain_total": 2, "phi_closed": 1}
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "ed1f95aa9b81ffbbc2172962d36405c32ed61be693060d59299e44a3af670aa8")
+
+
 def test_verify_all_sections_are_the_perfbench_sections():
     # perfbench's battery workload marks a run incorrect unless its [time]
     # labels are tracing.SECTIONS in order; tracing.py needs only the
@@ -403,13 +429,43 @@ def test_verify_all_sections_are_the_perfbench_sections():
     assert timed == tracing.SECTIONS + ["verify-all total"]
 
 
+def _reduced_contexts(args):
+    return {p ** m: field_context(p, m, seed=args.seed) for p, m in ((2, 1), (3, 1), (2, 2), (5, 1))}
+
+
 def _family_ids(label):
     """The check ids the family emits when it runs alone on the reduced
     battery's arguments, with no fault."""
     (build,) = [b for name, b, _ in battery.FAMILIES if name == label]
     args = cli.build_parser().parse_args(REDUCED_BATTERY)
-    ctxs = {p ** m: field_context(p, m, seed=args.seed) for p, m in ((2, 1), (3, 1), (2, 2), (5, 1))}
-    return {rec["check_id"] for rec in build(ctxs, args, None)}
+    return {rec["check_id"] for rec in build(_reduced_contexts(args), args, None)}
+
+
+@pytest.mark.parametrize("fault", sorted(battery.FAULTS))
+def test_a_fault_leaves_the_memos_intact(fault):
+    # the owning family runs with the fault, then again without it on the
+    # same contexts: a fault that reached a memo would fail a record there
+    (build,) = [b for name, b, faults in battery.FAMILIES if fault in faults]
+    args = cli.build_parser().parse_args(REDUCED_BATTERY)
+    ctxs = _reduced_contexts(args)
+    assert any(rec["status"] == "fail" for rec in build(ctxs, args, fault))
+    assert all(rec["status"] == "pass" for rec in build(ctxs, args, None))
+
+
+def test_each_factorization_and_unit_table_is_made_once_per_context(monkeypatch):
+    # one reduced verify-all pass: the factorization routine runs once per
+    # (context, monic polynomial) and the unit-table gcd scan once per
+    # (context, modulus); the contexts stay alive, so ids are not reused
+    factored, scanned = [], []
+    real_factor, real_scan = FieldCtx._factor_monic, groupring._unit_table
+    monkeypatch.setattr(FieldCtx, "_factor_monic",
+                        lambda self, f: factored.append((id(self), f)) or real_factor(self, f))
+    monkeypatch.setattr(groupring, "_unit_table",
+                        lambda ctx, I: scanned.append((id(ctx), I)) or real_scan(ctx, I))
+    args = cli.build_parser().parse_args(REDUCED_BATTERY)
+    assert all(rec["status"] == "pass" for rec in battery.verify_all(args))
+    assert factored and len(set(factored)) == len(factored)
+    assert scanned and len(set(scanned)) == len(scanned)
 
 
 @pytest.mark.parametrize("fault", sorted(battery.FAULTS))

@@ -1,7 +1,8 @@
 """The tables derived from a field live in its context's ``memo``.
 
-They die with the context, an equal context starts without them, and only
-accepted primes are stored.
+They die with the context, by reference counting alone, an equal context
+starts without them, a caller cannot corrupt them through what it is
+handed, and only accepted primes are stored.
 """
 
 import gc
@@ -9,9 +10,12 @@ import weakref
 
 import pytest
 
-from ffstick import carlitz, heckelat
+from ffstick import carlitz, groupring, heckelat
 from ffstick.fieldcore import FieldCtx, field_context
 from ffstick.heckelat import InvariantType, LatticeSum, standard_lattice
+
+TAGS = {"diag", "types", "plan", "frames", "packing", "prime", "psi", "phi",
+        "factor", "divisors", "units"}
 
 
 def _exercise(ctx):
@@ -23,6 +27,13 @@ def _exercise(ctx):
     heckelat.t_chain(InvariantType(ctx, [t, t]), s)  # t^2 leaves a choice in rank 2
     heckelat.sigma_apply(t, 1, s)
     heckelat.d_count(ctx, [t, t])
+    heckelat.phi_count(ctx, (0, 0, 1), 2)
+    G = groupring.unit_group(ctx, (1, 1, 1))
+    assert G.order == G.order_by_formula()
+    alg = carlitz.TorsionAlgebra(ctx, (1, 1, 1))
+    x = alg.x_gen()
+    for a in G.elements:
+        carlitz.galois_act(alg, a, carlitz.galois_act(alg, a, x))
 
 
 def _tags(ctx):
@@ -34,11 +45,70 @@ def test_caches_do_not_keep_contexts_alive():
     for _ in range(2):
         ctx = field_context(3, 2)
         _exercise(ctx)
-        assert _tags(ctx) == {"diag", "types", "plan", "frames", "packing", "prime", "psi", "phi"}
+        assert _tags(ctx) == TAGS
         refs.append(weakref.ref(ctx))
         del ctx
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def test_contexts_die_by_reference_counting_alone():
+    # no memo value, and no table a torsion algebra keeps, refers back to
+    # the context, so no cycle holds it once the last name is gone
+    gc.disable()
+    try:
+        ctx = field_context(3, 2)
+        _exercise(ctx)
+        assert _tags(ctx) == TAGS
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_what_the_factor_memo_hands_out_cannot_corrupt_it():
+    ctx = field_context(3)
+    f = ctx.pmul(ctx.pmul((1, 1), (1, 1)), ctx.pmul((1, 1), (2, 1)))  # (t + 1)^3 (t + 2)
+    unit, factors = ctx.pfactor(f)
+    divisors = ctx.monic_divisors(f)
+    assert (unit, factors) == (1, [((1, 1), 3), ((2, 1), 1)]) and len(divisors) == 8
+    factors.append(((0, 1), 1))
+    factors[0] = ((1, 1), 1)
+    divisors.reverse()
+    divisors.pop()
+    assert ctx.pfactor(f) == (1, [((1, 1), 3), ((2, 1), 1)])
+    assert ctx.monic_divisors(f) == sorted(divisors + [(1,)], key=lambda d: (len(d), ctx.pkey(d)))
+    # a non-monic f shares the memo of its monic multiple, with its own unit
+    assert ctx.pfactor(ctx.pscale(f, 2)) == (2, [((1, 1), 3), ((2, 1), 1)])
+    assert ctx.monic_divisors(ctx.pscale(f, 2)) == ctx.monic_divisors(f)
+
+
+def test_the_unit_tables_never_factor_the_modulus(monkeypatch):
+    def refuse(self, f):
+        raise AssertionError("pfactor called")
+
+    ctx = field_context(3)
+    monkeypatch.setattr(FieldCtx, "pfactor", refuse)
+    G = groupring.unit_group(ctx, (0, 2, 1))  # t (t + 2)
+    assert G.order == 4 and G.elements == ((1,), (2,), (1, 1), (2, 2))
+    monkeypatch.undo()
+    assert G.order_by_formula() == 4
+
+
+def test_an_equal_context_factors_again(monkeypatch):
+    calls = []
+    real = FieldCtx._factor_monic
+    monkeypatch.setattr(FieldCtx, "_factor_monic",
+                        lambda self, f: calls.append((self, f)) or real(self, f))
+    a, b = field_context(3), field_context(3)
+    f = (1, 0, 1, 0, 1)  # t^4 + t^2 + 1 = (t + 1)^2 (t + 2)^2 over F_3
+    assert a.pfactor(f) == a.pfactor(f)
+    assert [c for c, _ in calls] == [a]
+    assert b.pfactor(f) == a.pfactor(f)
+    assert [c for c, _ in calls] == [a, b] and calls[1][1] == f
+    b.monic_divisors(f)
+    assert len(calls) == 2
 
 
 def test_an_equal_context_starts_with_an_empty_memo(monkeypatch):
