@@ -228,8 +228,10 @@ def dcount(ctx: FieldCtx, chain: InvariantType) -> dict:
 
 
 def _psi_and_units(ctx: FieldCtx, I) -> tuple:
-    """Psi_I and the order of the unit group of A/I, which deg Psi_I equals."""
-    return carlitz.psi_cyclotomic(ctx, I), unit_group(ctx, ctx.pvalidate(I)).order
+    """Psi_I (``psi_dense``'s memo list, read only) and the order of the
+    unit group of A/I, which deg Psi_I equals."""
+    I = ctx.pmodulus(I)
+    return carlitz.psi_dense(ctx, I), unit_group(ctx, I).order
 
 
 def psi(ctx: FieldCtx, I) -> dict:
@@ -242,16 +244,19 @@ def psi(ctx: FieldCtx, I) -> dict:
         "equals the unit group order",
         degree == order,
         {"ideal": list(I), "degree": degree, "unit_group_order": order,
-         "coeffs": [list(c.coeffs) for c in psi_I]},
+         "coeffs": [list(c) for c in psi_I]},
     )
 
 
-def _psi_degree(ctx: FieldCtx) -> dict:
-    """verify-all's record, over the moduli of degree up to 3."""
+def _psi_degree(ctx: FieldCtx, fault: bool = False) -> dict:
+    """verify-all's record, over the moduli of degree up to 3.  A fault adds 1
+    to a copy of the unit group order at the first modulus, t."""
 
     def mismatch(I):
         psi_I, order = _psi_and_units(ctx, I)
         degree = len(psi_I) - 1
+        if fault and I == (0, 1):
+            order += 1
         return None if degree == order else {"I": list(I), "degree": degree, "order": order}
 
     _, bad = _first_failure(ctx, 3, mismatch)
@@ -263,7 +268,7 @@ def _psi_degree(ctx: FieldCtx) -> dict:
     )
 
 
-def _divisor_product(ctx: FieldCtx, fault: str | None = None) -> dict:
+def _divisor_product(ctx: FieldCtx, fault: bool = False) -> dict:
     """Over the moduli f of degree up to 3: the Psi_g of the monic divisors g
     of f multiply to the f-torsion polynomial.  ``psi_dense`` makes each
     Psi_g by exact division and raises where a division leaves a remainder;
@@ -296,22 +301,27 @@ def _divisor_product(ctx: FieldCtx, fault: str | None = None) -> dict:
         _with_witness({"moduli_tested": count}, bad))
 
 
-def _galois_action(ctx: FieldCtx, I: tuple) -> dict:
-    """a.(b.x) = (ab).x on the torsion generator x for all unit classes a, b."""
+def _galois_action(ctx: FieldCtx, I: tuple, fault: bool = False) -> dict:
+    """a.(b.x) = (ab).x on the torsion generator x for all unit classes a, b,
+    up to the first pair that fails.  A fault compares the first pair against
+    a copy of the image (ab).x plus 1, never the image the algebra keeps."""
     alg = carlitz.TorsionAlgebra(ctx, I)
     x = alg.x_gen()
     G = unit_group(ctx, I)
     act = carlitz.galois_act
-    ok = True
+    witness = None
     for a, b in itertools.product(G.elements, repeat=2):
-        if act(alg, a, act(alg, b, x)) != act(alg, ctx.pmod(ctx.pmul(a, b), I), x):
-            ok = False
+        want = act(alg, ctx.pmod(ctx.pmul(a, b), I), x)
+        if fault:  # the first pair only
+            want, fault = want + alg.one(), False
+        if act(alg, a, act(alg, b, x)) != want:
+            witness = {"a": list(a), "b": list(b)}
             break
     return check_record(
         f"carlitz.galois_action{_tag(ctx.q, I)}",
         "torsion action of unit classes composes like the group law",
-        ok,
-        {"group_order": G.order})
+        witness is None,
+        _with_witness({"group_order": G.order}, witness))
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +421,11 @@ def _chain_partitions(ctxs: dict, args, fault: str | None):
 
 def _carlitz_suite(ctxs: dict, args, fault: str | None):
     for q in (2, 3):
-        # an injected divisor_product fault corrupts the record at q = 2 only
-        yield _divisor_product(ctxs[q], fault if q == 2 else None)
-        yield _psi_degree(ctxs[q])
-    yield from (_galois_action(ctxs[q], I) for q, I in ((2, (1, 1, 1)), (3, (0, 2, 1))))
+        # an injected fault corrupts its record at q = 2 only
+        yield _divisor_product(ctxs[q], q == 2 and fault == "divisor_product")
+        yield _psi_degree(ctxs[q], q == 2 and fault == "psi_degree")
+    for q, I in ((2, (1, 1, 1)), (3, (0, 2, 1))):
+        yield _galois_action(ctxs[q], I, q == 2 and fault == "galois")
     for q in (3, 4):
         p = t_times_t_minus_one(ctxs[q])
         rep = carlitz.split_tensor_element(ctxs[q], p)
@@ -436,7 +447,7 @@ FAMILIES = (
     ("Newton recurrence grid", _newton_grid, NEWTON_FAULTS),
     ("coprime multiplicativity", _multiplicativity, ("mult",)),
     ("chain partition of counts", _chain_partitions, ("bridge",)),
-    ("Carlitz torsion suite", _carlitz_suite, ("divisor_product",)),
+    ("Carlitz torsion suite", _carlitz_suite, ("divisor_product", "psi_degree", "galois")),
 )
 FAULTS = {fault: label for label, _, faults in FAMILIES for fault in faults}  # fault -> owner
 

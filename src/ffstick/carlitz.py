@@ -36,8 +36,6 @@ phi_(t-a_j)(delta_j) = 0, and the diagonal specialization of u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .fieldcore import FieldCtx, Poly, dense_divmod, dense_mul, dense_strip
 
 __all__ = [
@@ -140,7 +138,7 @@ def _phi_t_power(ctx: FieldCtx, i: int) -> tuple:
             hit = ((1,),)
         else:
             prev = _phi_t_power(ctx, i - 1)
-            hit = tuple(ctx.padd(ctx.pmul((0, 1), c), ctx.pfrob(b))
+            hit = tuple(ctx.pmuladd(ctx.pfrob(b), (0, 1), c)
                         for c, b in zip(prev + ((),), ((),) + prev))
         ctx.memo["phi", i] = hit
     return hit
@@ -153,7 +151,7 @@ def carlitz_map(ctx: FieldCtx, a) -> SkewPoly:
     for i, c in enumerate(a):
         if c:
             for j, b in enumerate(_phi_t_power(ctx, i)):
-                out[j] = ctx.padd(out[j], ctx.pscale(b, c))
+                out[j] = ctx.pmuladd(out[j], b, (c,))
     return SkewPoly(ctx, out)
 
 
@@ -172,7 +170,7 @@ def torsion_poly(ctx: FieldCtx, a) -> SkewPoly:
 
 def xmul(ctx: FieldCtx, a: list, b: list) -> list:
     """Product of dense polynomials in X with F_q[t] tuple coefficients."""
-    return dense_strip(dense_mul(a, b, (), ctx.padd, ctx.pmul))
+    return dense_strip(dense_mul(a, b, (), ctx.pmuladd))
 
 
 def psi_cyclotomic(ctx: FieldCtx, I) -> list[Poly]:
@@ -205,7 +203,7 @@ def psi_dense(ctx: FieldCtx, I: tuple) -> list:
             if g == I:
                 continue
             # Psi_g is monic in X
-            quot, rem = dense_divmod(num, psi_dense(ctx, g), (), ctx.psub, ctx.pmul)
+            quot, rem = dense_divmod(num, psi_dense(ctx, g), (), ctx.pmulsub)
             if rem:
                 raise ArithmeticError(
                     "primitive torsion factor does not divide exactly"
@@ -318,7 +316,7 @@ def _sub_shifted(ctx: FieldCtx, a: tuple, u: list, c: tuple, k: int, v: list) ->
     out += [()] * (k + len(v) - len(out))
     for j, y in enumerate(v):
         if y:
-            out[k + j] = ctx.psub(out[k + j], ctx.pmul(c, y))
+            out[k + j] = ctx.pmulsub(out[k + j], c, y)
     return dense_strip(out)
 
 
@@ -360,30 +358,31 @@ class AlgElem:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def _plus(self, other, op) -> "AlgElem":
+    def _plus(self, other, fused) -> "AlgElem":
+        """self + other or self - other, with fused ``pmuladd`` or ``pmulsub``."""
         alg = self.algebra
         alg._match(other)
         ctx = alg.ctx
         a, b = self.den, other.den
         if a == b:
-            return alg._elem([op(x, y) for x, y in zip(self.nums, other.nums)], a)
+            return alg._elem([fused(x, (1,), y) for x, y in zip(self.nums, other.nums)], a)
         den = _lcm(ctx, a, b)
         ca, cb = ctx.pdivmod(den, a)[0], ctx.pdivmod(den, b)[0]
         pmul = ctx.pmul
-        return alg._elem([op(pmul(x, ca), pmul(y, cb)) for x, y in zip(self.nums, other.nums)],
+        return alg._elem([fused(pmul(x, ca), cb, y) for x, y in zip(self.nums, other.nums)],
                          den)
 
     def __add__(self, other):
-        return self._plus(other, self.algebra.ctx.padd)
+        return self._plus(other, self.algebra.ctx.pmuladd)
 
     def __sub__(self, other):
-        return self._plus(other, self.algebra.ctx.psub)
+        return self._plus(other, self.algebra.ctx.pmulsub)
 
     def __mul__(self, other):
         alg = self.algebra
         alg._match(other)
         ctx = alg.ctx
-        raw = dense_mul(self.nums, other.nums, (), ctx.padd, ctx.pmul)
+        raw = dense_mul(self.nums, other.nums, (), ctx.pmuladd)
         return alg._elem(raw, ctx.pmul(self.den, other.den))
 
     def scale_poly(self, p) -> "AlgElem":
@@ -525,7 +524,7 @@ class TorsionAlgebra:
         by their gcd when den is not 1."""
         ctx = self.ctx
         if len(raw) > self.dim:
-            raw = dense_divmod(raw, self._psi, (), ctx.psub, ctx.pmul)[1]
+            raw = dense_divmod(raw, self._psi, (), ctx.pmulsub)[1]
         if den != (1,):
             g = _content(ctx, raw, den)
             if g != (1,):  # g == den when raw is zero
@@ -552,7 +551,7 @@ def galois_act(alg: TorsionAlgebra, a, e: AlgElem) -> AlgElem:
     """
     ctx = alg.ctx
     a = ctx.pmod(ctx.pvalidate(a), alg.I)
-    padd, pmul = ctx.padd, ctx.pmul
+    pmuladd = ctx.pmuladd
     image = alg._images.get(a)
     if image is None:
         if ctx.pgcd(a, alg.I) != (1,):
@@ -560,7 +559,7 @@ def galois_act(alg: TorsionAlgebra, a, e: AlgElem) -> AlgElem:
         image = [()] * alg.dim
         for c, xq in zip(torsion_poly(ctx, a).coeffs, alg._x_qpowers):
             if c:
-                image = [padd(s, pmul(c, n)) for s, n in zip(image, xq)]
+                image = [pmuladd(s, c, n) for s, n in zip(image, xq)]
         image = alg._images[a] = tuple(image)
     alg._match(e)
     image_x = alg._elem(image)
@@ -572,7 +571,7 @@ def galois_act(alg: TorsionAlgebra, a, e: AlgElem) -> AlgElem:
         if i:
             power = power * image_x if i > 1 else image_x
         if n:
-            acc = [padd(s, pmul(n, m)) for s, m in zip(acc, power.nums)]
+            acc = [pmuladd(s, n, m) for s, m in zip(acc, power.nums)]
     return alg._elem(acc, e.den)
 
 
@@ -603,20 +602,19 @@ def partial_fractions(ctx: FieldCtx, p) -> list[tuple[int, int]]:
     for a, m in out:
         cof, rem = ctx.pdivmod(p, ctx.psub((0, 1), (a,)))
         assert rem == ()
-        total = ctx.padd(total, ctx.pscale(cof, m))
+        total = ctx.pmuladd(total, cof, (m,))
     if total != (1,):
         raise ArithmeticError("partial fraction reconstruction failed")
     return out
 
 
-@dataclass
 class SplitElementReport:
-    ok: bool
-    checks: list = field(default_factory=list)
-    weights: list = field(default_factory=list)
-    diagonal_constant: RatFunc | None = None
-    tensor: list | None = None
-    dim: int = 0
+    def __init__(self, ok: bool, checks: list | None = None, weights: list | None = None,
+                 diagonal_constant: RatFunc | None = None, tensor: list | None = None,
+                 dim: int = 0):
+        self.ok, self.checks = ok, [] if checks is None else checks
+        self.weights = [] if weights is None else weights
+        self.diagonal_constant, self.tensor, self.dim = diagonal_constant, tensor, dim
 
 
 def split_tensor_element(ctx: FieldCtx, p) -> SplitElementReport:
@@ -683,16 +681,16 @@ def split_tensor_element(ctx: FieldCtx, p) -> SplitElementReport:
         L = (1,)
         for d in dens:
             L = _lcm(ctx, L, d)
-        padd, pmul = ctx.padd, ctx.pmul
+        padd, pmuladd = ctx.padd, ctx.pmuladd
         u = [[()] * D for _ in range(D)]
         for (_, m), delta, invd, d in zip(pf, deltas, invs, dens):
             cof = ctx.pscale(ctx.pdivmod(L, d)[0], m)
-            ys = [pmul(ck, cof) for ck in invd.nums]
+            ys = [ctx.pmul(ck, cof) for ck in invd.nums]
             for row, ci in zip(u, delta.nums):
                 if ci:
                     for k, ck in enumerate(ys):
                         if ck:
-                            row[k] = padd(row[k], pmul(ci, ck))
+                            row[k] = pmuladd(row[k], ci, ck)
         u[0][0] = ctx.psub(u[0][0], L)
 
         # diagonal specialization X = Y

@@ -38,8 +38,8 @@ The modules above this one multiply dense polynomials over other
 coefficient rings too: F_q[t] in X, and Z[G_I] in F or z; they divide
 only by the monic Psi_g, over F_q[t] in X.  They share one schoolbook
 kernel, ``dense_mul``, ``dense_divmod`` and ``dense_strip``, which takes
-the ring as arguments: its zero, its operations as callables, and a
-coefficient is zero when it is falsy.
+the ring as its zero and one fused multiply-accumulate (over F_q[t],
+``FieldCtx.pmuladd`` or ``pmulsub``), a falsy coefficient being zero.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _mix(*values: int) -> int:
 
 # ---------------------------------------------------------------------------
 # dense polynomials over any coefficient ring: little endian lists, the ring
-# given by its zero and its operations, a coefficient zero when it is falsy
+# given by its zero and fma(acc, x, y) = acc + x*y, a falsy coefficient zero
 
 
 def dense_strip(cs: list) -> list:
@@ -98,24 +98,24 @@ def dense_strip(cs: list) -> list:
     return cs
 
 
-def dense_mul(a: Sequence, b: Sequence, zero, add, mul, size: int | None = None) -> list:
-    """The product of a and b, not stripped; with ``size``, only its first
-    ``size`` coefficients (a truncated power series)."""
+def dense_mul(a: Sequence, b: Sequence, zero, fma, size: int | None = None) -> list:
+    """The product of a and b, one fma per step, not stripped; with ``size``,
+    only its first ``size`` coefficients (a truncated power series)."""
     n = len(a) + len(b) - 1 if a and b else 0
     if size is not None:
         n = min(n, size)
     out = [zero] * n
     for i, x in enumerate(a[:n]):
         if x:
-            for j, y in enumerate(b[:n - i]):
+            for k, y in enumerate(b[:n - i], i):
                 if y:
-                    out[i + j] = add(out[i + j], mul(x, y))
+                    out[k] = fma(out[k], x, y)
     return out
 
 
-def dense_divmod(a: Sequence, b: Sequence, zero, sub, mul) -> tuple[list, list]:
-    """Quotient and remainder of a by b, both stripped; b must be stripped
-    and monic, its leading coefficient the ring's one."""
+def dense_divmod(a: Sequence, b: Sequence, zero, fms) -> tuple[list, list]:
+    """Quotient and remainder of a by b by fms(acc, x, y) = acc - x*y, both
+    stripped; b must be stripped and monic, its leading coefficient one."""
     rem = list(a)
     db = len(b) - 1
     quot = [zero] * max(len(rem) - db, 0)
@@ -124,9 +124,9 @@ def dense_divmod(a: Sequence, b: Sequence, zero, sub, mul) -> tuple[list, list]:
         if not c:
             continue
         quot[i - db] = c
-        for j, y in enumerate(b):
+        for k, y in enumerate(b, i - db):
             if y:
-                rem[i - db + j] = sub(rem[i - db + j], mul(c, y))
+                rem[k] = fms(rem[k], c, y)
     return dense_strip(quot), dense_strip(rem)
 
 
@@ -192,6 +192,31 @@ def _add_neg_rows(elems: list[int], p: int) -> tuple[list[list[int]], list[int]]
         neg = [x + s * ((-c) % p) for c in range(p) for x in neg]
         s *= p
     return add, [elems[e] for e in neg]
+
+
+def _fused(table: str):
+    """acc + a*b (``add_table``) or acc - a*b (``sub_table``) for stripped
+    tuples, a ``FieldCtx`` method: one pass into one list, stripped once;
+    acc itself when a*b = 0."""
+
+    def fused(self, acc, a, b):
+        if not a or not b:
+            return acc
+        out = list(acc)
+        out += [0] * (len(a) + len(b) - 1 - len(out))
+        ops, mt = getattr(self, table), self.mul_table
+        for i, ca in enumerate(a):
+            if ca:
+                row = mt[ca]
+                for k, cb in enumerate(b, i):
+                    if cb:
+                        out[k] = ops[out[k]][row[cb]]
+        while out and out[-1] == 0:
+            out.pop()
+        return tuple(out)
+
+    fused.__doc__ = _fused.__doc__
+    return fused
 
 
 class FieldCtx:
@@ -345,16 +370,7 @@ class FieldCtx:
         return tuple(out)
 
     def psub(self, a, b):
-        st = self.sub_table
-        n = max(len(a), len(b))
-        out = []
-        for i in range(n):
-            x = a[i] if i < len(a) else 0
-            y = b[i] if i < len(b) else 0
-            out.append(st[x][y])
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        return self.pmulsub(a, (1,), b)
 
     def pscale(self, a, c: int):
         if c == 0:
@@ -376,6 +392,9 @@ class FieldCtx:
                     if cb:
                         out[i + j] = at[out[i + j]][row[cb]]
         return tuple(out)
+
+    pmuladd = _fused("add_table")
+    pmulsub = _fused("sub_table")
 
     def pdivmod(self, a, b):
         if not b:
@@ -491,7 +510,7 @@ class FieldCtx:
             out = ()
             for c, row in zip(h, rows):
                 if c:
-                    out = self.padd(out, self.pscale(row, c))
+                    out = self.pmuladd(out, row, (c,))
             return out
 
         return image

@@ -18,7 +18,6 @@ pipeline.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable
 
 from .fieldcore import NEG_INF, FieldCtx, Poly, dense_mul
@@ -194,16 +193,20 @@ class GroupRingElem:
             return GroupRingElem(self.group, {i: c * other for i, c in self.coeffs.items()})
         if not isinstance(other, GroupRingElem):
             return NotImplemented  # a FrobPoly multiplies from its own side
-        other = self._check(other)
-        out: dict[int, int] = {}
-        for i, ci in self.coeffs.items():
+        return GroupRingElem(self.group).muladd(self, self._check(other))
+
+    __rmul__ = __mul__
+
+    def muladd(self, x: "GroupRingElem", y: "GroupRingElem") -> "GroupRingElem":
+        """self + x * y as one coefficient dict and one element, for x and y
+        over this group: the fused multiply-add ``dense_mul`` takes for Z[G_I]."""
+        out = dict(self.coeffs)
+        for i, ci in x.coeffs.items():
             row = self.group._row(i)
-            for j, cj in other.coeffs.items():
+            for j, cj in y.coeffs.items():
                 k = row[j]
                 out[k] = out.get(k, 0) + ci * cj
         return GroupRingElem(self.group, out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (
@@ -329,7 +332,7 @@ class FrobPoly:
         other = self._check(other)
         zero = GroupRingElem.zero(self.group)
         return FrobPoly(self.group, dense_mul(self.coeffs, other.coeffs, zero,
-                                              operator.add, operator.mul))
+                                              GroupRingElem.muladd))
 
     __rmul__ = __mul__
 

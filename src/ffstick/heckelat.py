@@ -51,7 +51,6 @@ import operator
 import random
 from collections import _count_elements
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .fieldcore import FieldCtx, Poly, _mix
@@ -150,7 +149,7 @@ class Lattice:
             if q:
                 for k in range(i, self.n):
                     if self.rows[i][k]:
-                        v[k] = ctx.psub(v[k], ctx.pmul(q, self.rows[i][k]))
+                        v[k] = ctx.pmulsub(v[k], q, self.rows[i][k])
         return coords
 
     def __eq__(self, other):
@@ -197,7 +196,7 @@ def _reduce_row(ctx: FieldCtx, v: list, tail: tuple, i: int) -> tuple:
     """Reduce row vector v (zero before column i) in place against the
     canonical rows ``tail`` of rows i+1, ..., n-1: each entry j > i ends
     below the degree of the diagonal entry of row j."""
-    pdivmod, psub, pmul = ctx.pdivmod, ctx.psub, ctx.pmul
+    pdivmod, pmulsub = ctx.pdivmod, ctx.pmulsub
     n = len(v)
     for j in range(i + 1, n):
         rj = tail[j - i - 1]
@@ -205,7 +204,7 @@ def _reduce_row(ctx: FieldCtx, v: list, tail: tuple, i: int) -> tuple:
             quo, v[j] = pdivmod(v[j], rj[j])
             for k in range(j + 1, n):
                 if rj[k]:
-                    v[k] = psub(v[k], pmul(quo, rj[k]))
+                    v[k] = pmulsub(v[k], quo, rj[k])
     return tuple(v)
 
 
@@ -230,7 +229,7 @@ def hnf_reduce(ctx: FieldCtx, rows) -> Lattice:
         mat.append(r)
     if not mat or n == 0:
         raise ValueError("empty basis")
-    pdivmod, psub, pmul, pscale = ctx.pdivmod, ctx.psub, ctx.pmul, ctx.pscale
+    pdivmod, pmulsub, pscale = ctx.pdivmod, ctx.pmulsub, ctx.pscale
     inv = ctx.inv_table
     pr = 0
     for col in range(n):
@@ -247,7 +246,7 @@ def hnf_reduce(ctx: FieldCtx, rows) -> Lattice:
             ra, rb = mat[a], mat[b]
             for c in range(col, n):
                 if ra[c]:
-                    rb[c] = psub(rb[c], pmul(q, ra[c]))
+                    rb[c] = pmulsub(rb[c], q, ra[c])
         mat[pr], mat[k] = mat[k], mat[pr]
         lead = mat[pr][col][-1]
         if lead != 1:
@@ -453,7 +452,7 @@ def _enum_canonical_triangles(ctx: FieldCtx, diags: Sequence[tuple]):
 def _apply_basis(ctx: FieldCtx, cmat: list, lrows: tuple) -> tuple:
     """Canonical rows of the lattice with rows C * lrows, both triangular."""
     n = len(lrows)
-    pmul, padd = ctx.pmul, ctx.padd
+    pmuladd = ctx.pmuladd
     rows = []
     for i in range(n):
         ci = cmat[i]
@@ -464,7 +463,7 @@ def _apply_basis(ctx: FieldCtx, cmat: list, lrows: tuple) -> tuple:
                 lk = lrows[k]
                 for c in range(k, n):
                     if lk[c]:
-                        out[c] = padd(out[c], pmul(cik, lk[c]))
+                        out[c] = pmuladd(out[c], cik, lk[c])
         rows.append(out)
     return _canonical_rows(ctx, n, rows)
 
@@ -1387,12 +1386,9 @@ def _checked_test_lattices(ctx: FieldCtx, n: int, test_lattices: Sequence[Lattic
     return test_lattices
 
 
-@dataclass
 class NewtonReport:
-    ok: bool
-    identity_ok: bool
-    witness: dict | None
-    cases: int
+    def __init__(self, ok: bool, identity_ok: bool, witness: dict | None, cases: int):
+        self.ok, self.identity_ok, self.witness, self.cases = ok, identity_ok, witness, cases
 
 
 def newton_verify(
@@ -1458,11 +1454,9 @@ def newton_verify(
                         witness=witness, cases=cases)
 
 
-@dataclass
 class MultReport:
-    ok: bool
-    witness: dict | None
-    cases: int
+    def __init__(self, ok: bool, witness: dict | None, cases: int):
+        self.ok, self.witness, self.cases = ok, witness, cases
 
 
 def hecke_mult_verify(

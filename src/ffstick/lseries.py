@@ -24,10 +24,8 @@ All arithmetic is exact over Z.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 
 from .fieldcore import FieldCtx, Poly, dense_mul
 from .groupring import (
@@ -248,11 +246,9 @@ def euler_series(S: StickCtx, M: int, method: str = "direct") -> tuple[GroupRing
     return series
 
 
-@dataclass
 class TailReport:
-    passed: bool
-    window: tuple[int, int]
-    violations: list
+    def __init__(self, passed: bool, window: tuple[int, int], violations: list):
+        self.passed, self.window, self.violations = passed, window, violations
 
 
 def stickelberger_q(S: StickCtx, window: int = 4) -> tuple[tuple[GroupRingElem, ...], TailReport]:
@@ -325,7 +321,7 @@ def phi_series(S: StickCtx, n: int, M: int | None = None,
         series = result = euler_series(S, M, method="direct")
         for j in range(1, n):
             result = dense_mul(result, [s * q ** (j * m) for m, s in enumerate(series)],
-                               GroupRingElem.zero(G), operator.add, operator.mul, size=M + 1)
+                               GroupRingElem.zero(G), GroupRingElem.muladd, size=M + 1)
         result = tuple(result)
     elif method == "lattice":
         weights: dict[tuple, int] = {}

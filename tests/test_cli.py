@@ -414,6 +414,41 @@ def test_verify_all_bridge_fault_fails_only_its_record():
         "ed1f95aa9b81ffbbc2172962d36405c32ed61be693060d59299e44a3af670aa8")
 
 
+def test_verify_all_psi_degree_fault_fails_only_its_record():
+    # the fault adds 1 to a copy of the unit group order at the first
+    # modulus, t over F_2; the UnitGroup and the Psi memo stay intact
+    proc = run_cli(*REDUCED_BATTERY, "--inject-fault", "psi_degree")
+    assert proc.returncode == 1
+    failing = [c for c in report_of(proc)["checks"] if c["status"] == "fail"]
+    assert [c["check_id"] for c in failing] == ["carlitz.psi_degree[q=2]"]
+    assert failing[0]["details"] == {"max_deg": 3,
+                                     "witness": {"I": [0, 1], "degree": 1, "order": 2}}
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "17bc45565369dbe9c6fdafe53489e76497052f282b3e4ec2b55a530ea1e88a0e")
+
+
+def test_verify_all_galois_fault_fails_only_its_record():
+    # the fault compares the first pair, a = b = 1, against a copy of the
+    # image of x plus 1, never against the image the algebra keeps
+    proc = run_cli(*REDUCED_BATTERY, "--inject-fault", "galois")
+    assert proc.returncode == 1
+    failing = [c for c in report_of(proc)["checks"] if c["status"] == "fail"]
+    assert [c["check_id"] for c in failing] == ["carlitz.galois_action[q=2,I=1,1,1]"]
+    assert failing[0]["details"] == {"group_order": 3, "witness": {"a": [1], "b": [1]}}
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "26115abd05bc6296e00e74a9f86f76c852042b31f9bd8b7f163df14136a99e82")
+
+
+def test_the_cli_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses loads inspect, ast, dis and tokenize: start-up time that
+    # every run pays for report classes that need none of it
+    script = ("import sys, ffstick.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_all_sections_are_the_perfbench_sections():
     # perfbench's battery workload marks a run incorrect unless its [time]
     # labels are tracing.SECTIONS in order; tracing.py needs only the

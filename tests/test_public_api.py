@@ -113,6 +113,7 @@ _UNREACHED_PUBLIC_KEPT = {
     "heckelat.quotient_invariants": _PERFBENCH,
     "heckelat.LatticeSum.terms": _PERFBENCH,
     "report.load_schema": _PERFBENCH,
+    "carlitz.psi_cyclotomic": _PERFBENCH,
     "heckelat.Lattice.coords_of": "quotient_invariants reads it",
     "groupring.UnitGroup.order_by_formula": _ORACLE,
     "groupring.GroupRingElem.augmentation": _ORACLE,
